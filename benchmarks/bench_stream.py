@@ -149,8 +149,6 @@ def measure(tree_log2: int, batch_log2: int, n_batches: int = 4,
     legacy_engine = BatchQueryEngine(layout)
     serial_ex = StreamExecutor(layout, batch_size=batch, mode="serial", depth=1)
     overlap_ex = StreamExecutor(layout, batch_size=batch, mode="overlap")
-    overlap_ex.engine.share_packed_leaves(serial_ex.engine)
-    legacy_engine.share_packed_leaves(serial_ex.engine)
 
     ref = legacy_serial_stream(layout, queries, batch, legacy_engine)  # warm
     assert np.array_equal(serial_ex.run(queries), ref)

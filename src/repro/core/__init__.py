@@ -3,8 +3,9 @@
 * :mod:`repro.core.layout` — the two-region structure (§3.1): BFS key region
   + prefix-sum child region.
 * :mod:`repro.core.search` — scalar and vectorized traversal (§3.2.1).
-* :mod:`repro.core.engine` — frontier-compacted batch query engine (the
-  host-side exploitation of §4.1's PSA locality).
+* :mod:`repro.core.engine` — batch point lookup over the packed leaf
+  block (§3.2.1 + §4.1's PSA order), and the per-level GPU work model
+  (:func:`~repro.core.engine.traversal_profile`).
 * :mod:`repro.core.psa` — partially-sorted aggregation (§4.1).
 * :mod:`repro.core.stream` — double-buffered streaming executor overlapping
   the PSA sort of the next batch with the traversal of the current (§4.1.3).

@@ -28,7 +28,7 @@ class SearchConfig:
     * ``profile_sample``: static-profiling sample size (paper: ~1000).
     * ``engine``: host-side batch executor behind
       :meth:`~repro.core.tree.HarmoniaTree.search_many` — ``"compacted"``
-      runs the frontier-compaction engine
+      runs the packed-leaf lookup engine
       (:class:`~repro.core.engine.BatchQueryEngine`), ``"naive"`` the
       per-query broadcast traversal (the test oracle).
     * ``engine_workers`` / ``engine_min_parallel``: sharded execution —
@@ -60,10 +60,10 @@ class SearchConfig:
     #: Levels considered by NTG profiling (None = all; paper: the last few).
     ntg_profile_levels: Optional[int] = 2
     #: Use the per-level ``ntg_degrees`` vector (harmonia.cuh's
-    #: ``ntg_degree[depth]``) for the engine's chunk cohort and capped
-    #: scan windows.  ``False`` falls back to the single aggregate group
-    #: size everywhere — the ablation baseline the hypothesis suite pins
-    #: byte-identical results against.
+    #: ``ntg_degree[depth]``) for the simulated kernel and the work
+    #: model's capped scan windows.  ``False`` falls back to the single
+    #: aggregate group size everywhere — the ablation baseline the
+    #: hypothesis suite pins byte-identical results against.
     ntg_per_level: bool = True
     seed: int = 0x5EED
     engine: str = "compacted"
@@ -73,14 +73,12 @@ class SearchConfig:
     stream_depth: int = 2
     stream_sort_workers: int = 1
     stream_mode: str = "overlap"
-    #: Bounded-memory tiling of each stream batch's traversal (the FPGA
+    #: Bounded-memory tiling of each stream batch's lookup (the FPGA
     #: level-wise discipline, docs/join.md): ``None`` runs whole batches
     #: through the engine; an integer drives them through the
     #: :class:`~repro.join.tiles.TileScheduler` in tiles of this many
-    #: queries, with ``stream_resident_tiles`` staging slots, so peak
-    #: traversal scratch is O(tile) whatever the batch size.
+    #: queries, so peak lookup scratch is O(tile) whatever the batch size.
     stream_tile: Optional[int] = None
-    stream_resident_tiles: int = 2
     trace: Optional[TraceConfig] = None
 
     def __post_init__(self) -> None:
@@ -125,7 +123,6 @@ class SearchConfig:
             )
         if self.stream_tile is not None:
             ensure_positive("stream_tile", self.stream_tile)
-        ensure_positive("stream_resident_tiles", self.stream_resident_tiles)
 
     # Convenience presets matching the paper's ablation (Figure 13).
     @classmethod

@@ -1,48 +1,36 @@
-"""Frontier-compacted batch query engine — the host-side PSA payoff.
+"""Host batch point lookup, and the GPU work model kept beside it.
 
-PSA (§4.1) exists so that *adjacent queries share traversal paths*: after
-the partial sort, queries landing in the same node sit next to each other
-in the batch.  On the GPU that adjacency becomes coalesced memory
-transactions (Figure 12's ``gld_transactions`` drop); on the host path it
-means the level-synchronous frontier — the array of "which node is query
-``i`` visiting at level ``l``" — is (nearly) run-length encoded.  The
-naive :func:`repro.core.search.search_batch` ignores this and gathers one
-``fanout - 1`` key row *per query* at every level, re-reading the same
-node up to ``n_queries`` times and doing O(n_queries · fanout) broadcast
-comparisons.
+Two different things live in this module, and only the first computes
+results.
 
-:class:`BatchQueryEngine` compacts the frontier instead:
+**The host lookup** (:class:`BatchQueryEngine`).  §3.2.1 stores every
+leaf in one contiguous block, so the real leaf keys form one globally
+sorted array once the ``KEY_MAX`` pads between rows are removed
+(:meth:`~repro.core.layout.HarmoniaLayout.packed_leaves`, cached per
+snapshot).  A batch of point lookups is therefore one ``np.searchsorted``
+of the batch over that block, a gather of the values, and a miss mask —
+the internal levels are never walked.  PSA (§4.1) still pays on the host:
+a PSA-ordered batch makes neighbouring binary searches land on
+neighbouring leaves, which measures ~4× faster than the same batch in
+arrival order on a 2^20-key tree.  Large batches can be split into
+contiguous chunks over a thread pool (NumPy's kernels release the GIL).
 
-* at each internal level the frontier is split into **runs** of equal node
-  index (one boundary scan, O(n_queries)); for a PSA-sorted batch the run
-  count equals the number of *distinct* nodes visited — the CPU analog of
-  the per-warp transaction count the simulator reports;
-* each run issues **one** ``np.searchsorted`` of that node's key row
-  against its contiguous query slice — O(run_len · log fanout) instead of
-  O(run_len · fanout), and the node row is read once, not ``run_len``
-  times;
-* levels where runs are too short to pay for per-run dispatch (an
-  unsorted batch, or a tree level wider than the batch) automatically fall
-  back to the naive broadcast compare, so correctness never depends on the
-  input order;
-* the leaf level exploits §3.2.1's contiguous leaf block directly: all
-  real leaf keys form one globally sorted array (cached per layout
-  snapshot), so every query resolves with a single batched binary search —
-  no per-leaf work at all.
+**The GPU work model** (:func:`traversal_profile`).  On the GPU the
+paper's kernel does walk the tree level by level, and the walk is what
+Figure 12 measures: how many distinct nodes each level of a batch
+touches (the host analog of ``gld_transactions``), whether a level's
+frontier runs are long enough for one grouped search per node or fall
+back to a per-query broadcast compare, and whether that broadcast sweeps
+only the per-level NTG scan window.  :func:`traversal_profile` derives
+those counts — :class:`EngineStats` — from each query's leaf and the
+parent map.  ``ext_engine``, ``ext_join``, ``fig12``, ``bench_engine``
+and the obs recorder consume it; the lookup never does.
 
-Scratch buffers (:class:`EngineScratch`) are shape-sticky: repeated
-batches of the same size reuse every internal buffer, so the steady-state
-hot loop allocates only the output array and the (tiny) per-level run
-index.  For large batches the engine can shard the (contiguous,
-locality-preserving) query range over a thread pool — NumPy's kernels
-release the GIL, so chunks traverse in parallel.
-
-The engine reports :class:`EngineStats` with ``unique_nodes_per_level``,
-the counter that corresponds to the simulator's ``gld_transactions``
-(fewer distinct nodes touched per level ⇒ fewer memory transactions on
-the device, Figure 12).  By the disjoint-children property of Equation 1
-the run count can only grow from one level to the next, so the counter is
-monotonically non-decreasing down the tree.
+:attr:`BatchQueryEngine.last_stats` computes the profile of the most
+recent batch on first access, so a lookup nobody inspects pays nothing
+for it.  With an obs recorder enabled it is computed eagerly instead, and
+the two costs are recorded as separate spans: ``engine.lookup`` and
+``engine.profile``.
 
 Caching discipline: the engine binds to one :class:`HarmoniaLayout`
 snapshot.  Batch updates replace the snapshot (phase semantics), so
@@ -54,23 +42,23 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
 import repro.obs as obs
-from repro.constants import KEY_MAX, NOT_FOUND, VALUE_DTYPE
+from repro.constants import NOT_FOUND, VALUE_DTYPE
 from repro.core.layout import HarmoniaLayout
 from repro.errors import ConfigError
 from repro.utils.validation import ensure_key_array
 
 _clock = time.perf_counter
 
-#: Minimum mean run length for the grouped (per-run ``searchsorted``) path
-#: to beat the broadcast compare at a level; below it the per-run NumPy
-#: dispatch overhead dominates and the engine falls back.
-DEFAULT_GROUP_THRESHOLD = 8
+#: Minimum mean frontier run length at which the modelled kernel serves a
+#: level with one grouped search per distinct node; shorter runs fall back
+#: to the per-query broadcast compare.
+GROUP_THRESHOLD = 8
 
 #: Batches smaller than this are not worth sharding across threads.
 DEFAULT_MIN_PARALLEL = 1 << 15
@@ -78,13 +66,14 @@ DEFAULT_MIN_PARALLEL = 1 << 15
 
 @dataclass(frozen=True)
 class EngineStats:
-    """Execution record of one :meth:`BatchQueryEngine.execute` call.
+    """GPU work model of one batch (see :func:`traversal_profile`).
 
     ``unique_nodes_per_level[l]`` counts the frontier *runs* at level
     ``l`` — for a PSA-grouped batch exactly the distinct nodes visited,
-    the host-side analog of the simulator's ``gld_transactions`` (summed
-    across shards in the threaded mode).  ``grouped_levels`` /
-    ``broadcast_levels`` count level executions taken by each strategy.
+    the host-side analog of the simulator's ``gld_transactions``.
+    ``grouped_levels`` / ``broadcast_levels`` count internal levels the
+    modelled kernel serves with each strategy.  ``n_chunks`` and
+    ``issue_sorted`` describe how the host lookup ran the batch.
     """
 
     n_queries: int
@@ -94,17 +83,16 @@ class EngineStats:
     broadcast_levels: int
     n_chunks: int
     issue_sorted: Optional[bool]  #: PSA metadata, None when unknown
-    #: Broadcast level executions that swept only the NTG scan window
-    #: (a multiple of that level's degree) instead of the full row.
+    #: Broadcast levels that sweep only the NTG scan window (a multiple
+    #: of that level's degree) instead of the full row.
     capped_levels: int = 0
-    #: True when the batch ran through the monotone dual-walk path
-    #: (:meth:`BatchQueryEngine.execute_hinted`): the frontier carries
-    #: lower-bound hints instead of per-query node indices.
+    #: True for the monotone dual-walk model of an ascending batch: the
+    #: frontier carries lower-bound hints instead of per-query nodes.
     hinted: bool = False
 
     @property
     def total_node_reads(self) -> int:
-        """Distinct node-row reads the compacted traversal performed."""
+        """Distinct node-row reads of the compacted traversal."""
         return int(self.unique_nodes_per_level.sum())
 
     @property
@@ -120,15 +108,8 @@ class EngineStats:
             return 1.0
         return self.naive_node_reads / reads
 
-    def record_to(self, rec, start_s: Optional[float] = None,
-                  end_s: Optional[float] = None) -> None:
-        """Publish this execution record into an obs recorder.
-
-        The stats object stays the per-call view; the registry is the
-        shared export path (snapshots, reports, diffs).  Called once per
-        batch, after all arrays are computed — nothing here touches the
-        traversal loops.
-        """
+    def record_to(self, rec) -> None:
+        """Publish this work model into an obs recorder."""
         rec.counter("engine.batches")
         rec.counter("engine.queries", self.n_queries)
         rec.counter("engine.levels.grouped", self.grouped_levels)
@@ -144,12 +125,81 @@ class EngineStats:
             rec.counter(f"engine.unique_nodes.l{lvl}", u)
             if u > 0 and nq > 0:
                 rec.histogram("engine.run_length", nq / u)
-        if start_s is not None and end_s is not None:
-            rec.span_at(
-                "engine.execute", start_s, end_s, cat="engine",
-                nq=nq, chunks=self.n_chunks,
-                issue_sorted=self.issue_sorted,
+
+
+def ensure_ascending(q: np.ndarray) -> None:
+    """Raise :class:`~repro.errors.ConfigError` unless ``q`` is
+    ascending — the contract of every hinted (dual-walk) batch."""
+    if q.size > 1 and np.any(q[1:] < q[:-1]):
+        raise ConfigError("a hinted batch must be ascending (sorted)")
+
+
+def traversal_profile(
+    layout: HarmoniaLayout,
+    queries,
+    hinted: bool = False,
+    scan_widths=None,
+    issue_sorted: Optional[bool] = None,
+) -> EngineStats:
+    """The per-level work the paper's GPU kernel does for one batch.
+
+    Each query's node at every level follows from its leaf (one binary
+    search over :meth:`~repro.core.layout.HarmoniaLayout.leaf_bounds`)
+    and the parent map (Equation 1 read backwards).  A level's frontier
+    runs are the maximal stretches of queries sharing a node; by the
+    disjoint-children property of Equation 1 their count never falls
+    from one level to the next.  An internal level counts as grouped when
+    its runs average at least :data:`GROUP_THRESHOLD` queries, else as
+    broadcast; a broadcast level is capped when ``scan_widths`` (per
+    level, from :func:`repro.core.ntg.level_scan_widths`) narrows its
+    sweep below the full row.
+
+    ``hinted=True`` models the dual walk of an **ascending** batch
+    (:meth:`BatchQueryEngine.execute_hinted`): the frontier is the list
+    of distinct nodes, so every internal level is grouped.  It raises
+    :class:`~repro.errors.ConfigError` on a batch that is not ascending.
+    """
+    q = ensure_key_array(np.asarray(queries), "queries")
+    nq, h = q.size, layout.height
+    if hinted:
+        ensure_ascending(q)
+        issue_sorted = True
+    if scan_widths is not None:
+        scan_widths = tuple(int(w) for w in scan_widths)
+        if len(scan_widths) != h:
+            raise ConfigError(
+                f"scan_widths length {len(scan_widths)} != height {h}"
             )
+        if any(w < 1 for w in scan_widths):
+            raise ConfigError("scan_widths entries must be >= 1")
+    uniq = np.zeros(h, dtype=np.int64)
+    grouped = broadcast = capped = 0
+    if nq:
+        node = np.searchsorted(layout.leaf_bounds(), q, side="right") - 1
+        node += layout.leaf_start
+        # Children of all internal nodes fill BFS slots 1..n_nodes-1 in
+        # parent order, so parent[i - 1] is the parent of node i.
+        parent = np.repeat(
+            np.arange(layout.leaf_start, dtype=np.int64),
+            np.diff(layout.prefix_sum[: layout.leaf_start + 1]),
+        )
+        for lvl in range(h - 1, -1, -1):
+            runs = 1 + int(np.count_nonzero(node[1:] != node[:-1]))
+            uniq[lvl] = runs
+            if lvl < h - 1:
+                if hinted or runs * GROUP_THRESHOLD <= nq:
+                    grouped += 1
+                else:
+                    broadcast += 1
+                    if (scan_widths is not None
+                            and scan_widths[lvl] < layout.slots):
+                        capped += 1
+            if lvl:
+                node = parent[node - 1]
+    return EngineStats(
+        nq, h, uniq, grouped, broadcast, 1 if nq else 0, issue_sorted,
+        capped, hinted,
+    )
 
 
 class EngineScratch:
@@ -190,15 +240,12 @@ class EngineScratch:
 
 
 class BatchQueryEngine:
-    """Frontier-compacted point-lookup engine over one layout snapshot.
+    """Batch point lookup over one layout snapshot's packed leaf block.
 
-    Drop-in accelerated replacement for
-    :func:`repro.core.search.search_batch` (bit-identical results on any
-    query order); fastest when the batch went through PSA first.
-
-    ``n_workers > 1`` shards large batches into contiguous chunks over a
-    thread pool (chunking preserves the PSA adjacency inside each shard).
-    ``group_threshold`` tunes the per-level grouped-vs-broadcast cutover.
+    Drop-in replacement for :func:`repro.core.search.search_batch`
+    (bit-identical results on any query order); fastest when the batch
+    went through PSA first.  ``n_workers > 1`` splits batches of at least
+    ``min_parallel`` queries into contiguous chunks over a thread pool.
     """
 
     def __init__(
@@ -206,7 +253,6 @@ class BatchQueryEngine:
         layout: HarmoniaLayout,
         n_workers: int = 1,
         min_parallel: int = DEFAULT_MIN_PARALLEL,
-        group_threshold: int = DEFAULT_GROUP_THRESHOLD,
     ) -> None:
         if not isinstance(layout, HarmoniaLayout):
             raise ConfigError("BatchQueryEngine needs a HarmoniaLayout")
@@ -214,62 +260,43 @@ class BatchQueryEngine:
             raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
         if min_parallel < 1:
             raise ConfigError(f"min_parallel must be >= 1, got {min_parallel}")
-        if group_threshold < 1:
-            raise ConfigError(
-                f"group_threshold must be >= 1, got {group_threshold}"
-            )
         self.layout = layout
         self.n_workers = int(n_workers)
         self.min_parallel = int(min_parallel)
-        self.group_threshold = int(group_threshold)
         self._scratch = [EngineScratch() for _ in range(self.n_workers)]
-        self._packed_keys: Optional[np.ndarray] = None
-        self._packed_values: Optional[np.ndarray] = None
-        self.last_stats: Optional[EngineStats] = None
+        self._stats: Optional[EngineStats] = None
+        #: What the next :attr:`last_stats` read profiles: ``(queries,
+        #: hinted, issue_sorted, n_chunks, scan_widths)``, where
+        #: ``scan_widths`` is a zero-argument callable or None.
+        self._unprofiled: Optional[tuple] = None
 
     @property
     def scratch_nbytes(self) -> int:
-        """Bytes currently held by the shape-sticky scratch pools — the
-        resident traversal footprint the tile scheduler budgets against
-        (the packed leaf block is part of the layout snapshot, not the
-        per-batch footprint)."""
+        """Bytes held by the shape-sticky scratch pools — the per-batch
+        working set the tile scheduler budgets against (the packed leaf
+        block belongs to the snapshot, not to the batch)."""
         return sum(s.nbytes for s in self._scratch)
 
-    # ------------------------------------------------------------ leaf block
+    @property
+    def last_stats(self) -> Optional[EngineStats]:
+        """GPU work model of the most recent batch (None before the
+        first), computed by :func:`traversal_profile` on first access.
 
-    def _packed_leaves(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The contiguous leaf block with sentinel pads squeezed out.
-
-        §3.2.1's point: leaves are one consecutive array, so the real leaf
-        keys are globally sorted once the ``KEY_MAX`` pads between rows are
-        removed.  Built once per layout snapshot, O(n_keys).
+        The engine keeps a reference to that batch's queries until then,
+        so a caller that reuses its query buffer must read this before
+        overwriting it.
         """
-        if self._packed_keys is None:
-            layout = self.layout
-            leaf_keys = layout.leaf_keys.ravel()
-            mask = leaf_keys != KEY_MAX
-            self._packed_keys = np.ascontiguousarray(leaf_keys[mask])
-            self._packed_values = np.ascontiguousarray(
-                layout.leaf_values.ravel()[mask]
+        pending = self._unprofiled
+        if pending is not None:
+            q, hinted, issue_sorted, n_chunks, widths = pending
+            stats = traversal_profile(
+                self.layout, q, hinted=hinted,
+                scan_widths=widths() if widths is not None else None,
+                issue_sorted=issue_sorted,
             )
-        return self._packed_keys, self._packed_values
-
-    def share_packed_leaves(self, other: "BatchQueryEngine") -> None:
-        """Adopt ``other``'s packed leaf block instead of rebuilding it.
-
-        The packed arrays are immutable once built (phase semantics: batch
-        updates swap the whole layout snapshot), so engines over the *same*
-        snapshot can share them safely — the streaming path spins up one
-        engine per call for thread safety and this keeps that O(1) instead
-        of O(n_keys).
-        """
-        if other.layout is not self.layout:
-            raise ConfigError(
-                "share_packed_leaves requires the same layout snapshot"
-            )
-        other._packed_leaves()
-        self._packed_keys = other._packed_keys
-        self._packed_values = other._packed_values
+            self._stats = replace(stats, n_chunks=n_chunks)
+            self._unprofiled = None
+        return self._stats
 
     # ------------------------------------------------------------- execution
 
@@ -278,96 +305,23 @@ class BatchQueryEngine:
         queries,
         issue_sorted: Optional[bool] = None,
         out: Optional[np.ndarray] = None,
-        chunk_quantum: int = 1,
         overlay=None,
-        scan_widths=None,
     ) -> np.ndarray:
         """Batch point lookup; values aligned with ``queries`` as given
         (no PSA restore — use :meth:`execute_prepared` for that).
 
-        ``issue_sorted`` is the PSA metadata hint recorded in the stats;
-        correctness never depends on it (runs are detected per level).
-        ``out`` lets callers supply the result buffer (the streaming
-        executor's per-slot scratch); it must match the batch size and is
-        overwritten in full.  ``chunk_quantum`` aligns thread-shard
-        boundaries to a multiple of the NTG cohort (§4.2): queries the
-        narrowed groups would serve in one warp stay in one chunk, so the
-        split never severs a PSA run mid-cohort.  With per-level degrees
-        the cohort is ``warp_size // min(ntg_degrees)`` — the quantum must
-        cover the *widest* cohort any level forms, i.e. the narrowest
-        degree.  Results are identical for any quantum.  ``scan_widths``
-        (per level, from :func:`repro.core.ntg.level_scan_widths`) caps the
-        broadcast fallback's row sweep at each internal level to that
-        level's NTG window — a multiple of the level's degree — with an
-        exact fix-up pass for queries that exhaust the window, so results
-        never change while the common case compares a fraction of the row.
-        ``overlay`` is an optional ``fn(keys, values) -> values`` post-pass
-        applied to the finished batch in place — the snapshot-epoch read
-        path passes :meth:`repro.core.delta.DeltaView.overlay_values` here,
-        and since the overlay is elementwise by key it commutes with the
-        PSA permutation.
+        ``issue_sorted`` is PSA metadata carried into the stats.  ``out``
+        lets callers supply the result buffer (the streaming executor's
+        per-slot scratch); it must match the batch size and is
+        overwritten in full.  ``overlay`` is an optional
+        ``fn(keys, values)`` post-pass applied to the finished batch in
+        place — the snapshot-epoch read path passes
+        :meth:`repro.core.delta.DeltaView.overlay_values` here, and since
+        the overlay is elementwise by key it commutes with the PSA
+        permutation.
         """
-        rec = obs.active
-        t_start = _clock() if rec.enabled else 0.0
         q = ensure_key_array(np.asarray(queries), "queries")
-        nq = q.size
-        h = self.layout.height
-        if scan_widths is not None:
-            scan_widths = tuple(int(w) for w in scan_widths)
-            if len(scan_widths) != h:
-                raise ConfigError(
-                    f"scan_widths length {len(scan_widths)} != height {h}"
-                )
-            if any(w < 1 for w in scan_widths):
-                raise ConfigError("scan_widths entries must be >= 1")
-        if out is None:
-            values = np.full(nq, NOT_FOUND, dtype=VALUE_DTYPE)
-        else:
-            if out.shape != (nq,) or out.dtype != np.dtype(VALUE_DTYPE):
-                raise ConfigError(
-                    f"out must be shape ({nq},) dtype {np.dtype(VALUE_DTYPE)}, "
-                    f"got shape {out.shape} dtype {out.dtype}"
-                )
-            values = out
-            values.fill(NOT_FOUND)
-        if nq == 0:
-            self.last_stats = EngineStats(
-                0, h, np.zeros(h, dtype=np.int64), 0, 0, 0, issue_sorted
-            )
-            if rec.enabled:
-                self.last_stats.record_to(rec, t_start, _clock())
-            return values
-        self._packed_leaves()  # build before any worker threads start
-
-        if self.n_workers > 1 and nq >= max(self.min_parallel, self.n_workers):
-            chunks = self._chunk_bounds(nq, chunk_quantum)
-            with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-                futures = [
-                    pool.submit(
-                        self._run_chunk, q[s:e], self._scratch[i],
-                        values[s:e], scan_widths,
-                    )
-                    for i, (s, e) in enumerate(chunks)
-                ]
-                parts = [f.result() for f in futures]
-            uniq = np.sum([p[0] for p in parts], axis=0).astype(np.int64)
-            grouped = sum(p[1] for p in parts)
-            broadcast = sum(p[2] for p in parts)
-            capped = sum(p[3] for p in parts)
-            n_chunks = len(chunks)
-        else:
-            uniq, grouped, broadcast, capped = self._run_chunk(
-                q, self._scratch[0], values, scan_widths
-            )
-            n_chunks = 1
-        if overlay is not None:
-            overlay(q, values)
-        self.last_stats = EngineStats(
-            nq, h, uniq, grouped, broadcast, n_chunks, issue_sorted, capped
-        )
-        if rec.enabled:
-            self.last_stats.record_to(rec, t_start, _clock())
-        return values
+        return self._lookup(q, out, overlay, (False, issue_sorted, None))
 
     def execute_hinted(
         self,
@@ -375,259 +329,120 @@ class BatchQueryEngine:
         out: Optional[np.ndarray] = None,
         overlay=None,
     ) -> np.ndarray:
-        """Dual-walk lookup for an **ascending** batch: each level's
-        ``searchsorted`` starts from the previous frontier's lower bound.
+        """Lookup of an **ascending** batch — the merge-join probe path.
 
-        The monotone order inverts the per-level work: instead of
-        splitting the query array into runs of equal node index (one
-        ``searchsorted`` of the node's keys against each query slice),
-        the frontier is carried as ``(nodes, starts)`` — one entry per
-        *distinct* node — and each node's key row is searchsorted into
-        its own query slice to find the child cut points.  That is
-        O(frontier · fanout · log run) per level rather than
-        O(n_queries), and children whose query slice is empty are pruned
-        before they are ever visited — the JZ-tree dual-walk subtree
-        skip: a whole subtree of ``tree_b`` is never descended when no
-        probe from ``tree_a`` lands in its key range.  ``KEY_MAX`` row
-        pads cut at ``e`` and so prune their children automatically.
-
-        Values are byte-identical to :meth:`execute` on the same batch —
-        the contract the join layer's hypothesis suite pins — because
-        both paths resolve values with the same packed-leaf binary
-        search; the level walk only determines the traversal *work*
-        (and the stats the dual-walk kernel model consumes).
-
-        Raises :class:`~repro.errors.ConfigError` when the batch is not
-        ascending; callers that cannot guarantee order should use
-        :meth:`execute`.  Single-threaded by design: the frontier walk
-        touches O(internal nodes) rows, not O(n_queries).
+        Values come from the same packed-leaf search as :meth:`execute`
+        and are byte-identical to it; the only difference is the work
+        model the stats describe: the JZ-tree dual walk, whose frontier
+        is the list of distinct nodes and which never descends into a
+        subtree no probe lands in (``hinted=True`` in
+        :func:`traversal_profile`).  Raises
+        :class:`~repro.errors.ConfigError` when the batch is not
+        ascending.
         """
-        rec = obs.active
-        t_start = _clock() if rec.enabled else 0.0
         q = ensure_key_array(np.asarray(queries), "queries")
-        nq = q.size
-        h = self.layout.height
-        if nq > 1 and np.any(q[1:] < q[:-1]):
-            raise ConfigError(
-                "execute_hinted requires an ascending (sorted) batch"
-            )
-        if out is None:
-            values = np.full(nq, NOT_FOUND, dtype=VALUE_DTYPE)
-        else:
-            if out.shape != (nq,) or out.dtype != np.dtype(VALUE_DTYPE):
-                raise ConfigError(
-                    f"out must be shape ({nq},) dtype "
-                    f"{np.dtype(VALUE_DTYPE)}, got shape {out.shape} "
-                    f"dtype {out.dtype}"
-                )
-            values = out
-            values.fill(NOT_FOUND)
-        if nq == 0:
-            self.last_stats = EngineStats(
-                0, h, np.zeros(h, dtype=np.int64), 0, 0, 0, True,
-                hinted=True,
-            )
-            if rec.enabled:
-                self.last_stats.record_to(rec, t_start, _clock())
-            return values
-        self._packed_leaves()
-        scratch = self._scratch[0]
-        uniq = self._walk_hinted(q, scratch)
+        ensure_ascending(q)
+        return self._lookup(q, out, overlay, (True, True, None))
 
-        # Leaf finish — identical to _run_chunk's packed-leaf resolve.
-        pk, pv = self._packed_keys, self._packed_values
-        pos = scratch.array("pos", nq)
-        pos[:] = np.searchsorted(pk, q, side="left")
-        np.minimum(pos, pk.size - 1, out=pos)
-        found = scratch.array("found", nq, np.bool_)
-        np.equal(pk[pos], q, out=found)
-        values[found] = pv[pos[found]]
-        if overlay is not None:
-            overlay(q, values)
-        self.last_stats = EngineStats(
-            nq, h, uniq, max(h - 1, 0), 0, 1, True, hinted=True
-        )
-        if rec.enabled:
-            self.last_stats.record_to(rec, t_start, _clock())
-        return values
-
-    def _walk_hinted(
-        self, q: np.ndarray, scratch: EngineScratch
-    ) -> np.ndarray:
-        """Frontier walk of one ascending batch; returns the per-level
-        distinct-node counts (the hinted analog of ``_run_chunk``'s run
-        counts — here the frontier *is* the run list)."""
-        layout = self.layout
-        kr = layout.key_region
-        ps = layout.prefix_sum
-        h = layout.height
-        nq = q.size
-        uniq = np.zeros(h, dtype=np.int64)
-        nodes = np.zeros(1, dtype=np.int64)
-        starts = np.zeros(1, dtype=np.int64)
-        for lvl in range(h - 1):
-            uniq[lvl] = nodes.size
-            ends = np.append(starts[1:], nq)
-            next_nodes = []
-            next_starts = []
-            for j in range(nodes.size):
-                s, e = int(starts[j]), int(ends[j])
-                row = kr[nodes[j]]
-                # Child c (slot semantics: #keys <= q) takes the probes
-                # in [row[c-1], row[c]); its cut point in the slice is
-                # the first probe >= row[c-1].
-                cuts = s + np.searchsorted(q[s:e], row, side="left")
-                bounds = np.empty(row.size + 2, dtype=np.int64)
-                bounds[0] = s
-                bounds[1:-1] = cuts
-                bounds[-1] = e
-                nonempty = np.flatnonzero(bounds[1:] > bounds[:-1])
-                next_nodes.append(ps[nodes[j]] + nonempty)  # Equation 1
-                next_starts.append(bounds[nonempty])
-            nodes = np.concatenate(next_nodes)
-            starts = np.concatenate(next_starts)
-        uniq[h - 1] = nodes.size
-        return uniq
-
-    def execute_prepared(
-        self, prepared, chunk_quantum: Optional[int] = None,
-        overlay=None,
-    ) -> np.ndarray:
+    def execute_prepared(self, prepared, overlay=None) -> np.ndarray:
         """Run a :class:`~repro.core.tree.PreparedBatch` and restore the
         results to arrival order (the full §4.1 contract).
 
         Restore is a direct scatter through the PSA permutation — the
-        inverse permutation is never materialized.  When ``chunk_quantum``
-        is not given, the batch's level-aware NTG cohort sets it
-        (:attr:`~repro.core.tree.PreparedBatch.chunk_quantum`:
-        ``warp_size // min(ntg_degrees)``) — the warp cohort of the
-        *narrowest* level is the adjacency unit, so thread shards cut on
-        cohort boundaries at every level, not just the aggregate width.
-        The batch's per-level ``scan_widths`` flow into the broadcast
-        fallback's capped row sweep.
+        inverse permutation is never materialized.  The batch's NTG scan
+        widths are read only if the stats are, since only the work model
+        uses them.
         """
-        if chunk_quantum is None:
-            chunk_quantum = getattr(prepared, "chunk_quantum", None)
-            if chunk_quantum is None:  # legacy prepared batches
-                chunk_quantum = max(1, int(prepared.group_size))
-        widths = getattr(prepared, "scan_widths", ()) or None
-        issue = self.execute(
-            prepared.psa.queries,
-            issue_sorted=prepared.psa.issue_sorted,
-            chunk_quantum=chunk_quantum,
-            overlay=overlay,
-            scan_widths=widths,
+        psa = prepared.psa
+        issue = self._lookup(
+            psa.queries, None, overlay,
+            (False, psa.issue_sorted, lambda: prepared.scan_widths or None),
         )
-        return prepared.psa.scatter_restore(issue)
+        return psa.scatter_restore(issue)
 
     # -------------------------------------------------------------- internals
 
-    def _chunk_bounds(self, nq: int, quantum: int = 1):
-        step = -(-nq // self.n_workers)  # ceil
-        if quantum > 1:
-            step = -(-step // quantum) * quantum  # round up to the cohort
-        return [(s, min(s + step, nq)) for s in range(0, nq, step)]
+    def _lookup(self, q: np.ndarray, out, overlay, model) -> np.ndarray:
+        """The one host lookup kernel behind every ``execute*`` entry
+        and every tile of :class:`~repro.join.tiles.TileScheduler`.
 
-    def _run_chunk(
-        self,
-        q: np.ndarray,
-        scratch: EngineScratch,
-        out: np.ndarray,
-        scan_widths=None,
-    ) -> Tuple[np.ndarray, int, int, int]:
-        """Traverse one contiguous query chunk, writing values into ``out``
-        (a view of the shared result array).  Returns
-        ``(runs_per_level, grouped_levels, broadcast_levels,
-        capped_levels)``."""
-        layout = self.layout
-        kr = layout.key_region
-        ps = layout.prefix_sum
-        h = layout.height
-        slots = layout.slots
+        ``q`` must already be validated (``ensure_key_array``, plus
+        :func:`ensure_ascending` for a hinted batch).  ``model`` is
+        ``(hinted, issue_sorted, scan_widths)`` — what :attr:`last_stats`
+        needs to profile this batch later.
+        """
+        rec = obs.active
+        t_start = _clock() if rec.enabled else 0.0
         nq = q.size
-
-        node = scratch.array("node", nq)
-        tmp = scratch.array("tmp", nq)
-        slot = scratch.array("slot", nq)
-        node[:] = 0
-        uniq = np.zeros(h, dtype=np.int64)
-        grouped = broadcast = capped = 0
-
-        for lvl in range(h - 1):
-            starts = self._run_starts(node, scratch)
-            uniq[lvl] = starts.size
-            if starts.size * self.group_threshold <= nq:
-                grouped += 1
-                # One searchsorted per distinct node against its contiguous
-                # query slice: the row is read once however many queries
-                # share it.
-                bounds = starts.tolist() + [nq]
-                for j in range(starts.size):
-                    s, e = bounds[j], bounds[j + 1]
-                    slot[s:e] = np.searchsorted(
-                        kr[node[s]], q[s:e], side="right"
-                    )
+        if out is None:
+            values = np.empty(nq, dtype=VALUE_DTYPE)
+        elif out.shape != (nq,) or out.dtype != np.dtype(VALUE_DTYPE):
+            raise ConfigError(
+                f"out must be shape ({nq},) dtype {np.dtype(VALUE_DTYPE)}, "
+                f"got shape {out.shape} dtype {out.dtype}"
+            )
+        else:
+            values = out
+        n_chunks = 0
+        if nq:
+            keys, vals = self.layout.packed_leaves()
+            if self.n_workers > 1 and nq >= max(self.min_parallel,
+                                               self.n_workers):
+                step = -(-nq // self.n_workers)  # ceil
+                bounds = [(s, min(s + step, nq)) for s in range(0, nq, step)]
+                with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
+                    for f in [
+                        pool.submit(_search_packed, keys, vals, q[s:e],
+                                    values[s:e], self._scratch[i])
+                        for i, (s, e) in enumerate(bounds)
+                    ]:
+                        f.result()
+                n_chunks = len(bounds)
             else:
-                broadcast += 1
-                # Runs too short to pay for per-run dispatch: per-query
-                # broadcast compare.  With a per-level NTG scan width the
-                # sweep covers only the level's window — the degree-aligned
-                # column count the narrowed group would touch — and a
-                # second exact pass fixes up the rare queries whose slot
-                # saturates the window.  Rows are sorted with KEY_MAX pads,
-                # so entries past the window can be <= q only when every
-                # windowed entry is, which is exactly the saturation case.
-                w = slots
-                if scan_widths is not None:
-                    w = min(int(scan_widths[lvl]), slots)
-                if w < slots:
-                    capped += 1
-                rows = scratch.array(f"rows:{w}", (nq, w))
-                mask = scratch.array(f"mask:{w}", (nq, w), np.bool_)
-                np.take(kr[:, :w], node, axis=0, out=rows)
-                np.less_equal(rows, q[:, None], out=mask)
-                np.sum(mask, axis=1, out=slot)
-                if w < slots:
-                    sat = np.flatnonzero(slot == w)
-                    if sat.size:
-                        rest = kr[node[sat], w:]
-                        slot[sat] += np.sum(
-                            rest <= q[sat, None], axis=1
-                        )
-            np.take(ps, node, out=tmp)
-            np.add(tmp, slot, out=node)  # Equation 1, vectorized
+                _search_packed(keys, vals, q, values, self._scratch[0])
+                n_chunks = 1
+            if overlay is not None:
+                overlay(q, values)
+        hinted, issue_sorted, widths = model
+        self._unprofiled = (q, hinted, issue_sorted, n_chunks, widths)
+        if rec.enabled:
+            t_lookup = _clock()
+            rec.span_at("engine.lookup", t_start, t_lookup, cat="engine",
+                        nq=nq, chunks=n_chunks, issue_sorted=issue_sorted)
+            self.last_stats.record_to(rec)
+            rec.span_at("engine.profile", t_lookup, _clock(), cat="engine",
+                        nq=nq, hinted=hinted)
+        return values
 
-        uniq[h - 1] = self._run_starts(node, scratch).size
 
-        # Leaf level: one batched binary search over the packed contiguous
-        # leaf block (§3.2.1) resolves every query at once.
-        pk, pv = self._packed_keys, self._packed_values
-        pos = np.searchsorted(pk, q, side="left")
-        np.minimum(pos, pk.size - 1, out=pos)
-        found = scratch.array("found", nq, np.bool_)
-        np.equal(pk[pos], q, out=found)
-        out[found] = pv[pos[found]]  # misses keep the NOT_FOUND prefill
-        return uniq, grouped, broadcast, capped
-
-    @staticmethod
-    def _run_starts(node: np.ndarray, scratch: EngineScratch) -> np.ndarray:
-        """Start indices of the maximal equal-value runs of ``node``."""
-        n = node.size
-        if n <= 1:
-            return np.zeros(n, dtype=np.int64)
-        change = scratch.array("change", n - 1, np.bool_)
-        np.not_equal(node[1:], node[:-1], out=change)
-        inner = np.flatnonzero(change)
-        starts = np.empty(inner.size + 1, dtype=np.int64)
-        starts[0] = 0
-        np.add(inner, 1, out=starts[1:])
-        return starts
+def _search_packed(
+    keys: np.ndarray,
+    vals: np.ndarray,
+    q: np.ndarray,
+    out: np.ndarray,
+    scratch: EngineScratch,
+) -> None:
+    """Resolve ``q`` against the packed leaf block into ``out``; misses
+    get ``NOT_FOUND``."""
+    if keys.size == 0:
+        out.fill(NOT_FOUND)
+        return
+    pos = np.searchsorted(keys, q, side="left")
+    miss = scratch.array("miss", q.size, np.bool_)
+    # mode="clip" writes straight into ``out`` (mode="raise" buffers it)
+    # and maps a query past the last key onto that key, a miss.
+    np.take(keys, pos, out=out, mode="clip")  # the key each query hit
+    np.not_equal(out, q, out=miss)
+    np.take(vals, pos, out=out, mode="clip")
+    np.putmask(out, miss, NOT_FOUND)
 
 
 __all__ = [
     "BatchQueryEngine",
     "EngineScratch",
     "EngineStats",
-    "DEFAULT_GROUP_THRESHOLD",
+    "GROUP_THRESHOLD",
     "DEFAULT_MIN_PARALLEL",
+    "ensure_ascending",
+    "traversal_profile",
 ]

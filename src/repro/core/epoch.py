@@ -289,18 +289,14 @@ class EpochManager:
         self._pending = []
         # Snapshot isolation: readers keep querying their pinned (old)
         # snapshot while the batch runs; publication is a single reference
-        # swap.  The scalar §3.2.2 path edits the key/value regions in
-        # place and therefore needs a copy-on-write clone; the vectorized
-        # and gapped pipelines never mutate their input layout (gapped
-        # absorbs into a private working copy), so the copy is skipped.
+        # swap.  No update mode writes its input layout (the scalar path
+        # edits a private copy, gapped absorbs into a private working
+        # copy), so the shadow tree can start from the published one.
         with self._publish_lock:
             current = self._tree._layout
             fill = self._tree._fill
-        needs_copy = self.update_config.mode == "scalar"
         shadow = HarmoniaTree(
-            current.copy() if (current is not None and needs_copy) else current,
-            fill=fill,
-            search_config=self._tree.search_config,
+            current, fill=fill, search_config=self._tree.search_config
         )
         shadow._empty_fanout = self._tree._empty_fanout
         result = shadow.apply_batch(ops, self.update_config)

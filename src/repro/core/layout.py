@@ -46,7 +46,7 @@ perturb traversal, range scans or the packed-leaf block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,13 +96,14 @@ class HarmoniaLayout:
         self.n_nodes = int(self.key_region.shape[0])
         self.leaf_start = int(self.level_starts[self.height - 1])
         self.n_leaves = self.n_nodes - self.leaf_start
-        # Lazy scalar-search caches (Python-list views of hot rows).  The
-        # snapshot discipline makes these safe: batch updates touch only
-        # leaf rows of the outgoing snapshot and replace the layout object
-        # for the next phase, so cached *internal* rows never go stale.
+        # Lazy per-snapshot caches (Python-list views of hot rows, leaf
+        # routing bounds, the packed leaf block).  The snapshot discipline
+        # makes these safe: no batch update writes the outgoing snapshot —
+        # each replaces the layout object for the next phase.
         self._row_lists: dict = {}
         self._prefix_list: Optional[List[int]] = None
         self._leaf_bounds: Optional[np.ndarray] = None
+        self._packed: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------- builders
 
@@ -287,6 +288,33 @@ class HarmoniaLayout:
                 bounds = nxt.astype(KEY_DTYPE, copy=False)
             self._leaf_bounds = bounds
         return self._leaf_bounds
+
+    def packed_leaves(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The contiguous leaf block with the ``KEY_MAX`` pads squeezed
+        out, as ``(keys, values)`` — the array every host point lookup
+        binary-searches.
+
+        §3.2.1's point: leaves are one consecutive array, so the real leaf
+        keys are globally sorted once the pads between rows are removed
+        (gapped rows included — their pads sit at the row tails).  Built
+        on the first read and cached for the snapshot's lifetime, so every
+        engine, tree facade, stream executor and tile scheduler over one
+        snapshot shares one block; it costs ~16 B per key while the
+        snapshot is alive.  Never built at construction or by an update:
+        a snapshot nobody reads never pays for it.  Caching is sound
+        because a published snapshot is never written — every update
+        executor produces a fresh layout.  Two threads racing the first
+        build each produce an identical block; one of them is kept.
+        """
+        packed = self._packed
+        if packed is None:
+            leaf_keys = self.leaf_keys.ravel()
+            mask = leaf_keys != KEY_MAX
+            packed = (leaf_keys[mask], self.leaf_values.ravel()[mask])
+            for arr in packed:
+                arr.flags.writeable = False  # shared by every reader
+            self._packed = packed
+        return packed
 
     def children_count(self, node: int) -> int:
         return int(self.prefix_sum[node + 1] - self.prefix_sum[node])

@@ -112,8 +112,8 @@ class PSABatch:
     sort_passes: int
     sort_cost: float
     #: Whether ``queries`` is globally non-decreasing in issue order — the
-    #: sortedness metadata the frontier compactor
-    #: (:class:`repro.core.engine.BatchQueryEngine`) consumes: a sorted
+    #: sortedness metadata the engine's work model
+    #: (:func:`repro.core.engine.traversal_profile`) carries: a sorted
     #: batch guarantees the per-level frontier is run-length encoded, an
     #: unsorted one merely tends to be (top ``bits_sorted`` bits grouped).
     issue_sorted: bool = False

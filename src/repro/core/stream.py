@@ -16,10 +16,10 @@ batches and runs a two-stage pipeline over them:
   :func:`~repro.sort.radix.partial_radix_argsort` on batch ``i+1`` (and
   further, up to the lookahead bound) and gather the issue-order queries
   into that batch's slot buffer;
-* **traverse stage** — the main thread runs the frontier-compacted
-  :class:`~repro.core.engine.BatchQueryEngine` on batch ``i``'s issued
-  queries and delivers results in arrival order with one direct scatter
-  through the sort permutation (``out[order] = values`` — the inverse
+* **traverse stage** — the main thread runs the
+  :class:`~repro.core.engine.BatchQueryEngine` lookup on batch ``i``'s
+  issued queries and delivers results in arrival order with one direct
+  scatter through the sort permutation (``out[order] = values`` — the inverse
   permutation is never built, there is no post-hoc reorder pass).
 
 Backpressure is structural: there are exactly ``depth`` reusable slot
@@ -81,7 +81,7 @@ class BatchTrace:
 
     All times are seconds relative to the stream's start; ``sort`` covers
     the partial radix argsort plus the gather into issue order, ``traverse``
-    the compacted-engine execution, ``scatter`` the ordered delivery into
+    the engine lookup, ``scatter`` the ordered delivery into
     the caller's output slice.
     """
 
@@ -300,16 +300,6 @@ class StreamStats:
         }
 
 
-def _tile_config(tile_size: int, resident: int):
-    """Build a TileConfig lazily — ``repro.join.tiles`` imports this
-    module's sibling ``core.engine``, so the import stays call-time."""
-    from repro.join.tiles import TileConfig
-
-    return TileConfig(
-        tile_size=int(tile_size), max_resident_tiles=int(resident)
-    )
-
-
 class StreamExecutor:
     """Two-stage (sort ∥ traverse) streaming executor over one layout
     snapshot.
@@ -323,8 +313,8 @@ class StreamExecutor:
     Not thread-safe: one ``run`` at a time per executor (slot buffers and
     the engine scratch are reused across batches).  Concurrent streams each
     take their own executor — :meth:`~repro.core.tree.HarmoniaTree.search_stream`
-    does exactly that, sharing the immutable packed leaf block between them
-    via :meth:`~repro.core.engine.BatchQueryEngine.share_packed_leaves`.
+    does exactly that; all of them share the snapshot's immutable packed
+    leaf block (:meth:`~repro.core.layout.HarmoniaLayout.packed_leaves`).
     """
 
     def __init__(
@@ -427,16 +417,11 @@ class StreamExecutor:
             pass
 
     @classmethod
-    def from_config(
-        cls,
-        layout: HarmoniaLayout,
-        config,
-        share_from: Optional[BatchQueryEngine] = None,
-    ) -> "StreamExecutor":
+    def from_config(cls, layout: HarmoniaLayout, config) -> "StreamExecutor":
         """Build from a :class:`~repro.core.config.SearchConfig`'s
-        ``stream_*`` knobs; ``share_from`` donates its packed leaf block
-        (built on demand) so per-call executors stay O(1) to create."""
-        ex = cls(
+        ``stream_*`` knobs — O(1): the packed leaf block is the
+        snapshot's, built once however many executors read it."""
+        return cls(
             layout,
             batch_size=config.stream_batch,
             depth=config.stream_depth,
@@ -446,13 +431,8 @@ class StreamExecutor:
             use_psa=config.use_psa,
             engine_workers=config.engine_workers,
             keys_per_cacheline=config.keys_per_cacheline,
-            tile=None if config.stream_tile is None else _tile_config(
-                config.stream_tile, config.stream_resident_tiles
-            ),
+            tile=config.stream_tile,
         )
-        if share_from is not None and share_from.layout is layout:
-            ex.engine.share_packed_leaves(share_from)
-        return ex
 
     # --------------------------------------------------------------- running
 

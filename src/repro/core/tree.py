@@ -2,24 +2,28 @@
 
 Glues the pieces together the way the paper's system does:
 
-* queries run over the immutable :class:`~repro.core.layout.HarmoniaLayout`
-  snapshot through the PSA → search → restore pipeline (§4.1) with the NTG
-  group size chosen by static profiling (§4.2) — the group size matters for
-  the simulated-GPU execution (:func:`repro.gpusim.kernels.simulate_search`)
-  and is recorded on every :class:`PreparedBatch` so benches and the
-  simulator agree on the kernel configuration;
-* updates are collected into batches, applied by
-  :class:`~repro.core.update.BatchUpdater` under Algorithm 1 locking, and
-  folded into a fresh layout by the movement pass.
+* point queries run over the immutable
+  :class:`~repro.core.layout.HarmoniaLayout` snapshot as PSA order (§4.1)
+  → one binary search over the packed leaf block (§3.2.1) → scatter
+  restore → delta overlay;
+* the NTG group size chosen by static profiling (§4.2) configures the
+  simulated-GPU kernel (:func:`repro.gpusim.kernels.simulate_search`) and
+  the work model; every :class:`PreparedBatch` resolves it on demand, so
+  benches and the simulator agree on the kernel configuration while the
+  host lookup never pays for it;
+* updates are collected into batches and applied by one of the update
+  executors, each of which writes a fresh layout.
 
 The phase discipline is the paper's: a batch update replaces the layout
-snapshot, queries always run against the latest snapshot.
+snapshot and never writes the old one, so queries pinned to an older
+snapshot keep seeing it unchanged.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -75,44 +79,116 @@ def _profile_sample(
     return queries[idx]
 
 
+def _ntg_config(
+    layout: HarmoniaLayout, queries: np.ndarray, cfg: SearchConfig
+) -> Tuple[int, Optional[NTGSelection], Tuple[int, ...], Tuple[int, ...]]:
+    """The §4.2 kernel configuration of one issue-order batch:
+    ``(group_size, selection, ntg_degrees, scan_widths)``.
+
+    ``ntg="model"`` profiles a sample of ``queries`` the first time a
+    snapshot is asked, then reuses the selection through the module LRU
+    (:data:`repro.core.ntg.selection_cache`) until the snapshot is
+    replaced or evicted — the step model depends only on node geometry.
+    Emits the ``ntg.*`` gauges when a recorder is enabled.
+    """
+    selection: Optional[NTGSelection] = None
+    profile_s: Optional[float] = None
+    if isinstance(cfg.ntg, int):
+        gs = cfg.ntg
+    elif cfg.ntg == "fanout":
+        gs = fanout_group_size(layout.fanout, cfg.warp_size)
+    else:
+        selection = selection_cache.get(
+            layout, cfg.warp_size, cfg.ntg_profile_levels
+        )
+        if selection is None:
+            sample = _profile_sample(
+                queries, min(cfg.profile_sample, queries.size), cfg.warp_size
+            )
+            if sample.size:
+                t0 = time.perf_counter()
+                selection = choose_group_size(
+                    layout,
+                    sample,
+                    warp_size=cfg.warp_size,
+                    levels=cfg.ntg_profile_levels,
+                )
+                profile_s = time.perf_counter() - t0
+                selection_cache.put(
+                    layout, cfg.warp_size, cfg.ntg_profile_levels, selection
+                )
+        gs = (selection.group_size if selection is not None
+              else fanout_group_size(layout.fanout, cfg.warp_size))
+
+    degrees: Tuple[int, ...] = ()
+    widths: Tuple[int, ...] = ()
+    if cfg.ntg_per_level:
+        if selection is not None and selection.ntg_degrees:
+            degrees = tuple(selection.ntg_degrees)
+            widths = tuple(selection.scan_widths)
+        else:
+            # Forced widths (explicit int / "fanout" / empty sample)
+            # still get a level vector, uniform at the chosen width.
+            degrees = (int(gs),) * layout.height
+    rec = obs.active
+    if rec.enabled:
+        for lvl, d in enumerate(degrees):
+            rec.gauge(f"ntg.level_degree.l{lvl}", float(d))
+        if profile_s is not None:
+            rec.gauge("ntg.profile_s", profile_s)
+    return gs, selection, degrees, widths
+
+
 @dataclass(frozen=True)
 class PreparedBatch:
-    """A query batch after the §4 preprocessing, ready for the kernel.
+    """A query batch after PSA (§4.1), ready for the lookup.
 
-    Carries everything the simulator / benches need to execute it exactly
-    as configured: the issue-order queries, the PSA bookkeeping, the
-    aggregate thread-group size and — when per-level NTG is on — the
-    ``ntg_degrees[depth]`` vector plus the matching engine scan windows.
+    ``psa`` holds the issue-order queries and the restore permutation —
+    all the host lookup reads.  The §4.2 kernel configuration
+    (:attr:`group_size`, :attr:`ntg_selection`, :attr:`ntg_degrees`,
+    :attr:`scan_widths`) describes the simulated GPU kernel and the work
+    model; it is resolved from this batch on first read, so a lookup that
+    never asks never profiles.
     """
 
     psa: PSABatch
-    group_size: int
-    ntg_selection: Optional[NTGSelection]
-    #: Per-level group widths (root first, non-increasing); empty when
-    #: per-level NTG is disabled.
-    ntg_degrees: Tuple[int, ...] = ()
-    #: Per-level broadcast scan windows aligned with ``ntg_degrees``;
-    #: empty when unprofiled (explicit/fanout widths) or disabled.
-    scan_widths: Tuple[int, ...] = ()
-    warp_size: int = 32
+    layout: HarmoniaLayout = field(repr=False, compare=False)
+    config: SearchConfig = field(repr=False, compare=False)
 
     @property
     def queries(self) -> np.ndarray:
         return self.psa.queries
 
     @property
-    def chunk_quantum(self) -> int:
-        """Thread-shard alignment unit for the host engine.
+    def warp_size(self) -> int:
+        return self.config.warp_size
 
-        With per-level degrees a warp serves ``warp_size // gs_l`` queries
-        at level ``l``; the chunk split must keep the *largest* cohort any
-        level forms intact, i.e. the one at the narrowest degree.  Without
-        degrees this falls back to the legacy aggregate group size (which
-        over-chunks skewed trees — the level-aware path fixes that).
-        """
-        if self.ntg_degrees:
-            return max(1, self.warp_size // min(self.ntg_degrees))
-        return max(1, int(self.group_size))
+    @cached_property
+    def _ntg(self):
+        return _ntg_config(self.layout, self.psa.queries, self.config)
+
+    @property
+    def group_size(self) -> int:
+        """Aggregate NTG thread-group width."""
+        return self._ntg[0]
+
+    @property
+    def ntg_selection(self) -> Optional[NTGSelection]:
+        """The §4.2 profiling result (None for forced widths)."""
+        return self._ntg[1]
+
+    @property
+    def ntg_degrees(self) -> Tuple[int, ...]:
+        """Per-level group widths (root first, non-increasing); empty
+        when per-level NTG is disabled."""
+        return self._ntg[2]
+
+    @property
+    def scan_widths(self) -> Tuple[int, ...]:
+        """Per-level broadcast scan windows aligned with
+        :attr:`ntg_degrees`; empty when unprofiled (explicit/fanout
+        widths) or disabled."""
+        return self._ntg[3]
 
 
 class HarmoniaTree:
@@ -169,7 +245,7 @@ class HarmoniaTree:
         return tree
 
     _empty_fanout: int = DEFAULT_FANOUT
-    #: Cached frontier-compaction engine (rebound on snapshot replacement).
+    #: Cached lookup engine (rebound on snapshot replacement).
     _engine: Optional[BatchQueryEngine] = None
     #: Optional pinned :class:`~repro.core.delta.DeltaView` overlay.  Set
     #: by :meth:`~repro.core.epoch.EpochManager._snapshot` in concurrent
@@ -222,7 +298,8 @@ class HarmoniaTree:
     def prepare_queries(
         self, queries: Sequence[int], config: Optional[SearchConfig] = None
     ) -> PreparedBatch:
-        """Run the §4 front half: PSA reordering + NTG group-size choice."""
+        """Run the §4 front half: PSA reordering.  The NTG kernel
+        configuration resolves lazily (see :class:`PreparedBatch`)."""
         cfg = config or self.search_config
         layout = self.layout
         q = ensure_key_array(np.asarray(queries), "queries")
@@ -246,70 +323,12 @@ class HarmoniaTree:
         else:
             psa = identity_batch(q)
 
-        selection: Optional[NTGSelection] = None
-        profile_s: Optional[float] = None
-        if isinstance(cfg.ntg, int):
-            gs = cfg.ntg
-        elif cfg.ntg == "fanout":
-            gs = fanout_group_size(layout.fanout, cfg.warp_size)
-        else:  # "model" — static profiling on a sample of the issue stream
-            # §4.2 profiling is per snapshot, not per batch: the step model
-            # depends on the layout's node geometry, so the first batch's
-            # selection is reused (via the module LRU) until the snapshot
-            # is replaced or evicted.
-            cached = selection_cache.get(
-                layout, cfg.warp_size, cfg.ntg_profile_levels
-            )
-            if cached is not None:
-                selection = cached
-                gs = selection.group_size
-            else:
-                sample = _profile_sample(
-                    psa.queries, min(cfg.profile_sample, psa.n),
-                    cfg.warp_size,
-                )
-                if sample.size == 0:
-                    gs = fanout_group_size(layout.fanout, cfg.warp_size)
-                else:
-                    t0 = time.perf_counter()
-                    selection = choose_group_size(
-                        layout,
-                        sample,
-                        warp_size=cfg.warp_size,
-                        levels=cfg.ntg_profile_levels,
-                    )
-                    profile_s = time.perf_counter() - t0
-                    gs = selection.group_size
-                    selection_cache.put(
-                        layout, cfg.warp_size, cfg.ntg_profile_levels,
-                        selection,
-                    )
-
-        degrees: Tuple[int, ...] = ()
-        widths: Tuple[int, ...] = ()
-        if cfg.ntg_per_level:
-            if selection is not None and selection.ntg_degrees:
-                degrees = tuple(selection.ntg_degrees)
-                widths = tuple(selection.scan_widths)
-            else:
-                # Forced widths (explicit int / "fanout" / empty sample)
-                # still get a level vector — uniform at the chosen width —
-                # so the engine's cohort math has one code path.
-                degrees = (int(gs),) * layout.height
-        rec = obs.active
-        if rec.enabled:
-            for lvl, d in enumerate(degrees):
-                rec.gauge(f"ntg.level_degree.l{lvl}", float(d))
-            if profile_s is not None:
-                rec.gauge("ntg.profile_s", profile_s)
-        return PreparedBatch(
-            psa=psa,
-            group_size=gs,
-            ntg_selection=selection,
-            ntg_degrees=degrees,
-            scan_widths=widths,
-            warp_size=cfg.warp_size,
-        )
+        prepared = PreparedBatch(psa, layout, cfg)
+        if obs.active.enabled:
+            # Recording: resolve the kernel configuration now so the
+            # ntg.* gauges land with this batch.
+            prepared._ntg
+        return prepared
 
     def search_batch(
         self,
@@ -339,11 +358,12 @@ class HarmoniaTree:
             return out
 
     def engine(self, config: Optional[SearchConfig] = None) -> BatchQueryEngine:
-        """The frontier-compaction engine bound to the current snapshot.
+        """The lookup engine bound to the current snapshot.
 
         Cached: rebuilt only when the layout snapshot is replaced (batch
         update) or the worker configuration changes, so scratch buffers
-        and the packed leaf block persist across batches.
+        persist across batches.  The packed leaf block lives on the
+        snapshot itself and is shared by every engine over it.
         """
         cfg = config or self.search_config
         layout = self.layout  # raises on an empty tree
@@ -368,38 +388,46 @@ class HarmoniaTree:
         config: Optional[SearchConfig] = None,
     ) -> np.ndarray:
         """Batched lookup through the configured engine (§4.1's pipeline:
-        PSA reorder → frontier-compacted traversal → restore).
+        PSA reorder → packed-leaf search → restore → delta overlay).
 
         Bit-identical to :meth:`search_batch`; ``config.engine`` selects
         the executor (``"compacted"`` by default, ``"naive"`` for the
         oracle path) and ``config.engine_workers`` enables sharded
         multi-threaded execution on large batches.
         """
-        cfg = config or self.search_config
-        q = ensure_key_array(np.asarray(queries), "queries")
-        overlay = (
-            self.delta.overlay_values if self.delta is not None else None
-        )
         if self._layout is None:
-            out = np.full(q.size, NOT_FOUND, dtype=np.int64)
-            if overlay is not None:
-                overlay(q, out)
-            return out
+            return self._no_snapshot(queries)
+        cfg = config or self.search_config
+        overlay = self._overlay()
         with obs.scoped(cfg.trace):
-            prepared = self.prepare_queries(q, cfg)
+            prepared = self.prepare_queries(queries, cfg)
             if cfg.engine == "compacted":
                 return self.engine(cfg).execute_prepared(
                     prepared, overlay=overlay
                 )
             results = _search_batch(self._layout, prepared.queries)
-            out = prepared.psa.scatter_restore(results)
             if overlay is not None:
-                overlay(q, out)
-            return out
+                overlay(prepared.queries, results)
+            return prepared.psa.scatter_restore(results)
+
+    def _overlay(self):
+        """The pinned delta's elementwise overlay pass, or None."""
+        return self.delta.overlay_values if self.delta is not None else None
+
+    def _no_snapshot(self, queries) -> np.ndarray:
+        """A point read on a tree with no layout: every key misses the
+        base, then the pinned delta (if any) applies."""
+        q = ensure_key_array(np.asarray(queries), "queries")
+        out = np.full(q.size, NOT_FOUND, dtype=np.int64)
+        if self.delta is not None:
+            self.delta.overlay_values(q, out)
+        return out
 
     @property
     def last_engine_stats(self) -> Optional[EngineStats]:
-        """Stats of the most recent compacted-engine execution (or None)."""
+        """GPU work model of the most recent engine batch (or None),
+        computed on first access — see
+        :attr:`~repro.core.engine.BatchQueryEngine.last_stats`."""
         return self._engine.last_stats if self._engine is not None else None
 
     def search_sorted_many(
@@ -415,36 +443,30 @@ class HarmoniaTree:
         Sorted input makes PSA a no-op, so this skips ``prepare_queries``
         entirely and runs the engine directly: with ``hinted=True`` (the
         default) through :meth:`~repro.core.engine.BatchQueryEngine.
-        execute_hinted`, whose frontier carries lower-bound hints and
-        prunes subtrees no probe lands in; with ``hinted=False`` through
-        the plain frontier-compacted ``execute``.  ``tile`` (a
-        :class:`~repro.join.tiles.TileConfig`) bounds peak traversal
-        scratch to O(tile) via the tile scheduler.  Values are
+        execute_hinted`, whose work model is the dual walk that prunes
+        subtrees no probe lands in; with ``hinted=False`` through the
+        plain ``execute``.  ``tile`` (a
+        :class:`~repro.join.tiles.TileConfig`) bounds peak lookup scratch
+        to O(tile) via the tile scheduler.  Values are
         bit-identical to :meth:`search_many` on the same batch (the
         delta overlay, when pinned, applies the same way); ascending
         order is validated by the hinted engine.
         """
-        cfg = config or self.search_config
-        q = ensure_key_array(np.asarray(queries), "queries")
-        overlay = (
-            self.delta.overlay_values if self.delta is not None else None
-        )
         if self._layout is None:
-            out = np.full(q.size, NOT_FOUND, dtype=np.int64)
-            if overlay is not None:
-                overlay(q, out)
-            return out
+            return self._no_snapshot(queries)
+        cfg = config or self.search_config
+        overlay = self._overlay()
         with obs.scoped(cfg.trace):
             eng = self.engine(cfg)
             if tile is not None:
                 from repro.join.tiles import TileScheduler
 
                 return TileScheduler(eng, tile).run(
-                    q, overlay=overlay, hinted=hinted
+                    queries, overlay=overlay, hinted=hinted
                 )
             if hinted:
-                return eng.execute_hinted(q, overlay=overlay)
-            return eng.execute(q, issue_sorted=True, overlay=overlay)
+                return eng.execute_hinted(queries, overlay=overlay)
+            return eng.execute(queries, issue_sorted=True, overlay=overlay)
 
     def search_stream(
         self,
@@ -460,27 +482,17 @@ class HarmoniaTree:
 
         Thread-safe: each call builds its own
         :class:`~repro.core.stream.StreamExecutor` (slot buffers and engine
-        scratch are per-call), sharing only the immutable packed leaf block
-        with the tree's cached engine.  Per-call stats land in
-        :attr:`last_stream_stats`.
+        scratch are per-call), sharing only the snapshot's immutable packed
+        leaf block.  Per-call stats land in :attr:`last_stream_stats`.
         """
         from repro.core.stream import StreamExecutor
 
-        cfg = config or self.search_config
-        q = ensure_key_array(np.asarray(queries), "queries")
-        overlay = (
-            self.delta.overlay_values if self.delta is not None else None
-        )
         if self._layout is None:
-            out = np.full(q.size, NOT_FOUND, dtype=np.int64)
-            if overlay is not None:
-                overlay(q, out)
-            return out
-        executor = StreamExecutor.from_config(
-            self._layout, cfg, share_from=self.engine(cfg)
-        )
+            return self._no_snapshot(queries)
+        cfg = config or self.search_config
+        executor = StreamExecutor.from_config(self._layout, cfg)
         with obs.scoped(cfg.trace):
-            out = executor.run(q, overlay=overlay)
+            out = executor.run(queries, overlay=self._overlay())
         self._last_stream_stats = executor.last_stats
         return out
 
@@ -598,15 +610,17 @@ class HarmoniaTree:
 
         Returns the accounting record; the tree's layout snapshot is
         replaced atomically at the end (phase semantics — queries issued
-        after this call see the new structure).
+        after this call see the new structure).  No mode ever writes the
+        outgoing snapshot, so its cached packed leaf block and leaf counts
+        stay valid for readers still pinned to it.
 
         ``config.mode`` picks the executor: the vectorized
-        plan/apply/movement pipeline (default; never mutates the outgoing
-        snapshot), the gapped in-place absorber
-        (:class:`~repro.core.update_plan.GappedBatchUpdater` — movement
-        demoted to a rare compaction epoch; result-equivalent, physically
-        gapped layout), or the per-op scalar reference path — equivalent
-        results in every case (see
+        plan/apply/movement pipeline (default), the gapped in-place
+        absorber (:class:`~repro.core.update_plan.GappedBatchUpdater` —
+        movement demoted to a rare compaction epoch; result-equivalent,
+        physically gapped layout; absorbs into a private copy), or the
+        per-op scalar reference path, which edits a private copy of the
+        snapshot — equivalent results in every case (see
         :class:`~repro.core.config.UpdateConfig`).
         """
         cfg = config or UpdateConfig()
@@ -633,7 +647,8 @@ class HarmoniaTree:
             self._layout = gapped.new_layout
             return result
 
-        scalar = BatchUpdater(self._layout, fill=self._fill)
+        # Algorithm 1 edits leaf rows in place: give it a private copy.
+        scalar = BatchUpdater(self._layout.copy(), fill=self._fill)
         with scalar.result.timer.phase("apply"):
             scalar.apply_batch(ops, n_threads=cfg.n_threads)
         with scalar.result.timer.phase("movement"):

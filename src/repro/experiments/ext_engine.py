@@ -1,15 +1,17 @@
-"""Extension — frontier compaction: the host-side PSA payoff, priced.
+"""Extension — PSA locality on the host path and in the work model.
 
 Figure 12 shows PSA's win as a drop in ``gld_transactions``: grouped
-queries touch fewer distinct cache lines per warp.  The host-side batch
-engine (:mod:`repro.core.engine`) exploits the *same* locality — a
-PSA-grouped frontier is run-length encoded, so each tree node is read
-once per level instead of once per query.  This experiment measures both
-sides of the correspondence on one batch:
+queries touch fewer distinct cache lines per warp.  The work model
+(:func:`repro.core.engine.traversal_profile`) counts the *same*
+locality on the tree — a PSA-grouped frontier is run-length encoded, so
+each node is read once per level instead of once per query — and the
+host lookup (one binary search over the packed leaf block) feels it as
+neighbouring searches landing on neighbouring leaves.  This experiment
+measures both sides of the correspondence on one batch:
 
-* wall-clock: naive broadcast traversal vs the compacted engine (and the
-  sharded multi-worker variant);
-* counters: the engine's ``unique_nodes_per_level`` total vs the
+* wall-clock: the naive per-query walk vs the engine's packed-leaf
+  lookup (and the sharded multi-worker variant);
+* counters: the work model's ``unique_nodes_per_level`` total vs the
   simulator's ``gld_transactions``, for a PSA-grouped batch and for the
   arrival-order batch — both counters must move the same way, because
   they count the same thing (distinct memory locations per step).
@@ -52,7 +54,7 @@ def run(scale="default", seed: int = 0) -> ExperimentResult:
 
     result = ExperimentResult(
         experiment="ext_engine",
-        title="Frontier-compacted host engine: PSA locality on the CPU path",
+        title="Host lookup and work model: PSA locality on the CPU path",
         scale=sc.name,
         paper_reference={
             "claim": "§4.1 / Fig 12 — grouped queries coalesce memory traffic; "

@@ -4,17 +4,20 @@ JZ-tree's dual tree walks (PAPERS.md) join two trees by descending both
 at once and pruning subtree pairs whose key ranges cannot overlap.  The
 Harmonia analog (:func:`repro.join.merge_join`, docs/join.md) flattens
 that recursion into level order: ``tree_a``'s leaf region is already the
-sorted probe stream, and the hinted engine walk
-(:meth:`~repro.core.engine.BatchQueryEngine.execute_hinted`) carries a
-frontier of (node, lower-bound) pairs down ``tree_b``, skipping every
-subtree no probe lands in.
+sorted probe stream.  On the host the probes resolve with one binary
+search over ``tree_b``'s packed leaf block
+(:meth:`~repro.core.engine.BatchQueryEngine.execute_hinted`); the work
+model of that batch is the hinted walk a GPU kernel would run, carrying
+a frontier of (node, lower-bound) pairs down ``tree_b`` and skipping
+every subtree no probe lands in.
 
 This experiment joins a probe tree against build trees of varying
 overlap and puts three quantities side by side per workload:
 
-* measured host wall clock of the hinted join vs the same probe stream
-  through per-key ``search_many`` (the naive baseline);
-* the engine's per-level distinct-node counts — the pruning made
+* measured host wall clock of the join vs the same probe stream in
+  arrival order through per-key ``search_many`` (PSA, lookup, restore);
+* the work model's per-level distinct-node counts
+  (:func:`~repro.core.engine.traversal_profile`) — the pruning made
   visible (disjoint key ranges ⇒ frontier collapses to one path);
 * the dual-walk kernel model's transaction accounting
   (:func:`repro.gpusim.simulate_dual_walk`): probe-side sequential leaf
@@ -68,7 +71,7 @@ def run(scale="default", seed: int = 0,
         paper_reference={
             "claim": "beyond the paper — JZ-tree dual walks: joining two "
             "trees prunes every subtree pair whose key ranges are "
-            "disjoint; the frontier-compacted engine's hinted walk is "
+            "disjoint; the work model of the engine's hinted probe path is "
             "that prune in level order"
         },
     )

@@ -3,14 +3,14 @@
 The level-wise FPGA batch-search paper (PAPERS.md) bounds on-chip memory
 by processing a large batch through the tree level by level in fixed
 tiles.  The host analog (:class:`repro.join.tiles.TileScheduler`,
-docs/join.md) drives each tile through the frontier-compacted engine
-with recycled scratch, so the resident traversal footprint is O(tile)
-however large the batch.
+docs/join.md) drives each tile through the engine's lookup with
+recycled scratch, so the resident lookup footprint is O(tile) however
+large the batch.
 
 This experiment sweeps tile sizes over one large batch and reports, per
-tile size, the *measured* peak resident footprint (staging ring + engine
-scratch, the ``stream.tile_peak_bytes`` gauge) against the untiled
-engine's whole-batch scratch, plus the throughput cost of tiling —
+tile size, the *measured* peak resident footprint (engine scratch, the
+``stream.tile_peak_bytes`` gauge) against the untiled engine's
+whole-batch scratch, plus the throughput cost of tiling —
 values pinned identical to the untiled run first.
 """
 

@@ -2,11 +2,11 @@
 
 Two read surfaces the PR 1–9 stack made possible (ROADMAP "new
 scenarios"): :func:`merge_join` walks one Harmonia tree's leaf region as
-a sorted probe stream through another tree via the frontier-compacted
-engine's hinted dual walk (JZ-tree style subtree pruning), and
-:class:`TileScheduler` drives any batch level-by-level in fixed-size
-tiles so peak traversal memory is O(tile) (the FPGA level-wise batch-
-search discipline).  See docs/join.md.
+a sorted probe stream through another tree's packed-leaf lookup (its
+work model is the JZ-tree style hinted dual walk), and
+:class:`TileScheduler` drives any batch in fixed-size tiles so peak
+lookup memory is O(tile) (the FPGA level-wise batch-search
+discipline).  See docs/join.md.
 
 Exports resolve lazily (PEP 562): ``core/stream.py`` imports
 ``repro.join.tiles`` for the tile scheduler, while ``mergejoin`` imports

@@ -4,12 +4,14 @@ A B+tree's leaf region *is* a sorted stream (§3.1's consecutive leaf
 block, gap-aware since the gapped layout), so joining two Harmonia trees
 never needs to materialize either side into a hash table: ``tree_a``'s
 visible items become an ascending probe batch, and ``tree_b`` resolves
-it through the frontier-compacted engine's **hinted dual walk**
-(:meth:`~repro.core.engine.BatchQueryEngine.execute_hinted`) — each
-level's ``searchsorted`` starts from the previous frontier and whole
+it with one binary search over its packed leaf block
+(:meth:`~repro.core.engine.BatchQueryEngine.execute_hinted`).  The work
+model of that call is the **hinted dual walk** a GPU kernel would run —
+each level's search starts from the previous frontier and whole
 ``tree_b`` subtrees that no probe lands in are pruned before they are
-visited, the JZ-tree dual-walk recursion flattened into level order.
-Probe streams of any size run in O(tile) traversal memory through the
+visited, the JZ-tree dual-walk recursion flattened into level order
+(:func:`~repro.core.engine.traversal_profile` with ``hinted=True``).
+Probe streams of any size run in O(tile) lookup memory through the
 :class:`~repro.join.tiles.TileScheduler`.
 
 Composition rules:
@@ -170,8 +172,8 @@ def merge_join(
     :class:`~repro.core.epoch.EpochManager` (pinned once for the whole
     join) or a :class:`~repro.shard.ShardedTree`.  ``tile`` bounds peak
     traversal scratch (docs/join.md's tiling discipline);
-    ``hinted=False`` falls back to the plain frontier-compacted engine
-    (the bench baseline).  Results are byte-identical to
+    ``hinted=False`` profiles the probes as a plain (non-hinted) batch;
+    the values are the same either way.  Results are byte-identical to
     :func:`sort_merge_reference` on both sides' visible items.
     """
     if mode not in JOIN_MODES:

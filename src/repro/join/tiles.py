@@ -3,22 +3,19 @@
 The level-wise FPGA batch-search paper (PAPERS.md) processes a huge
 query batch through a B+tree one level at a time in fixed-size tiles so
 the on-chip footprint is O(tile), not O(batch).  The host analog: the
-frontier-compacted engine's scratch pools are shape-sticky
+engine's scratch pools are shape-sticky
 (:class:`~repro.core.engine.EngineScratch`), so driving a 2^22-query
-batch through the engine in 2^16-query tiles keeps every traversal
-buffer — node/tmp/slot frontiers, broadcast row windows, leaf-finish
-masks — at tile size.  Only the (caller-owned) query and output arrays
-are batch-sized; the resident working set is the tile ring plus the
+batch through the engine in 2^16-query tiles keeps its lookup buffers
+(the miss mask) at tile size.  Each tile reads its slice of the caller's
+query array and writes its slice of the output in place, so only those
+two caller-owned arrays are batch-sized; the resident working set is the
 engine scratch, and :class:`TileScheduler` *measures* that peak
 (``stream.tile_peak_bytes``) instead of estimating it.
 
-``max_resident_tiles`` bounds the staging ring the way the FPGA design
-bounds its in-flight level buffers: tile ``i+1``'s issue slot can be
-filled while tile ``i`` drains, but never more than the configured
-number of tiles hold scratch at once.  The scheduler is shared
-infrastructure: :func:`repro.join.merge_join` drives its probe stream
-through it and :class:`repro.core.stream.StreamExecutor` delegates its
-per-batch traversal to it when ``SearchConfig.stream_tile`` is set.
+The scheduler is shared infrastructure: :func:`repro.join.merge_join`
+drives its probe stream through it and
+:class:`repro.core.stream.StreamExecutor` delegates its per-batch lookup
+to it when ``SearchConfig.stream_tile`` is set.
 
 Imports are deliberately shallow (engine/constants/errors/obs only) so
 ``core/stream.py`` can import this module without a cycle through
@@ -35,53 +32,40 @@ import numpy as np
 
 import repro.obs as obs
 from repro.constants import VALUE_DTYPE
-from repro.core.engine import BatchQueryEngine
+from repro.core.engine import BatchQueryEngine, ensure_ascending
 from repro.errors import ConfigError
 from repro.utils.validation import ensure_key_array
 
 _clock = time.perf_counter
 
-#: Default tile: 2^16 queries ≈ 0.5 MB of int64 staging per ring slot —
-#: large enough that per-tile engine dispatch amortizes, small enough
-#: that a 2^22-query batch runs in 64 tiles of O(tile) scratch.
+#: Default tile: 2^16 queries (64 KB of engine scratch) — large enough
+#: that per-tile engine dispatch amortizes, small enough that a
+#: 2^22-query batch runs in 64 tiles of O(tile) scratch.
 DEFAULT_TILE_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
 class TileConfig:
-    """Shape of the bounded-memory schedule.
-
-    ``tile_size`` is the per-tile query count (the O(tile) unit);
-    ``max_resident_tiles`` caps how many tiles may hold staging buffers
-    at once (the FPGA in-flight bound — 2 gives fill/drain overlap room
-    without growing the footprint past two slots).
-    """
+    """Shape of the bounded-memory schedule: ``tile_size`` is the
+    per-tile query count (the O(tile) unit)."""
 
     tile_size: int = DEFAULT_TILE_SIZE
-    max_resident_tiles: int = 2
 
     def __post_init__(self) -> None:
         if self.tile_size < 1:
             raise ConfigError(
                 f"tile_size must be >= 1, got {self.tile_size}"
             )
-        if self.max_resident_tiles < 1:
-            raise ConfigError(
-                f"max_resident_tiles must be >= 1, "
-                f"got {self.max_resident_tiles}"
-            )
 
 
 class TileScheduler:
-    """Drive batches through one engine tile-by-tile with recycled scratch.
+    """Drive batches through one engine tile by tile.
 
-    The ring holds ``min(max_resident_tiles, n_tiles)`` pairs of
-    (issue, values) staging buffers of ``tile_size``; each tile copies
-    its query slice into a ring slot, runs the engine with the slot's
-    value buffer as ``out=``, and scatters back — so the engine's
-    shape-sticky scratch stays tile-sized across the whole batch.
-    ``last_peak_bytes`` reports the measured peak resident footprint
-    (ring + engine scratch) of the last :meth:`run`.
+    Each tile runs the engine on its slice of the queries with the
+    matching output slice as ``out=``, so the engine's shape-sticky
+    scratch stays tile-sized across the whole batch.
+    ``last_peak_bytes`` reports the measured peak engine scratch of the
+    last :meth:`run`.
     """
 
     def __init__(
@@ -93,21 +77,8 @@ class TileScheduler:
             raise ConfigError("TileScheduler needs a BatchQueryEngine")
         self.engine = engine
         self.tile = tile or TileConfig()
-        self._ring_q: list = []
-        self._ring_v: list = []
         self.last_peak_bytes = 0
         self.last_tiles = 0
-
-    def _ring(self, n_slots: int) -> None:
-        ts = self.tile.tile_size
-        while len(self._ring_q) < n_slots:
-            self._ring_q.append(np.empty(ts, dtype=np.int64))
-            self._ring_v.append(np.empty(ts, dtype=VALUE_DTYPE))
-
-    @property
-    def ring_nbytes(self) -> int:
-        return sum(int(b.nbytes) for b in self._ring_q) + \
-            sum(int(b.nbytes) for b in self._ring_v)
 
     def run(
         self,
@@ -120,12 +91,15 @@ class TileScheduler:
         whole-batch :meth:`~repro.core.engine.BatchQueryEngine.execute`
         (or ``execute_hinted`` when ``hinted=True`` — the batch must
         then be ascending, which every tile slice of an ascending batch
-        is).  ``overlay`` is applied per tile: it is elementwise by key,
-        so tiling commutes with it.
+        is).  The engine's :attr:`~repro.core.engine.BatchQueryEngine.
+        last_stats` then describe the last tile.  ``overlay`` is applied
+        per tile: it is elementwise by key, so tiling commutes with it.
         """
         rec = obs.active
         t_start = _clock() if rec.enabled else 0.0
         q = ensure_key_array(np.asarray(queries), "queries")
+        if hinted:
+            ensure_ascending(q)
         nq = q.size
         if out is None:
             values = np.empty(nq, dtype=VALUE_DTYPE)
@@ -139,24 +113,15 @@ class TileScheduler:
             values = out
         ts = self.tile.tile_size
         n_tiles = -(-nq // ts) if nq else 0
-        self._ring(min(self.tile.max_resident_tiles, max(n_tiles, 1)))
-        peak = self.ring_nbytes + self.engine.scratch_nbytes
-        for i in range(n_tiles):
-            s, e = i * ts, min((i + 1) * ts, nq)
-            slot = i % len(self._ring_q)
-            tq = self._ring_q[slot][: e - s]
-            tv = self._ring_v[slot][: e - s]
-            np.copyto(tq, q[s:e])
-            if hinted:
-                self.engine.execute_hinted(tq, out=tv, overlay=overlay)
-            else:
-                self.engine.execute(
-                    tq, issue_sorted=None, out=tv, overlay=overlay
-                )
-            values[s:e] = tv
-            peak = max(
-                peak, self.ring_nbytes + self.engine.scratch_nbytes
-            )
+        # The batch is validated once above; each tile goes straight to
+        # the engine's lookup kernel.
+        engine = self.engine
+        model = (hinted, True if hinted else None, None)
+        peak = 0
+        for s in range(0, nq, ts):
+            e = min(s + ts, nq)
+            engine._lookup(q[s:e], values[s:e], overlay, model)
+            peak = max(peak, engine.scratch_nbytes)
         self.last_peak_bytes = int(peak)
         self.last_tiles = n_tiles
         if rec.enabled:

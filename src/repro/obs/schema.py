@@ -79,33 +79,36 @@ class MetricSpec:
 CATALOGUE: List[MetricSpec] = [
     # ------------------------------------------------------------ engine
     MetricSpec("engine.batches", "counter", "batches",
-               "BatchQueryEngine.execute calls"),
+               "BatchQueryEngine lookup batches"),
     MetricSpec("engine.queries", "counter", "queries",
-               "point lookups executed by the compacted engine"),
+               "point lookups resolved by the engine"),
     MetricSpec("engine.levels.grouped", "counter", "levels",
-               "level executions taken by the grouped (per-run searchsorted) "
-               "strategy"),
+               "work model: internal levels the GPU kernel serves with one "
+               "grouped search per distinct node"),
     MetricSpec("engine.levels.broadcast", "counter", "levels",
-               "level executions that fell back to the broadcast compare"),
+               "work model: internal levels whose frontier runs are too "
+               "short, served by the per-query broadcast compare"),
     MetricSpec("engine.levels.capped", "counter", "levels",
-               "broadcast level executions that swept only the per-level NTG "
-               "scan window (a multiple of the level's degree) instead of "
-               "the full key row"),
+               "work model: broadcast levels that sweep only the per-level "
+               "NTG scan window (a multiple of the level's degree) instead "
+               "of the full key row"),
     MetricSpec("engine.node_reads", "counter", "nodes",
-               "distinct node-row reads performed (sum of frontier runs over "
-               "levels) — the host analog of gld_transactions"),
+               "work model: distinct node-row reads (sum of frontier runs "
+               "over levels) — the host analog of gld_transactions"),
     MetricSpec("engine.chunks", "counter", "chunks",
-               "contiguous query chunks executed (1 per batch unless sharded)"),
+               "contiguous query chunks the host lookup ran (1 per batch "
+               "unless sharded over threads)"),
     MetricSpec("engine.hinted_batches", "counter", "batches",
-               "batches run through the monotone dual-walk path "
+               "batches profiled as the monotone dual walk "
                "(execute_hinted: frontier lower-bound hints + subtree "
                "pruning)"),
     MetricSpec("engine.unique_nodes.l*", "counter", "nodes",
-               "frontier runs (= distinct nodes for a PSA-sorted batch) at "
-               "tree level l<N> — Figure 12's per-level transaction analog"),
+               "work model: frontier runs (= distinct nodes for a "
+               "PSA-sorted batch) at tree level l<N> — Figure 12's "
+               "per-level transaction analog"),
     MetricSpec("engine.run_length", "histogram", "queries/run",
-               "mean frontier run length per level execution (batch size / "
-               "runs); the PSA locality the engine exploits",
+               "work model: mean frontier run length per level (batch size "
+               "/ runs); the PSA locality a GPU warp exploits",
                edges=COUNT_EDGES),
     # ------------------------------------------------------------ stream
     MetricSpec("stream.batches", "counter", "batches",
@@ -330,8 +333,11 @@ CATALOGUE: List[MetricSpec] = [
                "benchmark emitter timing blocks (BENCH_*.json metrics "
                "sections)"),
     # ------------------------------------------------------------- spans
-    MetricSpec("engine.execute", "span", "-",
-               "one compacted-engine batch execution"),
+    MetricSpec("engine.lookup", "span", "-",
+               "one host lookup batch: packed-leaf search (+ delta overlay)"),
+    MetricSpec("engine.profile", "span", "-",
+               "traversal_profile of one batch, computed while recording "
+               "(never part of engine.lookup)"),
     MetricSpec("stream.run", "span", "-",
                "one full stream run (all batches)"),
     MetricSpec("stream.tile_run", "span", "-",

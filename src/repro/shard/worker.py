@@ -4,8 +4,8 @@ Each worker owns the :class:`~repro.core.epoch.EpochManager`-wrapped
 :class:`~repro.core.tree.HarmoniaTree` for one contiguous key range and
 serves the router over a :class:`~repro.shard.transport.ShardChannel`:
 
-* ``search``  — batch point lookups through the frontier-compacted
-  engine (:meth:`EpochManager.search_many`);
+* ``search``  — batch point lookups through the engine
+  (:meth:`EpochManager.search_many`);
 * ``apply``   — one §3.2.2 update batch (submit + single flush, so the
   shard publishes exactly one new epoch per router batch);
 * ``range``   — a batch of range scans over the shard's contiguous leaf

@@ -1,4 +1,4 @@
-"""Tests for the frontier-compacted batch query engine.
+"""Tests for the batch lookup engine and its GPU work model.
 
 Three layers of assurance:
 
@@ -9,6 +9,9 @@ Three layers of assurance:
   batches, results bit-identical including restore-to-issue-order;
 * the tier-1 smoke test pinning the ``unique_nodes_per_level`` counter's
   monotonicity (the Equation 1 disjoint-children property).
+
+The work model itself (:func:`traversal_profile`) is pinned against
+golden values in ``tests/test_traversal_profile.py``.
 """
 
 import numpy as np
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.constants import NOT_FOUND
 from repro.core import BatchQueryEngine, HarmoniaTree, SearchConfig
-from repro.core.engine import EngineScratch
+from repro.core.engine import GROUP_THRESHOLD, EngineScratch, traversal_profile
 from repro.core.layout import HarmoniaLayout
 from repro.core.psa import fully_sorted_batch, identity_batch, prepare_batch
 from repro.core.search import search_batch, search_scalar
@@ -72,9 +75,26 @@ class TestEngineUnits:
         with pytest.raises(ConfigError):
             BatchQueryEngine(small_layout, min_parallel=0)
         with pytest.raises(ConfigError):
-            BatchQueryEngine(small_layout, group_threshold=0)
-        with pytest.raises(ConfigError):
             BatchQueryEngine("not a layout")
+
+    def test_group_threshold_splits_levels(self, medium_layout, medium_keys,
+                                           rng):
+        # The grouped/broadcast split is a property of the work model:
+        # an internal level is grouped exactly when its frontier runs
+        # average at least GROUP_THRESHOLD queries.
+        for q in (rng.choice(medium_keys, 4_000), np.sort(medium_keys[:4_000])):
+            st_ = traversal_profile(medium_layout, q)
+            runs = st_.unique_nodes_per_level[:-1]
+            want = int(np.count_nonzero(runs * GROUP_THRESHOLD <= q.size))
+            assert st_.grouped_levels == want
+            assert st_.broadcast_levels == medium_layout.height - 1 - want
+        # arrival order breaks the runs up; sorted order never does
+        assert traversal_profile(
+            medium_layout, rng.choice(medium_keys, 4_000)
+        ).broadcast_levels > 0
+        assert traversal_profile(
+            medium_layout, np.sort(medium_keys[:4_000])
+        ).broadcast_levels == 0
 
     def test_empty_batch(self, small_layout):
         eng = BatchQueryEngine(small_layout)
@@ -124,7 +144,9 @@ class TestEngineUnits:
         b = sharded.execute(q)
         assert np.array_equal(a, b)
         assert sharded.last_stats.n_chunks == 3
-        # Shard counters sum; each shard's frontier is still monotone.
+        # Host chunking does not change the modelled GPU work.
+        assert np.array_equal(sharded.last_stats.unique_nodes_per_level,
+                              solo.last_stats.unique_nodes_per_level)
         assert np.all(np.diff(sharded.last_stats.unique_nodes_per_level) >= 0)
 
     def test_sharding_gated_by_min_parallel(self, medium_layout, medium_keys):
@@ -287,7 +309,7 @@ def test_engine_smoke_counter_monotone(medium_layout, medium_keys, rng):
     assert counter[0] == 1 and counter[-1] <= q.size
 
 
-# -------------------------------------------------- out= and leaf sharing
+# ----------------------------------------------- out= and the packed block
 
 
 def test_execute_out_buffer(medium_layout, medium_keys, rng):
@@ -308,14 +330,39 @@ def test_execute_out_buffer(medium_layout, medium_keys, rng):
 
 
 def test_share_packed_leaves(medium_layout, medium_keys, rng):
-    donor = BatchQueryEngine(medium_layout)
-    taker = BatchQueryEngine(medium_layout)
-    taker.share_packed_leaves(donor)
-    # Shared block is the same object, built once.
-    assert taker._packed_keys is donor._packed_keys
-    assert taker._packed_values is donor._packed_values
+    # Every engine over one snapshot reads the snapshot's one packed
+    # block, built once; another snapshot has its own.
+    first = BatchQueryEngine(medium_layout)
+    second = BatchQueryEngine(medium_layout)
     q = rng.choice(medium_keys, 500).astype(np.int64)
-    assert np.array_equal(taker.execute(q), donor.execute(q))
+    assert np.array_equal(first.execute(q), second.execute(q))
+    keys, values = medium_layout.packed_leaves()
+    assert medium_layout.packed_leaves()[0] is keys
+    assert np.array_equal(keys, medium_layout.all_keys())
+    assert np.array_equal(values, medium_layout.iter_leaf_items()[:, 1])
     other = HarmoniaLayout.from_sorted(make_key_set(100, rng=3), fanout=8)
-    with pytest.raises(ConfigError):
-        BatchQueryEngine(other).share_packed_leaves(donor)
+    assert other.packed_leaves()[0] is not keys
+
+
+def test_packed_leaves_lazy(medium_keys):
+    # Built on the first read, never at construction.
+    layout = HarmoniaLayout.from_sorted(medium_keys[:1000], fanout=16)
+    assert layout._packed is None
+    BatchQueryEngine(layout).execute(medium_keys[:10])
+    assert layout._packed is not None
+    assert layout.copy()._packed is None
+
+
+def test_last_stats_lazy_equals_profile(medium_layout, medium_keys, rng):
+    q = rng.choice(medium_keys, 3_000).astype(np.int64)
+    eng = BatchQueryEngine(medium_layout)
+    eng.execute(q)
+    assert eng._unprofiled is not None  # nothing profiled yet
+    stats = eng.last_stats
+    assert eng._unprofiled is None
+    ref = traversal_profile(medium_layout, q)
+    assert np.array_equal(stats.unique_nodes_per_level,
+                          ref.unique_nodes_per_level)
+    assert (stats.grouped_levels, stats.broadcast_levels) == (
+        ref.grouped_levels, ref.broadcast_levels)
+    assert eng.last_stats is stats  # computed once

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.constants import NOT_FOUND
 from repro.core.config import SearchConfig, UpdateConfig
-from repro.core.engine import BatchQueryEngine
+from repro.core.engine import BatchQueryEngine, traversal_profile
 from repro.core.epoch import EpochManager
 from repro.core.tree import HarmoniaTree
 from repro.core.update import Operation
@@ -239,6 +239,14 @@ class TestExecuteHinted:
         eng2 = BatchQueryEngine(tree.layout)
         eng2.execute(q, issue_sorted=True)
         assert stats.total_node_reads <= eng2.last_stats.total_node_reads
+        # Both are the work model of the batch, computed on demand.
+        ref = traversal_profile(tree.layout, q, hinted=True)
+        assert np.array_equal(stats.unique_nodes_per_level,
+                              ref.unique_nodes_per_level)
+        assert stats.grouped_levels == tree.layout.height - 1
+        assert stats.broadcast_levels == 0
+        with pytest.raises(ConfigError):
+            traversal_profile(tree.layout, q[::-1], hinted=True)
 
     def test_out_of_range_probes_prune(self):
         # Probes past every key ride the KEY_MAX-padded rightmost path:
@@ -283,7 +291,7 @@ class TestTileScheduler:
         with pytest.raises(ConfigError):
             TileConfig(tile_size=0)
         with pytest.raises(ConfigError):
-            TileConfig(tile_size=64, max_resident_tiles=0)
+            TileConfig(tile_size=-64)
 
     def test_bounded_peak_and_identity(self):
         keys = make_key_set(1 << 14, rng=81)

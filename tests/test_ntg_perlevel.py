@@ -2,12 +2,12 @@
 
 The per-level path (``SearchConfig.ntg_per_level=True``, the default) is a
 *kernel-shape* optimization — it changes which lanes compare which slots
-and how the host engine chunks, never what a query returns.  The
+in the simulated kernel and work model, never what a query returns.  The
 hypothesis suites here pin that contract byte-identical against the
 global single-width ablation across every read surface (point, range,
 stream) and through the snapshot wrappers (EpochManager, ShardedTree);
 the directed classes pin the degree DP, the scan-width derivation, the
-level-aware chunk quantum, and the caching-depth memory split.
+per-level work model, and the caching-depth memory split.
 """
 
 import numpy as np
@@ -187,34 +187,51 @@ class TestSelectionCacheVectors:
         assert p1.ntg_selection is p2.ntg_selection  # cache hit
 
 
-# ------------------------------------------------- level-aware chunking
+# ---------------------------------------------- per-level work model
 
 
 class TestChunkQuantum:
     def test_skewed_tree_uses_narrowest_level_cohort(self):
-        # Regression: the legacy quantum came from the single aggregate
-        # group size, so a skewed tree (wide internals, thin leaves)
-        # sharded its batches into chunks that split the larger cohorts
-        # the narrow levels form.  The quantum must follow the narrowest
-        # degree: warp_size // min(ntg_degrees).
+        # The narrow levels pack more queries per warp than the aggregate
+        # width (warp_size // min(ntg_degrees) >= group_size), and the
+        # work model the engine reports for the batch is traversal_profile
+        # under the batch's per-level scan windows.
+        from repro.core.engine import traversal_profile
+
         tree, survivors = make_skewed_tree()
         q = uniform_queries(survivors, 2048, rng=9)
-        prep = tree.prepare_queries(q, SearchConfig.full())
+        cfg = SearchConfig.full().with_(use_psa=False)
+        prep = tree.prepare_queries(q, cfg)
         assert prep.ntg_degrees, "skewed tree must profile per level"
-        expect = max(1, prep.warp_size // min(prep.ntg_degrees))
-        assert prep.chunk_quantum == expect
-        # The narrow levels pack more queries per warp than the aggregate
-        # width would — the old quantum under-counts the cohort.
-        assert prep.chunk_quantum >= prep.group_size
+        assert prep.warp_size // min(prep.ntg_degrees) >= prep.group_size
+        tree.search_many(q, cfg)
+        stats = tree.last_engine_stats
+        ref = traversal_profile(tree.layout, prep.queries,
+                                scan_widths=prep.scan_widths)
+        assert np.array_equal(stats.unique_nodes_per_level,
+                              ref.unique_nodes_per_level)
+        assert stats.capped_levels == ref.capped_levels
+        # an arrival-order batch broadcasts, and the per-level windows
+        # narrow at least one of those sweeps
+        assert ref.broadcast_levels >= 1 and ref.capped_levels >= 1
 
     def test_global_fallback_keeps_legacy_quantum(self):
+        # Without per-level NTG there are no scan windows, so the work
+        # model never caps a broadcast sweep.
+        from repro.core.engine import traversal_profile
+
         tree, survivors = make_skewed_tree()
         q = uniform_queries(survivors, 2048, rng=9)
-        prep = tree.prepare_queries(
-            q, SearchConfig.full().with_(ntg_per_level=False)
-        )
-        assert prep.ntg_degrees == ()
-        assert prep.chunk_quantum == max(1, prep.group_size)
+        cfg = SearchConfig.full().with_(ntg_per_level=False, use_psa=False)
+        prep = tree.prepare_queries(q, cfg)
+        assert prep.ntg_degrees == () and prep.scan_widths == ()
+        tree.search_many(q, cfg)
+        stats = tree.last_engine_stats
+        assert stats.broadcast_levels >= 1
+        assert stats.capped_levels == 0
+        assert stats.capped_levels == traversal_profile(
+            tree.layout, prep.queries, scan_widths=None
+        ).capped_levels
 
     def test_sharded_engine_matches_solo_on_skewed_tree(self):
         tree, survivors = make_skewed_tree()

@@ -114,12 +114,12 @@ class TestHistogram:
 class TestSpans:
     def test_span_records_on_exit(self):
         reg = MetricsRegistry()
-        with reg.span("engine.execute", cat="engine", nq=7):
+        with reg.span("engine.lookup", cat="engine", nq=7):
             pass
         spans = reg.spans()
         assert len(spans) == 1
         name, cat, start, end, track, depth, args = spans[0]
-        assert name == "engine.execute" and cat == "engine"
+        assert name == "engine.lookup" and cat == "engine"
         assert end >= start and depth == 0 and args == {"nq": 7}
         assert track == 0  # main thread
 
@@ -127,12 +127,12 @@ class TestSpans:
         reg = MetricsRegistry()
         with reg.span("stream.run"):
             with reg.span("stream.traverse"):
-                with reg.span("engine.execute"):
+                with reg.span("engine.lookup"):
                     pass
         by_name = {s[0]: s for s in reg.spans()}
         assert by_name["stream.run"][5] == 0
         assert by_name["stream.traverse"][5] == 1
-        assert by_name["engine.execute"][5] == 2
+        assert by_name["engine.lookup"][5] == 2
 
     def test_span_records_on_exception(self):
         reg = MetricsRegistry()
@@ -177,12 +177,12 @@ class TestSnapshot:
         reg.counter("engine.batches", 2)
         reg.gauge("gpusim.utilization", 0.5)
         reg.histogram("engine.run_length", 16.0)
-        with reg.span("engine.execute"):
+        with reg.span("engine.lookup"):
             pass
         snap = reg.snapshot()
         assert snap["schema_version"] == SCHEMA_VERSION
         assert validate_snapshot(snap) == []
-        assert snap["spans"]["names"] == {"engine.execute": 1}
+        assert snap["spans"]["names"] == {"engine.lookup": 1}
 
     def test_validation_catches_unknown_names(self):
         reg = MetricsRegistry()
@@ -220,7 +220,7 @@ class TestSnapshot:
     def test_clear(self):
         reg = MetricsRegistry()
         reg.counter("engine.batches")
-        with reg.span("engine.execute"):
+        with reg.span("engine.lookup"):
             pass
         reg.clear()
         snap = reg.snapshot()
