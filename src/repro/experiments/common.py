@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence
 
@@ -70,6 +72,19 @@ class ExperimentResult:
 
     def print(self) -> None:  # pragma: no cover — console convenience
         print(self.render())
+
+
+@contextmanager
+def gc_paused():
+    """Time a block the way ``timeit`` does: collect first, then keep the
+    cyclic collector off, so a pass over a large caller heap (a long test
+    session) cannot land in whichever timed row it happens to hit."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def resolve_scale(scale) -> Scale:

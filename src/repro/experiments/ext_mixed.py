@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from repro.core import EpochManager, HarmoniaTree, SearchConfig, UpdateConfig
-from repro.experiments.common import ExperimentResult, resolve_scale
+from repro.experiments.common import ExperimentResult, gc_paused, resolve_scale
 from repro.workloads.datasets import scaled_tree_sizes
 from repro.workloads.generators import make_key_set, uniform_queries
 from repro.workloads.mixes import UpdateMix, make_update_batch
@@ -45,19 +45,20 @@ def run(scale="default", seed: int = 0) -> ExperimentResult:
         n_writes = int(round(round_ops * wf))
         n_reads = round_ops - n_writes
         total_ops = 0
-        t0 = time.perf_counter()
-        for _ in range(2):  # two rounds for steadier numbers
-            if n_reads:
-                queries = uniform_queries(keys, n_reads, rng=rng)
-                em.search_batch(queries, SearchConfig.full())
-                total_ops += n_reads
-            if n_writes:
-                ops = make_update_batch(keys, n_writes, mix=mix,
-                                        rng=rng.integers(1 << 30))
-                em.submit_many(ops)
-                em.flush()
-                total_ops += n_writes
-        elapsed = time.perf_counter() - t0
+        with gc_paused():
+            t0 = time.perf_counter()
+            for _ in range(2):  # two rounds for steadier numbers
+                if n_reads:
+                    queries = uniform_queries(keys, n_reads, rng=rng)
+                    em.search_batch(queries, SearchConfig.full())
+                    total_ops += n_reads
+                if n_writes:
+                    ops = make_update_batch(keys, n_writes, mix=mix,
+                                            rng=rng.integers(1 << 30))
+                    em.submit_many(ops)
+                    em.flush()
+                    total_ops += n_writes
+            elapsed = time.perf_counter() - t0
         result.add_row(
             write_fraction=round(wf, 3),
             is_tpch_point=abs(wf - 1 / 36) < 1e-6,

@@ -30,7 +30,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.stream import StreamExecutor
-from repro.experiments.common import ExperimentResult, build_eval_point, resolve_scale
+from repro.experiments.common import (
+    ExperimentResult,
+    build_eval_point,
+    gc_paused,
+    resolve_scale,
+)
 from repro.workloads.datasets import scaled_tree_sizes
 
 
@@ -60,12 +65,13 @@ def run(scale="default", seed: int = 0,
     reference = None
     for mode in ("serial", "overlap"):
         executor = StreamExecutor(layout, batch_size=batch, mode=mode)
-        out = executor.run(queries)  # warm slot buffers + packed leaves
-        st = executor.last_stats
-        for _ in range(4):  # best of 4: thread scheduling is noisy
-            out = executor.run(queries)
-            if executor.last_stats.wall_s < st.wall_s:
-                st = executor.last_stats
+        with gc_paused():
+            out = executor.run(queries)  # warm slot buffers + packed leaves
+            st = executor.last_stats
+            for _ in range(4):  # best of 4: thread scheduling is noisy
+                out = executor.run(queries)
+                if executor.last_stats.wall_s < st.wall_s:
+                    st = executor.last_stats
         if reference is None:
             reference = out.copy()
         else:
