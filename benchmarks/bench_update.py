@@ -266,24 +266,41 @@ def measure_concurrent(tree_log2: int, batch_log2: int, rounds: int = 8,
     kb, vb = conc_mgr.dump_items()
     assert np.array_equal(ka, kb) and np.array_equal(va, vb)
 
-    # Read-only overlay overhead: the same query batch against the plain
-    # base tree vs a pinned snapshot carrying an undrained 2-batch delta.
-    base = HarmoniaTree.from_sorted(keys, fanout=64, fill=0.7)
-    mgr = EpochManager(base, update_config=UpdateConfig(),
-                       concurrent=True, drain_threshold=1 << 62)
-    for ops in batches[:2]:
-        mgr.submit_many(ops)
-        mgr.flush()
-    snap = mgr._snapshot()
+    # Read-only overlay overhead, as a service-loop read pays it: every
+    # EpochManager read pins a fresh snapshot, and between drains the
+    # read after a publish meets a delta several flushes deep.  So each
+    # timed overlay read is the first ``search_many`` on a fresh manager
+    # right after three batches were published into it.  Its plain pair
+    # is the same query batch through a manager with no delta over the
+    # same base tree (a fresh pin too, so only the delta differs), right
+    # after the same three batches were published into another manager
+    # (the same write traffic through the caches).
     plain = HarmoniaTree.from_sorted(keys, fanout=64, fill=0.7)
+    bare = EpochManager(plain, concurrent=True)
     q = reads[0]
-    # Interleave the two timings so background-load drift on the host
-    # hits both sides equally instead of biasing the ratio.
-    t_plain = t_overlay = float("inf")
-    for _ in range(9):
-        t_plain = min(t_plain, _best_of(lambda: plain.search_many(q), 1))
-        t_overlay = min(t_overlay, _best_of(lambda: snap.search_many(q), 1))
-    overhead = t_overlay / t_plain - 1.0
+    bare.search_many(q)
+
+    def after_publish(read):
+        mgr = EpochManager(plain, update_config=UpdateConfig(),
+                           concurrent=True, drain_threshold=1 << 62)
+        for ops in batches[:3]:
+            mgr.submit_many(ops)
+            mgr.flush()
+        return mgr, _best_of(lambda: read(mgr, q), 1)
+
+    # Alternate which side of a pair runs first so background-load drift
+    # on the host hits both sides equally; the overhead is the median of
+    # the per-pair ratios, which a single descheduled call cannot move.
+    plain_s, overlay_s = [], []
+    sides = [(plain_s, lambda mgr, qs: bare.search_many(qs)),
+             (overlay_s, lambda mgr, qs: mgr.search_many(qs))]
+    for i in range(41):
+        for times, read in (sides if i % 2 else sides[::-1]):
+            probe, t = after_publish(read)
+            times.append(t)
+    t_plain = float(np.median(plain_s))
+    t_overlay = float(np.median(overlay_s))
+    overhead = float(np.median(np.divide(overlay_s, plain_s))) - 1.0
 
     total_items = rounds * 2 * n_batch  # reads + writes per round
     return {
@@ -301,7 +318,8 @@ def measure_concurrent(tree_log2: int, batch_log2: int, rounds: int = 8,
         "read_only_plain_s": round(t_plain, 6),
         "read_only_overlay_s": round(t_overlay, 6),
         "overlay_overhead": round(overhead, 4),
-        "delta_size_at_probe": snap.delta.size,
+        "delta_size_at_probe": probe.delta_size,
+        "delta_runs_at_probe": probe.delta_runs,
         "drains": conc_mgr.drains,
         "flushes": conc_mgr.epoch,
         "equivalent": True,
@@ -396,8 +414,9 @@ def main(out_path: str = None, smoke: bool = False) -> dict:
                 and fig14["gapped_movement_share"] < 0.15
             ),
             "concurrent_criterion": "snapshot+delta mixed read/write "
-            "throughput >= 1.3x the synchronous-flush baseline, read-only "
-            "delta-merge overhead <= 10%",
+            "throughput >= 1.3x the synchronous-flush baseline, overlay "
+            "overhead of a freshly pinned read over a three-flush delta "
+            "<= 10%",
             "concurrent_mixed_speedup": concurrent["mixed_speedup"],
             "concurrent_overlay_overhead": concurrent["overlay_overhead"],
             "concurrent_ok": (
@@ -440,12 +459,14 @@ def delta_check(max_overhead: float = 0.15) -> None:
     """CI quick gate for the concurrent epoch path: one small mixed
     read/write point must (a) produce byte-identical reads to the
     synchronous baseline (asserted inside :func:`measure_concurrent`) and
-    (b) keep the read-only delta-overlay overhead under ``max_overhead``.
+    (b) keep the delta-overlay overhead of a freshly pinned read over a
+    three-flush delta under ``max_overhead``.
     Exits non-zero (via AssertionError) on regression."""
     row = measure_concurrent(18, 12, rounds=5, reps=1)
     print(json.dumps({k: row[k] for k in
                       ("mixed_speedup", "overlay_overhead",
-                       "delta_size_at_probe", "drains", "flushes",
+                       "delta_size_at_probe", "delta_runs_at_probe",
+                       "drains", "flushes",
                        "equivalent")}, indent=2))
     assert row["overlay_overhead"] <= max_overhead, (
         f"delta overlay overhead {row['overlay_overhead']} > {max_overhead} "
@@ -463,9 +484,9 @@ if __name__ == "__main__":  # pragma: no cover
                     help="CI quick gate: fail if the gapped executor's "
                     "absorption ratio < 0.8 on a small fig14 paper mix")
     ap.add_argument("--delta-check", action="store_true",
-                    help="CI quick gate: fail if the concurrent epoch "
-                    "path's read-only overlay overhead > 0.15 (equivalence "
-                    "is asserted inside the measurement)")
+                    help="CI quick gate: fail if a freshly pinned read "
+                    "over a three-flush delta pays > 0.15 overlay overhead "
+                    "(equivalence is asserted inside the measurement)")
     ap.add_argument("--concurrent", action="store_true",
                     help="run only the concurrent mixed read/write "
                     "measurement and print its row")

@@ -3,30 +3,33 @@ read path (docs/epochs.md).
 
 A flush in concurrent mode does *not* rebuild the tree.  It resolves the
 batch against the currently *visible* state (base snapshot + published
-delta), appends the per-key outcomes as one immutable sorted
-:class:`DeltaRun` of upserts and tombstones, and returns — the run is
-visible to readers the moment it is published, and the expensive
-rebuild is deferred to a background drain that folds accumulated runs
-into snapshot N+1 while reads continue against N.
+delta) into one immutable sorted :class:`DeltaRun` of upserts and
+tombstones, and folds that run into the visible delta — one collapsed,
+sorted entry set — with one two-way last-wins merge.  The new set is
+visible to readers the moment it is published; the expensive rebuild is
+deferred to a background drain that folds the pinned set into snapshot
+N+1 while reads continue against N.
 
-Readers pin a :class:`DeltaView` — an immutable tuple of runs — together
-with the base layout and overlay it on every read path with one
-``np.searchsorted`` pass per run (oldest → newest, so later runs win):
+Readers pin a :class:`DeltaView` of the visible set together with the
+base layout and overlay it on every read path:
 
-* point lookups: hit positions overwrite the base values; tombstone
-  hits become :data:`~repro.constants.NOT_FOUND` (last-wins semantics);
+* point lookups: one filter lookup plus one ``np.searchsorted``; hit
+  positions overwrite the base values, tombstone hits become
+  :data:`~repro.constants.NOT_FOUND`;
 * range scans: the delta's slice of ``[lo, hi]`` is merged over the base
-  window with the same stable last-occurrence-wins pass
-  :func:`repro.core.merge.merged_items` uses, then tombstones masked;
+  window, tombstones dropped;
 * full iteration / dumps: one last-wins merge of the base items with
-  the collapsed delta.
+  the delta.
 
-Cost model: with ``k`` runs of total size ``d`` the overlay adds
-``O(k · n · log d)`` to an ``n``-query batch — bounded because
-:class:`DeltaIndex` collapses runs (one ``policy="last_wins"``
-:func:`~repro.core.merge.concat_sorted_runs`) whenever more than
-``max_runs`` pile up, so ``k`` never exceeds a small constant and the
-overlay is skipped entirely when the delta is empty.
+Cost model: with ``d`` visible entries, publishing an ``r``-entry run
+costs one :func:`~repro.core.merge.merge_last_wins`, O(d + r log d) (a
+second one while a drain is in flight), on the writer's thread and
+outside the publish lock.  A pin takes the published set as is, and the
+overlay adds O(n + m log d) to an ``n``-query batch of which ``m`` pass
+the filter (skipped entirely when the delta is empty).  Nothing on the
+read path depends on how many flushes built the set.  A flush that leaves ``d`` at or above the drain
+threshold starts a drain, so ``d`` stays below the threshold plus what
+is published while one drain runs.
 
 Equivalence contract (hypothesis-pinned in
 ``tests/test_epoch_concurrent.py``): reads through snapshot + delta are
@@ -41,176 +44,154 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 import repro.obs as obs
 from repro.constants import NOT_FOUND, VALUE_DTYPE
-from repro.core.merge import concat_sorted_runs
+from repro.core.merge import merge_last_wins
 from repro.core.update import BatchResult, Operation
 from repro.core.update_plan import K_DELETE, K_INSERT, K_UPDATE, _KIND_CODE
-from repro.errors import ConfigError
-
-#: Default cap on published runs before a collapse folds them into one.
-DEFAULT_MAX_RUNS = 8
 
 
 @dataclass(frozen=True)
 class DeltaRun:
-    """One immutable published run: sorted unique keys with final values
-    and tombstone flags, plus the visible-key-count change it caused."""
+    """One immutable sorted entry set: unique keys with final values and
+    tombstone flags, plus the visible-key-count change it causes."""
 
     keys: np.ndarray  # (n,) int64, strictly increasing
     values: np.ndarray  # (n,) VALUE_DTYPE
     tombstones: np.ndarray  # (n,) bool
-    net: int  # visible keys gained (+) / lost (-) when published
+    net: int  # visible keys gained (+) / lost (-)
 
     @property
     def n(self) -> int:
         return int(self.keys.size)
 
 
-def _last_wins_entries(
-    runs: Sequence[DeltaRun],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Collapse runs (oldest → newest) into one sorted entry set.
+def _empty_run() -> DeltaRun:
+    return DeltaRun(
+        keys=np.empty(0, dtype=np.int64),
+        values=np.empty(0, dtype=VALUE_DTYPE),
+        tombstones=np.empty(0, dtype=bool),
+        net=0,
+    )
 
-    Runs the keys through ``concat_sorted_runs(policy="last_wins")``
-    with *global indices* as payload, then gathers values and tombstones
-    through the surviving indices — one merge covers both arrays.
-    """
-    if not runs:
-        empty_k = np.empty(0, dtype=np.int64)
-        return empty_k, np.empty(0, dtype=VALUE_DTYPE), np.empty(0, dtype=bool)
-    if len(runs) == 1:
-        r = runs[0]
-        return r.keys, r.values, r.tombstones
-    offsets = np.cumsum([0] + [r.n for r in runs])
-    indexed = [
-        (r.keys, np.arange(offsets[i], offsets[i + 1], dtype=np.int64))
-        for i, r in enumerate(runs)
-    ]
-    keys, idx = concat_sorted_runs(indexed, policy="last_wins")
-    all_values = np.concatenate([r.values for r in runs])
-    all_tombs = np.concatenate([r.tombstones for r in runs])
-    return keys, all_values[idx], all_tombs[idx]
+
+def fold_run(older: DeltaRun, newer: DeltaRun) -> DeltaRun:
+    """The entry set of ``older`` then ``newer`` published in order: one
+    two-way last-wins merge (the newer entry wins a shared key).  Nets
+    add, since ``newer`` was resolved against a state including
+    ``older``."""
+    if not newer.n:
+        return older
+    if not older.n:
+        return newer
+    keys, (values, tombs) = merge_last_wins(
+        older.keys, (older.values, older.tombstones),
+        newer.keys, (newer.values, newer.tombstones),
+    )
+    return DeltaRun(keys=keys, values=values, tombstones=tombs,
+                    net=older.net + newer.net)
 
 
 class DeltaView:
-    """Immutable reader-side view: a pinned tuple of runs.
+    """Immutable reader-side view of one published entry set.
 
-    Built once per snapshot pin (cheap: tuple + net int); every overlay
-    helper is a pure function of the pinned runs, so a view stays
-    consistent however the live :class:`DeltaIndex` moves on.
+    Built once per publish (by the writer, outside the publish lock) and
+    shared by every pin until the next one: the sorted entries and their
+    membership filter are ready-made, so a read pays only the probe.
+    Every overlay helper is a pure function of the pinned set, so a view
+    stays consistent however the live :class:`DeltaIndex` moves on.
     """
 
-    __slots__ = ("runs", "net", "_collapsed", "_filter")
+    __slots__ = ("run", "_filter", "_reads")
 
-    def __init__(self, runs: Tuple[DeltaRun, ...], net: int) -> None:
-        self.runs = runs
-        self.net = int(net)
-        self._collapsed: Optional[Tuple[np.ndarray, ...]] = None
-        self._filter: Optional[np.ndarray] = None
+    def __init__(self, run: DeltaRun) -> None:
+        self.run = run
+        # What a point read of each entry returns (NOT_FOUND: tombstone).
+        self._reads = np.where(run.tombstones, NOT_FOUND, run.values)
+        # One-hash Bloom filter over the low bits of the keys: ≥ 32 slots
+        # per entry (up to 32k entries; capped at 1 MiB of bool slots) →
+        # ~3% false-positive rate, each false positive costing the read
+        # one binary search.
+        bits = max(10, min(20, int(32 * run.n - 1).bit_length()))
+        filt = np.zeros(1 << bits, dtype=bool)
+        filt[run.keys & (filt.size - 1)] = True
+        self._filter = filt
 
     @property
-    def size(self) -> int:
-        """Total entries across runs (the ``delta.size`` gauge)."""
-        return sum(r.n for r in self.runs)
+    def runs(self) -> Tuple[DeltaRun, ...]:
+        """The pinned entry set as a one-run tuple."""
+        return (self.run,)
 
-    def __bool__(self) -> bool:
-        return bool(self.runs)
+    @property
+    def net(self) -> int:
+        return self.run.net
 
     # ------------------------------------------------------------- lookups
+
+    def _probe(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(query indices, entry positions)`` of the ``keys`` the delta
+        holds.
+
+        The filter pre-pass keeps the ``searchsorted`` probe set small:
+        most queries miss the delta — typically a few percent of the
+        base — so only the candidates it passes are probed.  False
+        positives are resolved by the probe; false negatives are
+        impossible (same low-bits hash on both sides).
+        """
+        dk = self.run.keys
+        filt = self._filter
+        cand = np.flatnonzero(filt[keys & (filt.size - 1)])
+        if not cand.size:
+            return cand, cand
+        qc = keys[cand]
+        pos = np.searchsorted(dk, qc, side="left")
+        np.minimum(pos, dk.size - 1, out=pos)
+        hit = dk[pos] == qc
+        return cand[hit], pos[hit]
 
     def overlay_values(self, keys: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Overlay the delta onto base lookup results, in place.
 
         ``out[i]`` holds the base value for ``keys[i]`` (``NOT_FOUND``
         when absent); after the overlay it holds the *visible* value —
-        the newest entry per key wins, and a tombstone hit masks to
-        ``NOT_FOUND``.  One ``searchsorted`` against the collapsed
-        entries (cached per view, so the last-wins collapse is paid once
-        however many query batches pin this snapshot); a span + counter
-        is recorded when obs is on.
+        a tombstone hit masks to ``NOT_FOUND``.  A span + counter is
+        recorded when obs is on.
         """
         rec = obs.active
         if rec.enabled:
             t0 = time.perf_counter()
-        dk, dv, dt = self.entries()
-        if dk.size:
-            cand = self._candidates(keys)
-            if cand.size:
-                qc = keys[cand]
-                pos = np.searchsorted(dk, qc, side="left")
-                np.minimum(pos, dk.size - 1, out=pos)
-                hit = dk[pos] == qc
-                if hit.any():
-                    hp = pos[hit]
-                    out[cand[hit]] = np.where(
-                        dt[hp], NOT_FOUND, dv[hp]
-                    )
+        if self.run.n:
+            qi, pos = self._probe(keys)
+            out[qi] = self._reads[pos]
         if rec.enabled:
             t1 = time.perf_counter()
             rec.counter("delta.overlay_keys", int(keys.size))
             rec.span_at("delta.overlay", t0, t1, cat="delta",
-                        n=int(keys.size), runs=len(self.runs))
+                        n=int(keys.size), entries=self.run.n)
         return out
 
     def overlay_exists(self, keys: np.ndarray, exists: np.ndarray) -> np.ndarray:
-        """Overlay visible-existence bits (same single probe of the
-        collapsed entries as :meth:`overlay_values`, used by batch
-        resolution)."""
-        dk, _, dt = self.entries()
-        if dk.size:
-            cand = self._candidates(keys)
-            if cand.size:
-                qc = keys[cand]
-                pos = np.searchsorted(dk, qc, side="left")
-                np.minimum(pos, dk.size - 1, out=pos)
-                hit = dk[pos] == qc
-                if hit.any():
-                    exists[cand[hit]] = ~dt[pos[hit]]
+        """Overlay visible-existence bits (same probe as
+        :meth:`overlay_values`, used by batch resolution)."""
+        if self.run.n:
+            qi, pos = self._probe(keys)
+            exists[qi] = ~self.run.tombstones[pos]
         return exists
 
     def lookup(self, key: int) -> Optional[Tuple[bool, int]]:
-        """Scalar probe: ``(tombstoned, value)`` of the *newest* entry for
-        ``key``, or ``None`` when no run holds it."""
-        for run in reversed(self.runs):
-            pos = int(np.searchsorted(run.keys, key, side="left"))
-            if pos < run.n and int(run.keys[pos]) == key:
-                return bool(run.tombstones[pos]), int(run.values[pos])
+        """Scalar probe: ``(tombstoned, value)`` of the delta's entry for
+        ``key``, or ``None`` when the delta does not hold it."""
+        r = self.run
+        pos = int(np.searchsorted(r.keys, key, side="left"))
+        if pos < r.n and int(r.keys[pos]) == key:
+            return bool(r.tombstones[pos]), int(r.values[pos])
         return None
 
     # -------------------------------------------------------------- merges
-
-    def _candidates(self, keys: np.ndarray) -> np.ndarray:
-        """Indices of ``keys`` that *may* be in the delta.
-
-        One-hash Bloom filter over the low bits of the collapsed keys
-        (built lazily, cached per view).  Most queries miss the delta —
-        typically a few percent of the base — so pre-filtering shrinks
-        the ``searchsorted`` probe set by ~an order of magnitude, which
-        is what keeps the read-side overlay overhead in the single-digit
-        percents.  False positives are resolved by the probe; false
-        negatives are impossible (same low-bits hash on both sides).
-        """
-        filt = self._filter
-        if filt is None:
-            dk = self.entries()[0]
-            # ≥ 8 slots per entry → ~12% false-positive rate, capped at
-            # 1 MiB of bool slots for pathological deltas.
-            bits = max(10, min(20, int(8 * dk.size - 1).bit_length()))
-            filt = np.zeros(1 << bits, dtype=bool)
-            filt[dk & (filt.size - 1)] = True
-            self._filter = filt
-        return np.flatnonzero(filt[keys & (filt.size - 1)])
-
-    def entries(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Collapsed ``(keys, values, tombstones)`` — cached per view."""
-        if self._collapsed is None:
-            self._collapsed = _last_wins_entries(self.runs)
-        return self._collapsed
 
     def merge_items(
         self, base_keys: np.ndarray, base_values: np.ndarray
@@ -218,39 +199,17 @@ class DeltaView:
         """Visible sorted contents: base items overlaid with the delta
         (last wins), tombstones dropped.
 
-        Both sides are sorted and per-side unique, so this is a true
-        two-way merge: one ``searchsorted`` of the (small) delta into the
-        base plus two scatters — O(n + d log n), no argsort of the full
-        contents.  That keeps the bulk drain rebuild linear in the base,
-        which is what the drain's cost model assumes.
+        Both sides are sorted and unique, so this is one two-way
+        :func:`~repro.core.merge.merge_last_wins` — O(n + d log n), no
+        argsort of the full contents.  That keeps the bulk drain rebuild
+        linear in the base, which is what the drain's cost model assumes.
         """
-        dk, dv, dt = self.entries()
-        if dk.size == 0:
-            return base_keys, base_values
-        live = ~dt
-        if base_keys.size == 0:
-            return dk[live], dv[live]
-        idx = np.searchsorted(base_keys, dk, side="left")
-        clip = np.minimum(idx, base_keys.size - 1)
-        dup = base_keys[clip] == dk
-        # Base entries the delta overrides (rewrites *and* tombstones)
-        # drop out; surviving base and live delta keys are disjoint.
-        keep_base = np.ones(base_keys.size, dtype=bool)
-        keep_base[clip[dup]] = False
-        sbk, sbv = base_keys[keep_base], base_values[keep_base]
-        sdk, sdv = dk[live], dv[live]
-        # merged position of delta entry i = (#base below it) + i.
-        pd = np.searchsorted(sbk, sdk, side="left") + np.arange(sdk.size)
-        total = sbk.size + sdk.size
-        out_k = np.empty(total, dtype=base_keys.dtype)
-        out_v = np.empty(total, dtype=base_values.dtype)
-        at_base = np.ones(total, dtype=bool)
-        at_base[pd] = False
-        out_k[at_base] = sbk
-        out_v[at_base] = sbv
-        out_k[pd] = sdk
-        out_v[pd] = sdv
-        return out_k, out_v
+        r = self.run
+        keys, (values,) = merge_last_wins(
+            base_keys, (base_values,), r.keys, (r.values,),
+            new_keep=~r.tombstones,
+        )
+        return keys, values
 
     def merge_range(
         self,
@@ -260,97 +219,133 @@ class DeltaView:
         base_values: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Merge the delta's ``[lo, hi]`` slice over one base range window."""
-        dk, dv, dt = self.entries()
-        a = int(np.searchsorted(dk, lo, side="left"))
-        b = int(np.searchsorted(dk, hi, side="right"))
+        r = self.run
+        a = int(np.searchsorted(r.keys, lo, side="left"))
+        b = int(np.searchsorted(r.keys, hi, side="right"))
         if a == b:
             return base_keys, base_values
-        view = DeltaView.__new__(DeltaView)
-        view.runs = ()
-        view.net = 0
-        view._collapsed = (dk[a:b], dv[a:b], dt[a:b])
-        view._filter = None
-        return view.merge_items(base_keys, base_values)
+        keys, (values,) = merge_last_wins(
+            base_keys, (base_values,), r.keys[a:b], (r.values[a:b],),
+            new_keep=~r.tombstones[a:b],
+        )
+        return keys, values
+
+
+class DeltaFold(NamedTuple):
+    """A run folded into the index state as it stood when read; see
+    :meth:`DeltaIndex.fold`."""
+
+    run: DeltaRun
+    based_on: Tuple[DeltaRun, Optional[DeltaRun]]  # (visible, since)
+    visible: DeltaRun
+    since: Optional[DeltaRun]
+    view: Optional[DeltaView]
 
 
 class DeltaIndex:
-    """The writer-side mutable collection of published runs.
+    """The writer-side state of the delta: the visible entry set, kept
+    collapsed at publish time.
+
+    While a drain is in flight the index also keeps ``since``: the runs
+    published after the drain pinned the visible set, folded the same
+    way.  The drain folds exactly the pinned set into the new base, so
+    its publish makes ``since`` the visible set.
 
     NOT thread-safe on its own — :class:`~repro.core.epoch.EpochManager`
-    serializes mutation under its write lock and publishes run-list
-    changes under its publish lock.  Runs themselves are immutable, so a
+    serializes writers under its write lock and calls every method but
+    :meth:`fold` under its publish lock.  Entry sets are immutable, so a
     :meth:`view` handed to a reader never changes underneath it.
     """
 
-    def __init__(self, max_runs: int = DEFAULT_MAX_RUNS) -> None:
-        if max_runs < 1:
-            raise ConfigError(f"max_runs must be >= 1, got {max_runs}")
-        self.max_runs = int(max_runs)
-        self._runs: List[DeltaRun] = []
-        self._net = 0
+    def __init__(self) -> None:
+        self._visible = _empty_run()
+        self._since: Optional[DeltaRun] = None  # None: no drain in flight
+        self._flushes = 0  # undrained flushes
+        self._since_flushes = 0
         self._view: Optional[DeltaView] = None
-        self.collapses = 0
 
     # ------------------------------------------------------------- queries
 
     @property
-    def runs(self) -> Tuple[DeltaRun, ...]:
-        return tuple(self._runs)
-
-    @property
     def n_runs(self) -> int:
-        return len(self._runs)
+        """Flushes published and not yet drained."""
+        return self._flushes
 
     @property
     def size(self) -> int:
-        return sum(r.n for r in self._runs)
-
-    @property
-    def net(self) -> int:
-        return self._net
+        """Visible delta entries."""
+        return self._visible.n
 
     def view(self) -> Optional[DeltaView]:
-        """The current immutable view (``None`` when empty); cached until
-        the run list changes."""
-        if not self._runs:
+        """The current immutable view (``None`` when empty), shared by
+        every pin until the next publish."""
+        if not self._visible.n:
             return None
         if self._view is None:
-            self._view = DeltaView(tuple(self._runs), self._net)
+            self._view = DeltaView(self._visible)
         return self._view
 
     # ------------------------------------------------------------ mutation
 
-    def append_run(self, run: DeltaRun, collapse_floor: int = 0) -> None:
-        """Publish one resolved run; collapses the tail past
-        ``collapse_floor`` (runs a drain has already pinned must keep
-        their identity, so only the undrained suffix is foldable) when
-        the run count would exceed ``max_runs``."""
-        if run.n:
-            self._runs.append(run)
-            self._net += run.net
-            self._view = None
-        suffix = len(self._runs) - collapse_floor
-        if suffix > self.max_runs:
-            tail = self._runs[collapse_floor:]
-            keys, values, tombs = _last_wins_entries(tail)
-            folded = DeltaRun(
-                keys=keys, values=values, tombstones=tombs,
-                net=sum(r.net for r in tail),
-            )
-            self._runs[collapse_floor:] = [folded]
-            self._view = None
-            self.collapses += 1
-            rec = obs.active
-            if rec.enabled:
-                rec.counter("delta.collapses")
+    def fold(self, run: DeltaRun) -> DeltaFold:
+        """Fold ``run`` into the visible set (and into ``since`` while a
+        drain is in flight), building the new view — the merge work of a
+        publish.  Writes nothing, so the writer runs it outside the
+        publish lock; :meth:`publish` installs it after checking, by
+        identity, the sets this fold read — so a drain that moves the
+        state meanwhile (even between the two reads) is caught there."""
+        visible, since = self._visible, self._since
+        new_visible = fold_run(visible, run)
+        return DeltaFold(
+            run=run,
+            based_on=(visible, since),
+            visible=new_visible,
+            since=None if since is None else fold_run(since, run),
+            view=DeltaView(new_visible) if run.n else None,
+        )
 
-    def drop_prefix(self, count: int, drained_net: int) -> None:
-        """Remove the first ``count`` runs after a drain folded them into
-        the new base snapshot; ``drained_net`` is the key-count change the
-        base absorbed (kept consistent so ``len`` never jumps)."""
-        del self._runs[:count]
-        self._net -= int(drained_net)
+    def publish(self, f: DeltaFold) -> None:
+        """Install a :meth:`fold`.  Only a drain moves the state between
+        the two calls (writers are serialized); whatever part of the fold
+        it invalidated is redone here."""
+        if not f.run.n:
+            return
+        visible, since = f.based_on
+        if self._visible is visible:
+            self._visible, self._view = f.visible, f.view
+        elif self._visible is since:
+            # The drain that was in flight published: what it left
+            # visible is exactly the since-pin set this fold extended.
+            self._visible, self._view = f.since, None
+        else:  # a whole drain ran inside the fold: redo the merge
+            self._visible = fold_run(self._visible, f.run)
+            self._view = None
+        self._flushes += 1
+        if self._since is not None:
+            self._since = (f.since if self._since is since
+                           else fold_run(self._since, f.run))
+            self._since_flushes += 1
+
+    def pin_drain(self) -> Optional[DeltaRun]:
+        """Pin the visible set for a drain (``None`` when empty) and start
+        collecting later runs in ``since``."""
+        if not self._visible.n:
+            return None
+        self._since = _empty_run()
+        self._since_flushes = 0
+        return self._visible
+
+    def finish_drain(self) -> None:
+        """The drain published a base holding the pinned set: what was
+        published since becomes the visible set."""
+        self._visible = self._since
+        self._flushes = self._since_flushes
+        self._since = None
         self._view = None
+
+    def abort_drain(self) -> None:
+        """The drain failed: the visible set still holds everything."""
+        self._since = None
 
 
 # --------------------------------------------------------------------------
@@ -380,12 +375,7 @@ def resolve_batch(
     """
     result = BatchResult()
     n = len(ops)
-    empty = DeltaRun(
-        keys=np.empty(0, dtype=np.int64),
-        values=np.empty(0, dtype=VALUE_DTYPE),
-        tombstones=np.empty(0, dtype=bool),
-        net=0,
-    )
+    empty = _empty_run()
     if n == 0:
         return empty, result
 
@@ -500,9 +490,9 @@ def resolve_batch(
 
 
 __all__ = [
-    "DEFAULT_MAX_RUNS",
     "DeltaRun",
     "DeltaView",
     "DeltaIndex",
+    "fold_run",
     "resolve_batch",
 ]

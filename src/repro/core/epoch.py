@@ -17,16 +17,17 @@ discipline so applications do not have to hand-roll it:
 **Concurrent mode** (``concurrent=True``) removes the stop-the-world
 flush (docs/epochs.md).  A flush no longer rebuilds the tree on the
 writer's critical path: the batch is *resolved* against the visible
-state and published as one immutable sorted run in a
-:class:`~repro.core.delta.DeltaIndex` — readers overlay the delta on the
-pinned base snapshot (snapshot-then-delta, last wins, tombstones mask),
-byte-identical to a synchronous flush.  A background drain thread folds
-accumulated runs into snapshot N+1 — small gapped deltas absorb in
-place through the existing updaters, everything else bulk-rebuilds via
-the §3.1 sorted construction — while reads continue against N; publication
-of the new base and retirement of the drained runs is a single swap
-under the publish lock, so a reader pin — ``(layout, runs)`` grabbed
-atomically — is always a consistent visible state.
+state into one immutable sorted run, folded into the visible entry set
+of a :class:`~repro.core.delta.DeltaIndex` and published — readers
+overlay that set on the pinned base snapshot (snapshot-then-delta, last
+wins, tombstones mask), byte-identical to a synchronous flush.  A
+background drain thread folds the pinned set into snapshot N+1 — small
+gapped deltas absorb in place through the existing updaters, everything
+else bulk-rebuilds via the §3.1 sorted construction — while reads
+continue against N; publication of the new base and retirement of the
+drained entries is a single swap under the publish lock, so a reader pin
+— ``(layout, delta view)`` grabbed atomically — is always a consistent
+visible state.
 
 This is deliberately *not* a concurrent B+tree: it is the batch-update
 contract of the paper, enforced — with the rebuild taken off the read
@@ -44,23 +45,19 @@ import numpy as np
 import repro.obs as obs
 from repro.constants import KEY_MAX
 from repro.core.config import SearchConfig, UpdateConfig
-from repro.core.delta import (
-    DEFAULT_MAX_RUNS,
-    DeltaIndex,
-    DeltaView,
-    resolve_batch,
-)
+from repro.core.delta import DeltaIndex, resolve_batch
 from repro.core.layout import HarmoniaLayout
+from repro.core.merge import merge_last_wins
 from repro.core.search import contains_batch
 from repro.core.tree import HarmoniaTree
 from repro.core.update import BatchResult, Operation
 from repro.errors import ConfigError
 from repro.utils.validation import ensure_positive
 
-#: Default delta size (entries) past which a flush schedules a background
-#: drain.  ~2 mid-size batches: small enough that the query-time overlay
-#: stays a rounding error, large enough to amortize one rebuild over
-#: several flushes.
+#: Default visible-delta size (entries, one per key) at which a flush
+#: schedules a background drain.  ~2 mid-size batches: small enough that
+#: the query-time overlay stays a rounding error, large enough to
+#: amortize one rebuild over several flushes.
 DEFAULT_DRAIN_THRESHOLD = 1 << 15
 
 
@@ -73,14 +70,12 @@ class EpochManager:
         batch_capacity: int = 1 << 16,
         update_config: Optional[UpdateConfig] = None,
         concurrent: bool = False,
-        max_delta_runs: int = DEFAULT_MAX_RUNS,
         drain_threshold: Optional[int] = None,
     ) -> None:
         self._tree = tree
         self.batch_capacity = ensure_positive("batch_capacity", batch_capacity)
         self.update_config = update_config or UpdateConfig()
         self.concurrent = bool(concurrent)
-        self.max_delta_runs = ensure_positive("max_delta_runs", max_delta_runs)
         self.drain_threshold = ensure_positive(
             "drain_threshold",
             DEFAULT_DRAIN_THRESHOLD if drain_threshold is None
@@ -91,10 +86,7 @@ class EpochManager:
         self._publish_lock = threading.Lock()  # guards snapshot swap
         self._epoch = 0
         # --- concurrent-mode state (inert when concurrent=False) ---
-        self._delta = DeltaIndex(max_runs=self.max_delta_runs)
-        #: Runs pinned by the in-flight drain (prefix of the run list);
-        #: collapse must not fold them, drop_prefix retires exactly them.
-        self._drain_mark = 0
+        self._delta = DeltaIndex()
         self._drain_serial = threading.Lock()  # one drain at a time
         self._drain_thread: Optional[threading.Thread] = None
         self._drain_error: Optional[BaseException] = None
@@ -125,13 +117,14 @@ class EpochManager:
 
     @property
     def delta_size(self) -> int:
-        """Entries currently held by the delta index (0 in sync mode)."""
+        """Visible delta entries (0 in sync mode): what a read's overlay
+        probes and what the next drain folds."""
         with self._publish_lock:
             return self._delta.size
 
     @property
     def delta_runs(self) -> int:
-        """Published runs currently in the delta index."""
+        """Flushes published into the delta and not yet drained."""
         with self._publish_lock:
             return self._delta.n_runs
 
@@ -335,10 +328,14 @@ class EpochManager:
         run, result = resolve_batch(
             ops, self._visible_exists_fn(layout, view)
         )
+        # The merge into the visible set runs here, outside the publish
+        # lock; publish() only redoes it if a drain moved the set since.
+        m0 = time.perf_counter()
+        fold = self._delta.fold(run)
         w0 = time.perf_counter()
         with self._publish_lock:
             publish_wait = time.perf_counter() - w0
-            self._delta.append_run(run, collapse_floor=self._drain_mark)
+            self._delta.publish(fold)
             self._epoch += 1
             if not self._delta.n_runs:
                 # Nothing undrained (e.g. every op failed): the base
@@ -354,6 +351,8 @@ class EpochManager:
             rec.gauge("delta.runs", n_runs)
             rec.gauge("epoch.snapshot_age", self.snapshot_age)
             rec.histogram("epoch.publish_wait_s", publish_wait)
+            rec.span_at("delta.merge", m0, w0, cat="delta",
+                        run=run.n, delta=size)
             rec.span_at("epoch.publish", t0, t1, cat="epoch",
                         ops=len(ops), delta=size)
         if size >= self.drain_threshold:
@@ -380,29 +379,28 @@ class EpochManager:
             self._drain_error = exc
 
     def _drain_once(self) -> bool:
-        """Fold every currently-published run into a fresh base snapshot.
+        """Fold the visible delta into a fresh base snapshot.
 
-        Returns whether anything was drained.  Runs that arrive while the
-        shadow rebuild is in flight stay in the delta (they sit after the
-        drain mark) and remain visible through the overlay — the final
-        publish step swaps the base and retires exactly the drained
-        prefix in one critical section.
+        Returns whether anything was drained.  The drain pins the visible
+        entry set as it stands; runs published while the shadow rebuild
+        is in flight are folded into the visible set *and* into a second
+        set of everything published since the pin, so they stay visible
+        through the overlay — the final publish step swaps the base and
+        makes that second set the visible one in one critical section.
         """
         with self._drain_serial:
             with self._publish_lock:
-                runs = self._delta.runs
-                mark = len(runs)
-                if mark == 0:
+                pinned = self._delta.pin_drain()
+                if pinned is None:
                     return False
-                self._drain_mark = mark
-                epoch_at_mark = self._epoch
+                flushes = self._delta.n_runs
+                epoch_at_pin = self._epoch
                 layout = self._tree._layout
                 fill = self._tree._fill
             t0 = time.perf_counter()
             publish_wait = 0.0
             try:
-                view = DeltaView(runs, 0)
-                dk, dv, dt = view.entries()
+                dk, dv, dt = pinned.keys, pinned.values, pinned.tombstones
                 n_base = layout.n_keys if layout is not None else 0
                 # Two fold strategies.  Gapped mode with a small delta
                 # drains through the in-place absorber — per-leaf slack
@@ -455,7 +453,9 @@ class EpochManager:
                         live = lk != KEY_MAX
                         base_k = lk[live]
                         base_v = layout.leaf_values.ravel()[live]
-                    new_k, new_v = view.merge_items(base_k, base_v)
+                    new_k, (new_v,) = merge_last_wins(
+                        base_k, (base_v,), dk, (dv,), new_keep=~dt,
+                    )
                     if new_k.size:
                         fanout = (layout.fanout if layout is not None
                                   else self._tree._empty_fanout)
@@ -467,23 +467,20 @@ class EpochManager:
                 w0 = time.perf_counter()
                 with self._publish_lock:
                     publish_wait = time.perf_counter() - w0
-                    old_n = layout.n_keys if layout is not None else 0
-                    new_n = (
-                        new_layout.n_keys if new_layout is not None else 0
-                    )
                     self._tree._layout = new_layout
-                    self._delta.drop_prefix(mark, new_n - old_n)
-                    self._drain_mark = 0
+                    self._delta.finish_drain()
                     self._snapshot_version += 1
-                    # Runs published after the mark are still undrained:
-                    # the base is current only up to the marked epoch.
-                    self._epoch_at_swap = max(
-                        self._epoch_at_swap, epoch_at_mark
+                    # Runs published after the pin are still undrained:
+                    # the base is current only up to the pinned epoch —
+                    # or fully, when every flush since changed nothing.
+                    self._epoch_at_swap = (
+                        max(self._epoch_at_swap, epoch_at_pin)
+                        if self._delta.n_runs else self._epoch
                     )
                     self.drains += 1
             except BaseException:
                 with self._publish_lock:
-                    self._drain_mark = 0
+                    self._delta.abort_drain()
                 raise
         rec = obs.active
         if rec.enabled:
@@ -495,7 +492,7 @@ class EpochManager:
             rec.gauge("epoch.snapshot_age", self.snapshot_age)
             rec.histogram("epoch.publish_wait_s", publish_wait)
             rec.span_at("epoch.drain", t0, t1, cat="epoch",
-                        entries=int(dk.size), runs=mark)
+                        entries=int(dk.size), runs=flushes)
         return True
 
     def _raise_drain_error(self) -> None:

@@ -11,92 +11,14 @@ with the tree doing all the finding.
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.constants import DEFAULT_FANOUT, NOT_FOUND, VALUE_DTYPE
+from repro.constants import DEFAULT_FANOUT, NOT_FOUND
 from repro.core.tree import HarmoniaTree
 from repro.core.update import Operation
 from repro.errors import ConfigError
-
-
-def kway_merge_runs(
-    runs: Sequence[Tuple[np.ndarray, np.ndarray]],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Heap-based k-way merge of sorted-unique ``(keys, values)`` runs;
-    on a key held by several runs the **latest** run's value wins.
-
-    The binary heap holds one head per run, keyed ``(key, run_idx)``.
-    Each pop *gallops*: when the popped run's head is strictly below
-    every other head, the whole prefix of that run below the next head
-    is emitted as one block slice (``searchsorted`` against the heap
-    minimum) — k-way merge cost scales with the number of run
-    *interleavings*, not the number of keys, so merging many mostly
-    range-disjoint shard-local join outputs degenerates to a handful of
-    block copies.  Ties (one key in several runs) are resolved by
-    popping the whole tie group and emitting only the highest run
-    index's value.  Output is byte-identical to the stable
-    concatenate/argsort/keep-last path in
-    :func:`repro.core.merge.concat_sorted_runs`, which dispatches here
-    for three or more overlapping runs.
-    """
-    parts = []
-    for k, v in runs:
-        k = np.asarray(k)
-        v = np.asarray(v)
-        if k.shape != v.shape:
-            raise ConfigError("each run needs aligned keys and values")
-        if k.size > 1 and not np.all(k[1:] > k[:-1]):
-            raise ConfigError(
-                "kway_merge_runs runs must each be sorted with unique keys"
-            )
-        if k.size:
-            parts.append((k, v))
-    if not parts:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=VALUE_DTYPE)
-    if len(parts) == 1:
-        return parts[0]
-    cursors = [0] * len(parts)
-    heap = [(int(k[0]), i) for i, (k, _) in enumerate(parts)]
-    heapq.heapify(heap)
-    out_k: List[np.ndarray] = []
-    out_v: List[np.ndarray] = []
-    while heap:
-        key, i = heapq.heappop(heap)
-        ties = [i]
-        while heap and heap[0][0] == key:
-            ties.append(heapq.heappop(heap)[1])
-        if len(ties) > 1:
-            w = max(ties)  # latest run wins the collision
-            c = cursors[w]
-            out_k.append(parts[w][0][c : c + 1])
-            out_v.append(parts[w][1][c : c + 1])
-            for j in ties:
-                cursors[j] += 1
-                if cursors[j] < parts[j][0].size:
-                    heapq.heappush(
-                        heap, (int(parts[j][0][cursors[j]]), j)
-                    )
-            continue
-        kk, vv = parts[i]
-        c = cursors[i]
-        if heap:
-            # Gallop: everything strictly below the next head cannot
-            # collide with any other run (their remaining keys are all
-            # >= that head) — emit it as one slice.
-            upper = c + int(
-                np.searchsorted(kk[c:], heap[0][0], side="left")
-            )
-        else:
-            upper = kk.size
-        out_k.append(kk[c:upper])
-        out_v.append(vv[c:upper])
-        cursors[i] = upper
-        if upper < kk.size:
-            heapq.heappush(heap, (int(kk[upper]), i))
-    return np.concatenate(out_k), np.concatenate(out_v)
 
 
 class ValueHeap:
@@ -242,4 +164,4 @@ class RecordStore:
         return old.bytes_used() - self.heap.bytes_used()
 
 
-__all__ = ["ValueHeap", "RecordStore", "kway_merge_runs"]
+__all__ = ["ValueHeap", "RecordStore"]

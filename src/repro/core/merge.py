@@ -73,28 +73,16 @@ def merge_layouts(
 
 def concat_sorted_runs(
     runs: Sequence[Tuple[np.ndarray, np.ndarray]],
-    policy: str = "disjoint",
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Merge ordered sorted ``(keys, values)`` runs into one sorted run.
+    """Join ordered sorted ``(keys, values)`` runs end to end.
 
-    ``policy="disjoint"`` (default) joins end to end and *requires* run
-    ``i``'s keys to all precede run ``i + 1``'s — the degenerate and, for
-    contiguous key-range shards, exact merge: sorted union *is*
+    Requires run ``i``'s keys to all precede run ``i + 1``'s — for
+    contiguous key-range shards the exact merge: sorted union *is*
     concatenation.  This is how the sharded service tier stitches global
     range scans and rebalance dumps back together (each shard owns a
     contiguous key range, and shard order is key order), so the check is
     asserted, not assumed.
-
-    ``policy="last_wins"`` allows runs to overlap and to repeat keys:
-    each run must itself be sorted with unique keys, and on a key held by
-    several runs the *latest* run's value wins.  This is the delta-index
-    merge rule — newer upsert/tombstone runs overlay older ones — and is
-    what :class:`repro.core.delta.DeltaIndex` collapses its runs with.
     """
-    if policy not in ("disjoint", "last_wins"):
-        raise ConfigError(
-            f"policy must be 'disjoint'|'last_wins', got {policy!r}"
-        )
     parts = [(np.asarray(k), np.asarray(v)) for k, v in runs]
     for k, v in parts:
         if k.shape != v.shape:
@@ -105,48 +93,79 @@ def concat_sorted_runs(
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=VALUE_DTYPE),
         )
-    if policy == "last_wins":
-        for k, _ in parts:
-            if k.size > 1 and not np.all(k[1:] > k[:-1]):
-                raise ConfigError(
-                    "last_wins runs must each be sorted with unique keys"
-                )
-        disjoint = all(
-            ka[-1] < kb[0] for (ka, _), (kb, _) in zip(parts, parts[1:])
-        )
-        if not disjoint:
-            if len(parts) >= 3:
-                # Three or more overlapping runs (delta run collapse,
-                # shard-local join outputs): the galloping heap merge
-                # beats the O(n log n) argsort when the runs mostly
-                # interleave in blocks, and is byte-identical to it.
-                from repro.core.heap import kway_merge_runs
-
-                return kway_merge_runs(parts)
-            keys = np.concatenate([k for k, _ in parts])
-            values = np.concatenate([v for _, v in parts])
-            # Stable sort keeps run order among equal keys, so "last
-            # occurrence" is exactly "latest run".
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            values = values[order]
-            keep = np.empty(keys.size, dtype=bool)
-            keep[:-1] = keys[1:] != keys[:-1]
-            keep[-1] = True
-            return keys[keep], values[keep]
-    else:
-        for (ka, _), (kb, _) in zip(parts, parts[1:]):
-            if ka[-1] >= kb[0]:
-                raise ConfigError(
-                    "runs must be disjoint and ascending: "
-                    f"{int(ka[-1])} >= {int(kb[0])}"
-                )
+    for (ka, _), (kb, _) in zip(parts, parts[1:]):
+        if ka[-1] >= kb[0]:
+            raise ConfigError(
+                "runs must be disjoint and ascending: "
+                f"{int(ka[-1])} >= {int(kb[0])}"
+            )
     if len(parts) == 1:
         return parts[0]
     return (
         np.concatenate([k for k, _ in parts]),
         np.concatenate([v for _, v in parts]),
     )
+
+
+def merge_last_wins(
+    keys: np.ndarray,
+    cols: Sequence[np.ndarray],
+    new_keys: np.ndarray,
+    new_cols: Sequence[np.ndarray],
+    new_keep: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
+    """Two-way merge of an older and a newer sorted-unique run; on a key
+    both hold, the newer entry wins.
+
+    ``cols`` / ``new_cols`` are the payload columns aligned with each
+    side's keys.  Every older entry whose key the newer run holds drops
+    out; the newer entries then go in at their sorted positions — except
+    those ``new_keep`` masks off, which only delete (how a tombstone
+    removes a base entry and is itself dropped).  One ``searchsorted`` of
+    the newer run into the older plus scatters: O(n + r log n) for ``n``
+    older and ``r`` newer entries, no sort of the union.  Either side's
+    arrays may come back unchanged (not copied) when the other is empty.
+    """
+    if any(c.shape != keys.shape for c in cols) or any(
+        c.shape != new_keys.shape for c in new_cols
+    ):
+        raise ConfigError("each run needs aligned keys and columns")
+    if new_keys.size > 1 and not np.all(new_keys[1:] > new_keys[:-1]):
+        raise ConfigError("the newer run must be sorted with unique keys")
+    if new_keep is None:
+        kept_keys, kept_cols = new_keys, tuple(new_cols)
+    else:
+        kept_keys = new_keys[new_keep]
+        kept_cols = tuple(c[new_keep] for c in new_cols)
+    if keys.size == 0:
+        return kept_keys, kept_cols
+    if new_keys.size == 0:
+        return keys, tuple(cols)
+    idx = np.searchsorted(keys, new_keys, side="left")
+    clip = np.minimum(idx, keys.size - 1)
+    dup = keys[clip] == new_keys
+    if dup.any():
+        keep_old = np.ones(keys.size, dtype=bool)
+        keep_old[clip[dup]] = False
+        keys = keys[keep_old]
+        cols = [c[keep_old] for c in cols]
+        # Older entries below each newer key, minus the dropped ones
+        # (exactly the duplicates of the newer keys before it).
+        idx = idx - (np.cumsum(dup) - dup)
+    if new_keep is not None:
+        idx = idx[new_keep]
+    # Merged position of newer entry i = (#older below it) + i.
+    pos = idx + np.arange(kept_keys.size)
+    total = keys.size + kept_keys.size
+    at_old = np.ones(total, dtype=bool)
+    at_old[pos] = False
+    out = []
+    for old, new in zip((keys, *cols), (kept_keys, *kept_cols)):
+        merged = np.empty(total, dtype=old.dtype)
+        merged[at_old] = old
+        merged[pos] = new
+        out.append(merged)
+    return out[0], tuple(out[1:])
 
 
 def compact(layout: HarmoniaLayout, fill: float = 1.0) -> HarmoniaLayout:
@@ -158,4 +177,10 @@ def compact(layout: HarmoniaLayout, fill: float = 1.0) -> HarmoniaLayout:
     )
 
 
-__all__ = ["merged_items", "merge_layouts", "concat_sorted_runs", "compact"]
+__all__ = [
+    "merged_items",
+    "merge_layouts",
+    "concat_sorted_runs",
+    "merge_last_wins",
+    "compact",
+]

@@ -157,7 +157,7 @@ def render_report(snapshot: Dict[str, Any]) -> str:
         druns = gauges.get("delta.runs", 0)
         age = gauges.get("epoch.snapshot_age", 0)
         derived.append(f"  delta residue:                  {_fmt(dsize)} "
-                       f"entries in {_fmt(druns)} runs; base snapshot "
+                       f"entries from {_fmt(druns)} flushes; base snapshot "
                        f"{_fmt(age)} epochs behind")
     if derived:
         lines.append("")

@@ -263,24 +263,21 @@ CATALOGUE: List[MetricSpec] = [
                "(underflowed or packed full) after the last batch"),
     # ------------------------------------------------------- epoch / delta
     MetricSpec("epoch.flushes", "counter", "flushes",
-               "concurrent-mode flushes: batches resolved and published as "
-               "delta runs (no rebuild on the writer's path)"),
+               "concurrent-mode flushes: batches resolved and folded into "
+               "the visible delta (no rebuild on the writer's path)"),
     MetricSpec("epoch.drains", "counter", "drains",
-               "background drains: delta runs folded into a fresh base "
-               "snapshot"),
+               "background drains: the pinned delta folded into a fresh "
+               "base snapshot"),
     MetricSpec("epoch.drained_ops", "counter", "entries",
                "net delta entries folded into the base across all drains"),
-    MetricSpec("delta.collapses", "counter", "collapses",
-               "delta run-collapse events (runs folded last-wins once the "
-               "undrained suffix exceeds max_runs)"),
     MetricSpec("delta.overlay_keys", "counter", "keys",
                "point-lookup keys passed through the snapshot-then-delta "
                "overlay"),
     MetricSpec("delta.size", "gauge", "entries",
-               "entries currently held by the delta index (after the last "
+               "visible delta entries, one per key (after the last "
                "flush/drain)"),
     MetricSpec("delta.runs", "gauge", "runs",
-               "published sorted runs currently in the delta index"),
+               "flushes published into the delta and not yet drained"),
     MetricSpec("epoch.snapshot_age", "gauge", "epochs",
                "published epochs the base snapshot trails the visible state "
                "(0 = fully drained)"),
@@ -365,7 +362,12 @@ CATALOGUE: List[MetricSpec] = [
     MetricSpec("delta.overlay", "span", "-",
                "snapshot-then-delta overlay pass of one lookup batch"),
     MetricSpec("epoch.publish", "span", "-",
-               "concurrent flush: batch resolution + delta-run publication"),
+               "concurrent flush: batch resolution + delta merge + "
+               "publication"),
+    MetricSpec("delta.merge", "span", "-",
+               "one publish's two-way last-wins merge of the new run into "
+               "the visible delta (inside epoch.publish, outside the "
+               "publish lock)"),
     MetricSpec("epoch.drain", "span", "-",
                "one background drain: shadow rebuild + base swap"),
     MetricSpec("shard.scatter", "span", "-",

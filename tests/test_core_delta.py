@@ -2,16 +2,20 @@
 
 Three layers of contract, each hypothesis-pinned against a dict model:
 
-* :func:`repro.core.merge.concat_sorted_runs` with ``policy="last_wins"``
-  — newest run wins per key, with duplicates across runs, empty runs,
-  and the disjoint fast path all covered (the ``"disjoint"`` default
-  keeps its reject-on-overlap behavior, pinned in ``test_shard.py``);
-* :class:`repro.core.delta.DeltaView` overlays (point, existence, merge,
-  range) — last-wins over runs, tombstones mask base entries;
+* :func:`repro.core.merge.merge_last_wins` — the two-way merge every
+  publish folds a run with: the newer entry wins per key (the disjoint
+  :func:`~repro.core.merge.concat_sorted_runs` keeps its reject-on-overlap
+  behavior, pinned in ``test_shard.py``);
+* :class:`repro.core.delta.DeltaIndex` / :class:`~repro.core.delta.DeltaView`
+  — the visible set folded run by run, also while a drain is in flight,
+  and its overlays (point, existence, merge, range): last wins,
+  tombstones mask base entries;
 * :func:`repro.core.delta.resolve_batch` — per-op outcomes and counts
   identical to the scalar replay reference, with the published run equal
   to the batch's net effect.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -23,24 +27,43 @@ from repro.core.delta import (
     DeltaIndex,
     DeltaRun,
     DeltaView,
+    fold_run,
     resolve_batch,
 )
-from repro.core.merge import concat_sorted_runs
+from repro.core.merge import concat_sorted_runs, merge_last_wins
 from repro.core.update import Operation
 from repro.errors import ConfigError
 
 
-def make_run(entries):
-    """``{key: (value, tombstoned)}`` → DeltaRun (net computed as 0)."""
+def make_run(entries, net=0):
+    """``{key: (value, tombstoned)}`` → DeltaRun."""
     keys = np.asarray(sorted(entries), dtype=np.int64)
     values = np.asarray([entries[k][0] for k in keys.tolist()],
                         dtype=VALUE_DTYPE)
     tombs = np.asarray([entries[k][1] for k in keys.tolist()], dtype=bool)
-    return DeltaRun(keys=keys, values=values, tombstones=tombs, net=0)
+    return DeltaRun(keys=keys, values=values, tombstones=tombs, net=net)
+
+
+def entries_of(run):
+    """DeltaRun → ``{key: (value, tombstoned)}``."""
+    return {k: (v, t) for k, v, t in zip(run.keys.tolist(),
+                                         run.values.tolist(),
+                                         run.tombstones.tolist())}
+
+
+def publish(idx, run):
+    """Fold and publish one run, as a flush does."""
+    idx.publish(idx.fold(run))
+
+
+def view_of(runs):
+    """The view a reader pins after ``runs`` were published in order."""
+    empty = make_run({})
+    return DeltaView(functools.reduce(fold_run, map(make_run, runs), empty))
 
 
 # --------------------------------------------------------------------------
-# concat_sorted_runs: last-wins policy (satellite 1)
+# merge_last_wins: the newer run wins
 # --------------------------------------------------------------------------
 
 run_strategy = st.lists(
@@ -48,29 +71,33 @@ run_strategy = st.lists(
 ).map(lambda pairs: dict(pairs))
 
 
+def as_arrays(entries):
+    keys = np.asarray(sorted(entries), dtype=np.int64)
+    return keys, np.asarray([entries[k] for k in keys.tolist()],
+                            dtype=VALUE_DTYPE)
+
+
 class TestConcatLastWins:
-    def test_rejects_unknown_policy(self):
-        with pytest.raises(ConfigError):
-            concat_sorted_runs([], policy="newest")
+    """Last-wins combination of runs (:func:`merge_last_wins`), next to
+    the disjoint-only :func:`concat_sorted_runs`."""
 
     def test_rejects_unsorted_run(self):
-        run = (np.asarray([3, 1], dtype=np.int64),
-               np.asarray([0, 0], dtype=VALUE_DTYPE))
+        empty = np.empty(0, dtype=np.int64)
         with pytest.raises(ConfigError):
-            concat_sorted_runs([run], policy="last_wins")
+            merge_last_wins(empty, (), np.asarray([3, 1], dtype=np.int64), ())
 
     def test_rejects_duplicate_within_run(self):
-        run = (np.asarray([1, 1], dtype=np.int64),
-               np.asarray([0, 1], dtype=VALUE_DTYPE))
+        empty = np.empty(0, dtype=np.int64)
         with pytest.raises(ConfigError):
-            concat_sorted_runs([run], policy="last_wins")
+            merge_last_wins(empty, (), np.asarray([1, 1], dtype=np.int64), ())
 
     def test_overlap_keeps_newest(self):
-        a = (np.asarray([1, 2, 3], dtype=np.int64),
-             np.asarray([10, 20, 30], dtype=VALUE_DTYPE))
-        b = (np.asarray([2, 4], dtype=np.int64),
-             np.asarray([99, 40], dtype=VALUE_DTYPE))
-        keys, values = concat_sorted_runs([a, b], policy="last_wins")
+        keys, (values,) = merge_last_wins(
+            np.asarray([1, 2, 3], dtype=np.int64),
+            (np.asarray([10, 20, 30], dtype=VALUE_DTYPE),),
+            np.asarray([2, 4], dtype=np.int64),
+            (np.asarray([99, 40], dtype=VALUE_DTYPE),),
+        )
         assert keys.tolist() == [1, 2, 3, 4]
         assert values.tolist() == [10, 99, 30, 40]
 
@@ -81,25 +108,23 @@ class TestConcatLastWins:
              np.asarray([0, 0], dtype=VALUE_DTYPE))
         with pytest.raises(ConfigError):
             concat_sorted_runs([a, b])
-        keys, _ = concat_sorted_runs([a, b], policy="last_wins")
+        keys, _ = merge_last_wins(a[0], (a[1],), b[0], (b[1],))
         assert keys.tolist() == [1, 5, 9]
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(runs=st.lists(run_strategy, max_size=6))
     def test_matches_dict_model(self, runs):
-        """Later runs overwrite earlier ones, exactly like dict.update —
-        with empty runs, full overlaps, and disjoint runs all mixed in."""
-        parts = []
-        for entries in runs:
-            keys = np.asarray(sorted(entries), dtype=np.int64)
-            vals = np.asarray([entries[k] for k in keys.tolist()],
-                              dtype=VALUE_DTYPE)
-            parts.append((keys, vals))
+        """Folding runs one by one overwrites earlier ones exactly like
+        dict.update — with empty runs, full overlaps, and disjoint runs
+        all mixed in."""
+        keys = np.empty(0, dtype=np.int64)
+        values = np.empty(0, dtype=VALUE_DTYPE)
         model = {}
         for entries in runs:
+            rk, rv = as_arrays(entries)
+            keys, (values,) = merge_last_wins(keys, (values,), rk, (rv,))
             model.update(entries)
-        keys, values = concat_sorted_runs(parts, policy="last_wins")
         assert keys.tolist() == sorted(model)
         assert values.tolist() == [model[k] for k in sorted(model)]
         assert keys.dtype == np.int64 and values.dtype == VALUE_DTYPE
@@ -138,7 +163,7 @@ class TestDeltaView:
         probes=st.lists(st.integers(0, 60), max_size=20),
     )
     def test_overlays_match_model(self, base, runs, probes):
-        view = DeltaView(tuple(make_run(r) for r in runs), net=0)
+        view = view_of(runs)
         model = model_of(base, runs)
         q = np.asarray(probes, dtype=np.int64)
 
@@ -177,7 +202,7 @@ class TestDeltaView:
         span=st.integers(0, 30),
     )
     def test_merge_items_and_range(self, base, runs, lo, span):
-        view = DeltaView(tuple(make_run(r) for r in runs), net=0)
+        view = view_of(runs)
         model = model_of(base, runs)
         bk = np.asarray(sorted(base), dtype=np.int64)
         bv = np.asarray([base[k] for k in sorted(base)], dtype=VALUE_DTYPE)
@@ -203,42 +228,119 @@ class TestDeltaView:
             tombstones=np.asarray([False]),
             net=1,
         )
-        view = DeltaView((run,), net=1)
+        view = DeltaView(run)
         exists = np.asarray([False])
         view.overlay_exists(np.asarray([7], dtype=np.int64), exists)
         assert exists[0]
 
 
-class TestDeltaIndex:
-    def test_collapse_respects_floor(self):
-        idx = DeltaIndex(max_runs=2)
-        for i in range(6):
-            idx.append_run(make_run({i: (i, False)}), collapse_floor=3)
-        # Runs 0-2 are pinned by the floor (an in-flight drain); only the
-        # suffix collapses.
-        assert idx.n_runs == 3 + 1
-        assert idx.collapses >= 1
-        keys, values, tombs = idx.view().entries()
-        assert keys.tolist() == list(range(6))
+def model_entries(runs):
+    """Visible delta entries (not the base) after ``runs``: last wins."""
+    model = {}
+    for entries in runs:
+        model.update(entries)
+    return model
 
-    def test_drop_prefix(self):
-        idx = DeltaIndex(max_runs=100)
-        for i in range(4):
-            idx.append_run(DeltaRun(
-                keys=np.asarray([i], dtype=np.int64),
-                values=np.asarray([i], dtype=VALUE_DTYPE),
-                tombstones=np.asarray([False]),
-                net=1,
-            ))
-        assert idx.size == 4 and idx.net == 4
-        idx.drop_prefix(3, drained_net=3)
-        assert idx.n_runs == 1 and idx.net == 1
-        assert idx.view().entries()[0].tolist() == [3]
+
+class TestDeltaIndex:
+    @pytest.mark.parametrize("drain_threshold", [1, 4, 10 ** 9])
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(runs=st.lists(entries_strategy, max_size=8),
+           hold=st.integers(1, 3))
+    def test_fold_while_drain_in_flight(self, drain_threshold, runs, hold):
+        """The epoch manager's schedule, replayed on the index: a publish
+        that leaves ``size >= drain_threshold`` pins a drain, which stays
+        in flight for ``hold`` more publishes.  The visible set is always
+        every undrained run folded last-wins; finishing the drain leaves
+        exactly the runs published since the pin."""
+        idx = DeltaIndex()
+        undrained = []  # runs (dicts) the visible set must hold
+        since = None  # runs published after the pin, None: no drain
+        pending = 0
+        for entries in runs:
+            publish(idx, make_run(entries))
+            if entries:
+                undrained.append(entries)
+                if since is not None:
+                    since.append(entries)
+                    pending -= 1
+            assert entries_of(idx._visible) == model_entries(undrained)
+            assert idx.n_runs == len(undrained)
+            if since is not None and pending <= 0:
+                idx.finish_drain()
+                undrained, since = since, None
+            elif since is None and idx.size >= drain_threshold:
+                pinned = idx.pin_drain()
+                assert entries_of(pinned) == model_entries(undrained)
+                since, pending = [], hold
+            if since is not None:
+                assert entries_of(idx._since) == model_entries(since)
+            view = idx.view()
+            if undrained:
+                assert entries_of(view.run) == model_entries(undrained)
+            else:
+                assert view is None
+
+    def test_finish_drain_keeps_runs_since_pin(self):
+        idx = DeltaIndex()
+        for i in range(3):
+            publish(idx, make_run({i: (i, False)}, net=1))
+        pinned = idx.pin_drain()
+        assert pinned.keys.tolist() == [0, 1, 2]
+        publish(idx, make_run({3: (3, False)}, net=1))
+        # In flight: readers see everything, the drain folds the pin.
+        assert idx.size == 4 and idx.view().net == 4 and idx.n_runs == 4
+        assert pinned.keys.tolist() == [0, 1, 2]
+        idx.finish_drain()
+        assert idx.n_runs == 1 and idx.view().net == 1
+        assert idx.view().run.keys.tolist() == [3]
+
+    def test_abort_drain_keeps_everything(self):
+        idx = DeltaIndex()
+        publish(idx, make_run({1: (1, False)}, net=1))
+        idx.pin_drain()
+        publish(idx, make_run({2: (2, False)}, net=1))
+        idx.abort_drain()
+        assert idx._since is None
+        assert idx.view().run.keys.tolist() == [1, 2]
+        assert idx.n_runs == 2 and idx.view().net == 2
+
+    @pytest.mark.parametrize("moves", [
+        ["pin"], ["finish"], ["finish", "pin"], ["finish", "pin", "finish"],
+    ])
+    def test_publish_redoes_what_a_drain_moved(self, moves):
+        """A fold computed outside the lock, then drain steps, then the
+        publish: the published state equals folding the run into the
+        state the drain left."""
+        idx = DeltaIndex()
+        publish(idx, make_run({1: (1, False), 2: (2, False)}))
+        if moves[0] == "finish":  # a drain is in flight at fold time
+            idx.pin_drain()
+            publish(idx, make_run({2: (20, False), 3: (3, False)}))
+        run = make_run({3: (30, True), 4: (4, False)})
+        fold = idx.fold(run)
+        for move in moves:
+            if move == "pin":
+                idx.pin_drain()
+            else:
+                idx.finish_drain()
+        # The state the drain left, with the run folded in by hand.
+        want_visible = fold_run(idx._visible, run)
+        want_since = None if idx._since is None else fold_run(idx._since,
+                                                              run)
+        idx.publish(fold)
+        assert entries_of(idx._visible) == entries_of(want_visible)
+        if want_since is None:
+            assert idx._since is None
+        else:
+            assert entries_of(idx._since) == entries_of(want_since)
+        assert entries_of(idx.view().run) == entries_of(want_visible)
 
     def test_empty_view_is_none(self):
         idx = DeltaIndex()
         assert idx.view() is None
-        idx.append_run(make_run({}))  # empty run is dropped
+        publish(idx, make_run({}))  # empty run is dropped
         assert idx.view() is None and idx.n_runs == 0
 
 

@@ -7,19 +7,26 @@ sequence of update batches, every read path — point (``search`` /
 through a concurrent :class:`EpochManager` is byte-identical to the same
 reads through a synchronously-flushed one, with identical per-op
 accounting, *at every point* of the interleaving: before any drain,
-after partial drains, and with the background drain racing the writers.
-Hypothesis pins the contract; directed tests cover snapshot immutability
-under gapped compaction (a drain must never mutate a layout a reader
-still pins) and the sharded service running the same protocol.
+after partial drains, with flushes landing while a drain is held in
+flight, and with the background drain racing the writers.  Hypothesis
+pins the contract; directed tests cover flushes during a drain, pins
+sharing the published entry set, snapshot immutability under gapped
+compaction (a drain must never mutate a layout a reader still pins) and
+the sharded service running the same protocol.
 """
 
+import contextlib
+import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.core.delta as delta_mod
+import repro.core.epoch as epoch_mod
 from repro.core.config import UpdateConfig
 from repro.core.epoch import EpochManager
 from repro.core.tree import HarmoniaTree
@@ -60,6 +67,57 @@ def assert_same_reads(sync, conc, probes, lo, hi):
     assert len(sync) == len(conc)
 
 
+class DrainGate:
+    """Holds each background drain right after it pins the delta, until
+    :meth:`release` — so the flushes that follow land while a drain is in
+    flight.  Both fold paths start with a gated call (the bulk rebuild's
+    merge, the in-place path's existence probe); only the background
+    drain thread waits, ``drain(wait=True)`` on the caller never does."""
+
+    def __init__(self):
+        self._open = threading.Event()
+        self._pinned = threading.Event()
+
+    def _gated(self, fn):
+        def call(*args, **kwargs):
+            if threading.current_thread().name == "epoch-drain":
+                self._pinned.set()
+                assert self._open.wait(timeout=60), "drain gate never opened"
+            return fn(*args, **kwargs)
+
+        return call
+
+    @contextlib.contextmanager
+    def installed(self):
+        with mock.patch.object(
+            epoch_mod, "merge_last_wins",
+            self._gated(epoch_mod.merge_last_wins),
+        ), mock.patch.object(
+            epoch_mod, "contains_batch", self._gated(epoch_mod.contains_batch),
+        ):
+            try:
+                yield self
+            finally:
+                self._open.set()
+
+    def wait_pinned(self, em):
+        """Block until a running background drain has pinned."""
+        if em.drain_running:
+            assert self._pinned.wait(timeout=60), "drain never pinned"
+            return True
+        return False
+
+    def release(self, em):
+        """Let the in-flight drain (if any) finish; close the gate again."""
+        self._open.set()
+        t = em._drain_thread
+        if t is not None:
+            t.join(timeout=60)
+            assert not t.is_alive(), "drain did not finish"
+        self._open.clear()
+        self._pinned.clear()
+
+
 op_strategy = st.tuples(
     st.sampled_from(["insert", "update", "delete"]),
     st.integers(0, 400),
@@ -73,37 +131,46 @@ class TestEquivalenceProperty:
         n_keys=st.integers(0, 150),
         fanout=st.sampled_from([4, 8, 16]),
         mode=st.sampled_from(["vectorized", "gapped"]),
-        max_runs=st.sampled_from([1, 2, 8]),
+        drain_threshold=st.sampled_from([1, 16, 10 ** 9]),
         batches=st.lists(
             st.tuples(st.lists(op_strategy, max_size=40), st.booleans()),
             max_size=6,
         ),
     )
     def test_interleaved_batches_and_drains(self, n_keys, fanout, mode,
-                                            max_runs, batches):
+                                            drain_threshold, batches):
         """Random batches with drains injected at random boundaries; every
         read path must agree with the synchronous reference throughout
-        (tombstones over the base, inserts over tombstones, collapsed
-        runs — the whole lifecycle)."""
+        (tombstones over the base, inserts over tombstones, folded
+        runs — the whole lifecycle).  A small ``drain_threshold`` starts
+        background drains, each held after its pin until the next
+        injected drain, so the flushes in between land while it is in
+        flight."""
         sync, conc = make_pair(n_keys, fanout, 0.8, mode,
-                               max_delta_runs=max_runs)
+                               drain_threshold=drain_threshold)
         probes = np.arange(0, 420, 3, dtype=np.int64)
-        for raw_ops, drain_after in batches:
-            ops = [Operation(kind, key, key * 10 + 1)
-                   for kind, key in raw_ops]
-            sync.submit_many(ops)
-            rs = sync.flush()
-            conc.submit_many(ops)
-            rc = conc.flush()
-            if rs is None or rc is None:
-                assert rs is None and rc is None
-            else:
-                for field in ("inserted", "updated", "deleted", "failed"):
-                    assert getattr(rs, field) == getattr(rc, field), field
-            if drain_after:
-                conc.drain(wait=True)
-                assert conc.delta_size == 0
-            assert_same_reads(sync, conc, probes, 10, 390)
+        with DrainGate().installed() as gate:
+            for raw_ops, drain_after in batches:
+                ops = [Operation(kind, key, key * 10 + 1)
+                       for kind, key in raw_ops]
+                sync.submit_many(ops)
+                rs = sync.flush()
+                conc.submit_many(ops)
+                rc = conc.flush()
+                gate.wait_pinned(conc)
+                if rs is None or rc is None:
+                    assert rs is None and rc is None
+                else:
+                    for field in ("inserted", "updated", "deleted",
+                                  "failed"):
+                        assert getattr(rs, field) == getattr(rc, field), field
+                assert_same_reads(sync, conc, probes, 10, 390)
+                if drain_after:
+                    gate.release(conc)
+                    conc.drain(wait=True)
+                    assert conc.delta_size == 0
+                    assert_same_reads(sync, conc, probes, 10, 390)
+            gate.release(conc)
         conc.sync()
         assert_same_reads(sync, conc, probes, 10, 390)
         assert conc.snapshot_age == 0
@@ -118,8 +185,7 @@ class TestEquivalenceProperty:
         """Tiny drain threshold: the background thread keeps folding runs
         while flushes land; visible state never diverges."""
         rng = np.random.default_rng(seed)
-        sync, conc = make_pair(100, 8, 0.8, mode, drain_threshold=16,
-                               max_delta_runs=2)
+        sync, conc = make_pair(100, 8, 0.8, mode, drain_threshold=16)
         for r in range(6):
             raw = rng.integers(0, 400, size=30)
             kinds = rng.choice(["insert", "update", "delete"], size=30)
@@ -135,6 +201,73 @@ class TestEquivalenceProperty:
         conc.sync()
         probes = np.arange(0, 450, dtype=np.int64)
         assert_same_reads(sync, conc, probes, 0, 449)
+
+
+class TestPublishStress:
+    def test_writers_race_drains_and_readers(self):
+        """More threads than cores on a short switch interval: two
+        writers flush disjoint key sets while a third thread keeps
+        requesting background drains and a reader checks every key it
+        reads, so drains pin and publish between writers' merges and
+        their publishes.  A lost or doubled publish would leave a key
+        with the wrong value (or none) at the end."""
+        keys = np.arange(0, 4000, 2, dtype=np.int64)
+        conc = EpochManager(
+            HarmoniaTree.from_sorted(keys, keys * 3, fanout=8),
+            concurrent=True, drain_threshold=64,
+        )
+        stop = threading.Event()
+        errors = []
+
+        def writer(offset):
+            # Inserts of odd keys this writer owns, then updates of them.
+            own = np.arange(1 + 2 * offset, 4000, 4, dtype=np.int64)
+            for start in range(0, own.size, 50):
+                chunk = own[start:start + 50].tolist()
+                conc.submit_many([Operation("insert", k, k) for k in chunk])
+                conc.flush()
+                conc.submit_many([Operation("update", k, -k)
+                                  for k in chunk])
+                conc.flush()
+
+        def drainer():
+            while not stop.is_set():
+                conc.drain(wait=False)
+
+        def reader():
+            while not stop.is_set():
+                out = conc.search_many(keys)
+                if not np.array_equal(out, keys * 3):
+                    errors.append("base key misread")
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            background = [threading.Thread(target=drainer),
+                          threading.Thread(target=reader)]
+            writers = [threading.Thread(target=writer, args=(i,))
+                       for i in range(2)]
+            for t in background + writers:
+                t.start()
+            for t in writers:
+                t.join(timeout=120)
+                assert not t.is_alive(), "writer did not finish"
+        finally:
+            stop.set()
+            for t in background:
+                t.join(timeout=60)
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in background)
+        assert not errors
+        conc.sync()
+        odd = np.arange(1, 4000, 2, dtype=np.int64)
+        got_k, got_v = conc.dump_items()
+        want_k = np.arange(0, 4000, dtype=np.int64)
+        want_v = np.where(want_k % 2, -want_k, want_k * 3)
+        assert np.array_equal(got_k, want_k)
+        assert np.array_equal(got_v, want_v)
+        assert len(conc) == keys.size + odd.size
+        assert conc.delta_size == 0 and conc.delta_runs == 0
 
 
 class TestConcurrentBasics:
@@ -181,14 +314,95 @@ class TestConcurrentBasics:
         with pytest.raises(ConfigError):
             snap.apply_batch([Operation("insert", 3, 3)])
 
-    def test_run_collapse_under_cap(self):
-        _, conc = make_pair(50, 8, 1.0, "vectorized", max_delta_runs=2)
-        for i in range(8):
-            conc.submit(Operation("insert", 1001 + 2 * i, i))
+    @pytest.mark.parametrize("mode", ["vectorized", "gapped"])
+    def test_flushes_during_drain(self, mode):
+        """drain_threshold=1: the first flush starts a drain, held after
+        its pin; the next flushes publish while it is in flight, and its
+        publish leaves exactly those flushes in the delta."""
+        sync, conc = make_pair(50, 8, 1.0, mode, drain_threshold=1)
+        batches = [
+            [Operation("insert", 1001, 1), Operation("delete", 0)],
+            [Operation("update", 1001, 2), Operation("insert", 1003, 3)],
+            [Operation("delete", 1003), Operation("update", 2, 7)],
+        ]
+        with DrainGate().installed() as gate:
+            for ops in batches:
+                for em in (sync, conc):
+                    em.submit_many(ops)
+                    em.flush()
+                assert gate.wait_pinned(conc)
+                assert_same_reads(sync, conc, np.arange(0, 1010), 0, 1010)
+            assert conc.drains == 0 and conc.delta_runs == 3
+            # Keys 1001, 0, 1003, 2 — folded to one entry each.
+            assert conc.delta_size == 4
+            gate.release(conc)
+        assert conc.drains == 1
+        # The drain folded the first flush; the other two stay visible.
+        assert conc.delta_runs == 2 and conc.delta_size == 3
+        assert_same_reads(sync, conc, np.arange(0, 1010), 0, 1010)
+        conc.sync()
+        assert conc.delta_size == 0 and conc.delta_runs == 0
+        assert_same_reads(sync, conc, np.arange(0, 1010), 0, 1010)
+
+    def test_publish_records_the_merge_span(self):
+        """The merge cost sits on the write side: one ``delta.merge``
+        span inside each flush's ``epoch.publish``, and the recorded
+        session validates against the catalogue."""
+        import repro.obs as obs
+        from repro.obs.schema import lookup, validate_snapshot
+
+        _, conc = make_pair(50, 8, 1.0, "vectorized")
+        with obs.recording() as rec:
+            for i in range(3):
+                conc.submit_many([Operation("insert", 1001 + 2 * i, i),
+                                  Operation("delete", 2 * i)])
+                conc.flush()
+            conc.search_many(np.arange(0, 1010))
+            conc.sync()
+        spans = rec.spans()
+        merges = [s for s in spans if s[0] == "delta.merge"]
+        publishes = [s for s in spans if s[0] == "epoch.publish"]
+        assert len(merges) == len(publishes) == 3
+        for m, p in zip(merges, publishes):
+            assert p[2] <= m[2] <= m[3] <= p[3]
+        assert all(lookup(s[0]) is not None for s in spans)
+        snapshot = rec.snapshot()
+        assert validate_snapshot(snapshot) == []
+        assert "delta.collapses" not in snapshot["counters"]
+
+    def test_noop_flush_during_drain_leaves_no_snapshot_age(self):
+        """A flush that changes nothing while a drain is in flight: once
+        the drain publishes, the base is the visible state again."""
+        _, conc = make_pair(50, 8, 1.0, "vectorized", drain_threshold=1)
+        with DrainGate().installed() as gate:
+            conc.submit(Operation("insert", 1001, 1))
             conc.flush()
-        assert conc.delta_runs <= 3  # cap + the in-flight append
-        assert conc._delta.collapses >= 1
-        assert len(conc) == 58
+            assert gate.wait_pinned(conc)
+            conc.submit(Operation("insert", 1001, 2))  # fails: key visible
+            conc.flush()
+            gate.release(conc)
+        assert conc.delta_size == 0 and conc.snapshot_age == 0
+        assert conc.search(1001) == 1
+
+    def test_pins_share_the_published_entries(self):
+        """A pin does no collapse work: every pin after a flush carries
+        the view the flush published, whose arrays are the index's."""
+        _, conc = make_pair(50, 8, 1.0, "vectorized")
+        for i in range(4):  # several flushes: one collapsed set
+            conc.submit_many([Operation("insert", 1001 + 2 * i, i),
+                              Operation("update", 2 * i, -i)])
+            conc.flush()
+        no_work = AssertionError("collapse work on the read path")
+        with mock.patch.object(delta_mod, "fold_run", side_effect=no_work), \
+                mock.patch.object(delta_mod, "DeltaView", side_effect=no_work):
+            a, b = conc.pin(), conc.pin()
+            a.search_many(np.arange(0, 1010))
+            b.range_search(0, 2000)
+        visible = conc._delta._visible
+        assert a.delta is b.delta
+        assert a.delta.run is visible
+        assert a.delta.run.keys is b.delta.run.keys
+        assert conc.delta_runs == 4 and conc.delta_size == 8
 
     def test_drain_error_surfaces_on_flush(self):
         _, conc = make_pair(50, 8, 1.0, "vectorized")

@@ -6,8 +6,8 @@ sharding carries the probe stream, ``merge_join`` must return exactly
 the numpy sort-merge join of the two trees' visible items.  The
 hypothesis suites here pin that contract on every surface (mirroring
 ``tests/test_ntg_perlevel.py``'s equivalence style); the directed
-classes pin the hinted engine walk, the tile scheduler's measured
-memory bound, and the k-way heap path under ``concat_sorted_runs``.
+classes pin the hinted engine walk and the tile scheduler's measured
+memory bound.
 
 Values are drawn >= 1 throughout: a stored value equal to the
 ``NOT_FOUND`` sentinel is indistinguishable from a miss by design
