@@ -2,10 +2,8 @@
 
 Every Harmonia mode reports ``movement_share`` in ``extra_info`` — the
 fraction of the executor's phase time spent in the movement/compaction
-stage — so the before/after of the gapped-leaf work is directly visible in
-``BENCH_update.json``: the vectorized pipeline pays a full movement
-rebuild per batch, the gapped executor demotes it to a rare compaction
-epoch.
+stage: the scalar reference pays a full movement rebuild per batch, the
+default gapped executor demotes it to a rare compaction epoch.
 """
 
 import pytest
@@ -34,28 +32,12 @@ def _movement_share(result) -> float:
 
 
 def test_fig14_harmonia_batch_update(benchmark, update_world):
-    """The default executor — the vectorized plan/apply/movement pipeline."""
+    """The default executor — the gapped in-place absorber."""
     keys, ops = update_world
 
     def run():
         tree = HarmoniaTree.from_sorted(keys, fanout=64, fill=0.7)
         return tree.apply_batch(ops, UpdateConfig(n_threads=4))
-
-    res = benchmark.pedantic(run, rounds=3, iterations=1)
-    benchmark.extra_info["ops"] = len(ops)
-    benchmark.extra_info["split_leaves"] = res.split_leaves
-    benchmark.extra_info["movement_share"] = round(_movement_share(res), 4)
-    assert res.failed == 0
-
-
-def test_fig14_harmonia_batch_update_gapped(benchmark, update_world):
-    """The gapped executor — in-place absorption, movement demoted to a
-    rare compaction epoch."""
-    keys, ops = update_world
-
-    def run():
-        tree = HarmoniaTree.from_sorted(keys, fanout=64, fill=0.7)
-        return tree.apply_batch(ops, UpdateConfig(mode="gapped"))
 
     res = benchmark.pedantic(run, rounds=3, iterations=1)
     benchmark.extra_info["ops"] = len(ops)

@@ -12,9 +12,9 @@
 * :mod:`repro.core.ntg` — narrowed thread-group traversal model (§4.2).
 * :mod:`repro.core.update` — per-op batch updates with two-grained locking
   and auxiliary nodes (§3.2.2, Algorithm 1) — the scalar reference path.
-* :mod:`repro.core.update_plan` — the vectorized plan/apply/movement
-  batch-update pipeline (the default executor, equivalent to the scalar
-  path).
+* :mod:`repro.core.update_plan` — the gapped batch-update executor: absorbs
+  batches into per-leaf slack and demotes movement to a rare compaction
+  epoch (the production executor, result-equivalent to the scalar path).
 * :mod:`repro.core.tree` — :class:`HarmoniaTree`, the user-facing index that
   glues the above together.
 """
@@ -30,20 +30,12 @@ from repro.core.stats import layout_stats
 from repro.core.stream import BatchTrace, StreamExecutor, StreamStats
 from repro.core.tree import HarmoniaTree
 from repro.core.tuning import recommend_fanout
-from repro.core.update_plan import (
-    GappedBatchUpdater,
-    UpdatePlan,
-    VectorizedBatchUpdater,
-    plan_batch,
-)
+from repro.core.update_plan import GappedBatchUpdater
 
 __all__ = [
     "HarmoniaLayout",
     "HarmoniaTree",
-    "UpdatePlan",
-    "VectorizedBatchUpdater",
     "GappedBatchUpdater",
-    "plan_batch",
     "BatchQueryEngine",
     "EngineScratch",
     "EngineStats",

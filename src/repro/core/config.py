@@ -149,28 +149,20 @@ class SearchConfig:
 class UpdateConfig:
     """Knobs of the CPU batch-update pipeline (§3.2.2).
 
-    ``mode`` selects the batch executor: ``"vectorized"`` (the default)
-    runs the plan/apply/movement pipeline of
-    :mod:`repro.core.update_plan` — whole-batch leaf routing, grouped
-    in-place application, array-built movement; ``"scalar"`` runs the
-    per-operation reference path
-    (:class:`~repro.core.update.BatchUpdater`, Algorithm 1 locking per
-    op).  The two are equivalent: byte-identical layouts and identical
-    accounting, hypothesis-pinned (docs/update.md).  ``"gapped"`` runs
-    :class:`~repro.core.update_plan.GappedBatchUpdater`: updates and
-    gap-absorbable inserts/deletes scatter into per-leaf slack in place
-    and the movement rebuild is demoted to a rare compaction epoch —
-    *result*-equivalent to the other two (identical query results and
-    accounting; the physical layout differs by design, see
-    docs/update.md).
+    ``mode`` selects the batch executor: ``"gapped"`` (the default) runs
+    :class:`~repro.core.update_plan.GappedBatchUpdater` — updates and
+    gap-absorbable inserts/deletes scatter into per-leaf slack and the
+    movement rebuild is demoted to a rare compaction epoch; ``"scalar"``
+    runs the per-operation Algorithm 1 reference path
+    (:class:`~repro.core.update.BatchUpdater`, two-grained locking per
+    op).  The two are *result*-equivalent — identical accounting, query
+    results and key/value content; the physical layout differs by
+    design — hypothesis-pinned (docs/update.md).
 
-    ``n_threads`` sizes the worker pool — per-op workers under
-    Algorithm 1 locking in scalar mode, per-leaf-group replay shards in
-    vectorized mode; ``rebuild_policy`` controls when the post-batch
-    movement runs ("always" after every batch, or "threshold" once dirty
-    leaves exceed ``rebuild_threshold`` of all leaves).
+    ``n_threads`` sizes the scalar path's per-op worker pool (the gapped
+    absorber is one NumPy pass and ignores it).
 
-    Gapped-mode knobs (ignored by the other modes):
+    Gapped-mode knobs (ignored by the scalar path):
 
     * ``gap_watermark`` — a compaction epoch runs once the fraction of
       leaves pending compaction (underflowed past the B+tree minimum or
@@ -183,24 +175,16 @@ class UpdateConfig:
     """
 
     n_threads: int = 4
-    rebuild_policy: str = "always"
-    rebuild_threshold: float = 0.1
-    mode: str = "vectorized"
+    mode: str = "gapped"
     gap_watermark: float = 0.10
     occupancy_low: float = 0.35
     plan_window: int = 1 << 16
 
     def __post_init__(self) -> None:
         ensure_positive("n_threads", self.n_threads)
-        if self.rebuild_policy not in ("always", "threshold"):
+        if self.mode not in ("gapped", "scalar"):
             raise ConfigError(
-                f"rebuild_policy must be 'always'|'threshold', got {self.rebuild_policy!r}"
-            )
-        if not 0.0 < self.rebuild_threshold <= 1.0:
-            raise ConfigError("rebuild_threshold must be in (0, 1]")
-        if self.mode not in ("vectorized", "scalar", "gapped"):
-            raise ConfigError(
-                f"mode must be 'vectorized'|'scalar'|'gapped', got {self.mode!r}"
+                f"mode must be 'gapped'|'scalar', got {self.mode!r}"
             )
         if not 0.0 < self.gap_watermark <= 1.0:
             raise ConfigError("gap_watermark must be in (0, 1]")

@@ -21,13 +21,13 @@ state into one immutable sorted run, folded into the visible entry set
 of a :class:`~repro.core.delta.DeltaIndex` and published — readers
 overlay that set on the pinned base snapshot (snapshot-then-delta, last
 wins, tombstones mask), byte-identical to a synchronous flush.  A
-background drain thread folds the pinned set into snapshot N+1 — small
-gapped deltas absorb in place through the existing updaters, everything
-else bulk-rebuilds via the §3.1 sorted construction — while reads
-continue against N; publication of the new base and retirement of the
-drained entries is a single swap under the publish lock, so a reader pin
-— ``(layout, delta view)`` grabbed atomically — is always a consistent
-visible state.
+background drain thread folds the pinned set into snapshot N+1 — one
+sorted merge of N's packed leaf block with the delta, then the §3.1 bulk
+construction, publishing N+1 with its packed block and leaf counts
+already built — while reads continue against N; publication of the new
+base and retirement of the drained entries is a single swap under the
+publish lock, so a reader pin — ``(layout, delta view)`` grabbed
+atomically — is always a consistent visible state.
 
 This is deliberately *not* a concurrent B+tree: it is the batch-update
 contract of the paper, enforced — with the rebuild taken off the read
@@ -43,7 +43,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 import repro.obs as obs
-from repro.constants import KEY_MAX
 from repro.core.config import SearchConfig, UpdateConfig
 from repro.core.delta import DeltaIndex, resolve_batch
 from repro.core.layout import HarmoniaLayout
@@ -401,69 +400,30 @@ class EpochManager:
             publish_wait = 0.0
             try:
                 dk, dv, dt = pinned.keys, pinned.values, pinned.tombstones
-                n_base = layout.n_keys if layout is not None else 0
-                # Two fold strategies.  Gapped mode with a small delta
-                # drains through the in-place absorber — per-leaf slack
-                # makes that O(d), far below a rebuild.  Every other case
-                # (vectorized/scalar modes, bootstrap, or a delta that
-                # grew comparable to the base) bulk-rebuilds from the
-                # merged sorted contents: the movement pass of the
-                # updaters is O(n) regardless, so above a small delta
-                # the §3.1 bulk construction is strictly cheaper than
-                # replaying per-op.
-                incremental = (
-                    self.update_config.mode == "gapped"
-                    and layout is not None
-                    and dk.size * 4 < n_base
-                )
-                if incremental:
-                    base_has = contains_batch(layout, dk)
-                    # Net ops vs the base: every one succeeds by
-                    # construction (existence was checked at resolution).
-                    ops: List[Operation] = []
-                    for k, v, tomb, has in zip(
-                        dk.tolist(), dv.tolist(), dt.tolist(),
-                        base_has.tolist(),
-                    ):
-                        if tomb:
-                            if has:
-                                ops.append(Operation("delete", k))
-                        elif has:
-                            ops.append(Operation("update", k, v))
-                        else:
-                            ops.append(Operation("insert", k, v))
-                    # The gapped updater never mutates its input layout.
-                    shadow = HarmoniaTree(
-                        layout, fill=fill,
-                        search_config=self._tree.search_config,
-                    )
-                    shadow._empty_fanout = self._tree._empty_fanout
-                    if ops:
-                        shadow.apply_batch(ops, self.update_config)
-                    new_layout = shadow._layout
+                # One path: merge the delta into the base's sorted
+                # contents and bulk-build (§3.1).  The base contents are
+                # the snapshot's packed leaf block, which its readers
+                # have already built; the merged arrays are the new
+                # snapshot's packed block, and the bulk build hands over
+                # its leaf counts — so the first read after the publish
+                # derives nothing.
+                if layout is None:
+                    base_k = np.empty(0, dtype=np.int64)
+                    base_v = np.empty(0, dtype=base_k.dtype)
                 else:
-                    if layout is None:
-                        base_k = np.empty(0, dtype=np.int64)
-                        base_v = np.empty(0, dtype=base_k.dtype)
-                    else:
-                        # Contiguous copies straight off the leaf block
-                        # (iter_leaf_items stacks into strided columns,
-                        # which would slow every downstream pass).
-                        lk = layout.key_region[layout.leaf_start:].ravel()
-                        live = lk != KEY_MAX
-                        base_k = lk[live]
-                        base_v = layout.leaf_values.ravel()[live]
-                    new_k, (new_v,) = merge_last_wins(
-                        base_k, (base_v,), dk, (dv,), new_keep=~dt,
+                    base_k, base_v = layout.packed_leaves()
+                new_k, (new_v,) = merge_last_wins(
+                    base_k, (base_v,), dk, (dv,), new_keep=~dt,
+                )
+                if new_k.size:
+                    fanout = (layout.fanout if layout is not None
+                              else self._tree._empty_fanout)
+                    new_layout = HarmoniaLayout.from_sorted(
+                        new_k, new_v, fanout=fanout, fill=fill,
                     )
-                    if new_k.size:
-                        fanout = (layout.fanout if layout is not None
-                                  else self._tree._empty_fanout)
-                        new_layout = HarmoniaLayout.from_sorted(
-                            new_k, new_v, fanout=fanout, fill=fill,
-                        )
-                    else:
-                        new_layout = None
+                    new_layout.install_derived(packed=(new_k, new_v))
+                else:
+                    new_layout = None
                 w0 = time.perf_counter()
                 with self._publish_lock:
                     publish_wait = time.perf_counter() - w0

@@ -164,6 +164,9 @@ def build_layout_fast(
         leaf_values=leaf_values,
         level_starts=level_starts,
         n_keys=int(karr.size),
+        # The chunk sizes are the per-leaf fill counts: handing them over
+        # spares every reader of a fresh snapshot the sentinel count.
+        leaf_counts=leaf_sizes,
     )
 
 

@@ -46,7 +46,7 @@ from repro.core.search import (
     search_scalar,
 )
 from repro.core.update import BatchResult, BatchUpdater, Operation
-from repro.core.update_plan import GappedBatchUpdater, VectorizedBatchUpdater
+from repro.core.update_plan import GappedBatchUpdater
 from repro.errors import EmptyTreeError
 from repro.utils.validation import ensure_key_array, ensure_scalar_key
 
@@ -614,13 +614,12 @@ class HarmoniaTree:
         outgoing snapshot, so its cached packed leaf block and leaf counts
         stay valid for readers still pinned to it.
 
-        ``config.mode`` picks the executor: the vectorized
-        plan/apply/movement pipeline (default), the gapped in-place
-        absorber (:class:`~repro.core.update_plan.GappedBatchUpdater` —
-        movement demoted to a rare compaction epoch; result-equivalent,
-        physically gapped layout; absorbs into a private copy), or the
-        per-op scalar reference path, which edits a private copy of the
-        snapshot — equivalent results in every case (see
+        ``config.mode`` picks the executor: the gapped in-place absorber
+        (default, :class:`~repro.core.update_plan.GappedBatchUpdater` —
+        movement demoted to a rare compaction epoch; absorbs into a
+        private copy) or the per-op Algorithm 1 reference path, which
+        edits a private copy of the snapshot.  Results are equivalent;
+        the physical layouts differ (see
         :class:`~repro.core.config.UpdateConfig`).
         """
         cfg = config or UpdateConfig()
@@ -633,12 +632,6 @@ class HarmoniaTree:
             )
         if self._layout is None:
             return self._bootstrap_batch(ops)
-
-        if cfg.mode == "vectorized":
-            updater = VectorizedBatchUpdater(self._layout, fill=self._fill)
-            result = updater.run(ops, n_threads=cfg.n_threads)
-            self._layout = updater.new_layout
-            return result
 
         if cfg.mode == "gapped":
             gapped = GappedBatchUpdater(self._layout, fill=self._fill,

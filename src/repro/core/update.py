@@ -390,7 +390,9 @@ class BatchUpdater:
         dirty = set(self.aux)
         dirty.update(self.underflow)
         leaf_start = self.layout.leaf_start
-        key_counts = self.layout.leaf_key_counts()
+        # Counted off the rows: this path edits them in place, so a fill
+        # count cached on the layout is stale by now.
+        key_counts = np.sum(self.layout.leaf_keys != KEY_MAX, axis=1)
         if self.layout.n_leaves > 1:
             under = np.nonzero(key_counts < self._min_leaf)[0] + leaf_start
             dirty.update(int(u) for u in under)
@@ -506,9 +508,8 @@ def _assemble_layout(
     Internal levels are derived bottom-up from subtree minima, one
     vectorized scatter per level: child ``c`` of parent ``p`` contributes
     its minimum as separator ``within(c) - 1`` (the first child supplies
-    the parent's own minimum instead).  Shared by the scalar and the
-    vectorized movement passes, so their outputs are byte-identical by
-    construction.
+    the parent's own minimum instead).  Shared by the scalar movement
+    pass and the gapped compaction epoch.
     """
     slots = fanout - 1
     min_children = (fanout + 1) // 2

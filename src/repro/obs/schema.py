@@ -221,31 +221,27 @@ CATALOGUE: List[MetricSpec] = [
                "(leaf_scan_tx / descent_tx / naive_tx / tx_speedup)"),
     # ------------------------------------------------------------ update
     MetricSpec("update.batches", "counter", "batches",
-               "batches applied by the vectorized update pipeline"),
+               "batches applied by the gapped update executor"),
     MetricSpec("update.ops", "counter", "ops",
-               "operations fed through the vectorized update pipeline"),
+               "operations fed through the gapped update executor"),
     MetricSpec("update.inplace_ops", "counter", "ops",
-               "ops in update-only leaf groups, resolved by the fully "
-               "vectorized in-place path"),
-    MetricSpec("update.single_ops", "counter", "ops",
-               "single-op insert/delete groups resolved by the vectorized "
-               "row-shift path (no per-op replay)"),
+               "ops resolved in place by one vectorized pass over the "
+               "working leaf rows (no per-op replay)"),
     MetricSpec("update.replay_ops", "counter", "ops",
-               "ops in insert/delete leaf groups, replayed per leaf"),
+               "ops on leaves whose final content outgrew their rows "
+               "(staged for a compaction epoch)"),
     MetricSpec("update.split_leaves", "counter", "leaves",
-               "leaves staged on auxiliary nodes (§3.2.2 split/merge path)"),
+               "leaves whose content outgrew their rows and was staged "
+               "for re-chunking (§3.2.2 split path)"),
     MetricSpec("update.dirty_leaves", "counter", "leaves",
                "leaves the movement pass could not move verbatim"),
     MetricSpec("update.moved_leaves", "counter", "leaves",
                "clean leaf rows block-moved verbatim by the movement pass"),
     MetricSpec("update.rebuilt_leaves", "counter", "leaves",
                "leaves re-chunked from dirty runs by the movement pass"),
-    MetricSpec("update.ops_per_leaf", "histogram", "ops/leaf",
-               "mean operations per touched leaf, one observation per batch",
-               edges=COUNT_EDGES),
     MetricSpec("update.throughput_ops", "gauge", "ops/s",
-               "end-to-end throughput of the last vectorized batch "
-               "(plan + apply + movement)"),
+               "end-to-end throughput of the last gapped batch "
+               "(plan + apply + movement, all windows)"),
     MetricSpec("update.absorbed_ops", "counter", "ops",
                "ops absorbed in place by gapped leaf slack (no movement)"),
     MetricSpec("update.windows", "counter", "windows",
@@ -351,14 +347,14 @@ CATALOGUE: List[MetricSpec] = [
     MetricSpec("psa.prepare", "span", "-",
                "prepare_batch: partial sort + gather to issue order"),
     MetricSpec("update.plan", "span", "-",
-               "update plan stage: whole-batch leaf routing + stable "
-               "grouping + classification"),
+               "gapped plan stage of one window: leaf routing over the "
+               "cached bounds + stable (leaf, key) bucketing"),
     MetricSpec("update.apply", "span", "-",
-               "update apply stage: vectorized in-place writes + per-leaf "
-               "replay of structural groups"),
+               "gapped apply stage of one window: the per-key fold + "
+               "in-place row writes, overflowing leaves staged"),
     MetricSpec("update.movement", "span", "-",
-               "update movement stage: leaf plan + block rebuild of the "
-               "regions"),
+               "gapped movement stage of one window: the epoch check and, "
+               "when due, the compaction epoch (leaf plan + rebuild)"),
     MetricSpec("delta.overlay", "span", "-",
                "snapshot-then-delta overlay pass of one lookup batch"),
     MetricSpec("epoch.publish", "span", "-",

@@ -59,18 +59,21 @@ class TestUpdateConfig:
     def test_defaults(self):
         cfg = UpdateConfig()
         assert cfg.n_threads == 4
-        assert cfg.rebuild_policy == "always"
+        assert cfg.mode == "gapped"
 
     def test_bad_threads(self):
         with pytest.raises(ConfigError):
             UpdateConfig(n_threads=0)
 
-    def test_bad_policy(self):
-        with pytest.raises(ConfigError):
-            UpdateConfig(rebuild_policy="sometimes")
+    def test_bad_mode(self):
+        for mode in ("vectorized", "fast", ""):
+            with pytest.raises(ConfigError):
+                UpdateConfig(mode=mode)
 
-    def test_bad_threshold(self):
+    def test_bad_gapped_knobs(self):
         with pytest.raises(ConfigError):
-            UpdateConfig(rebuild_policy="threshold", rebuild_threshold=0.0)
+            UpdateConfig(gap_watermark=0.0)
         with pytest.raises(ConfigError):
-            UpdateConfig(rebuild_policy="threshold", rebuild_threshold=1.5)
+            UpdateConfig(occupancy_low=1.0)
+        with pytest.raises(ConfigError):
+            UpdateConfig(plan_window=0)

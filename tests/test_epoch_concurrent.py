@@ -130,7 +130,7 @@ class TestEquivalenceProperty:
     @given(
         n_keys=st.integers(0, 150),
         fanout=st.sampled_from([4, 8, 16]),
-        mode=st.sampled_from(["vectorized", "gapped"]),
+        mode=st.sampled_from(["gapped", "scalar"]),
         drain_threshold=st.sampled_from([1, 16, 10 ** 9]),
         batches=st.lists(
             st.tuples(st.lists(op_strategy, max_size=40), st.booleans()),
@@ -179,7 +179,7 @@ class TestEquivalenceProperty:
               suppress_health_check=[HealthCheck.too_slow])
     @given(
         seed=st.integers(0, 2 ** 31 - 1),
-        mode=st.sampled_from(["vectorized", "gapped", "scalar"]),
+        mode=st.sampled_from(["gapped", "scalar"]),
     )
     def test_background_drain_races_writers(self, seed, mode):
         """Tiny drain threshold: the background thread keeps folding runs
@@ -272,7 +272,7 @@ class TestPublishStress:
 
 class TestConcurrentBasics:
     def test_flush_publishes_immediately_drain_later(self):
-        _, conc = make_pair(50, 8, 1.0, "vectorized")
+        _, conc = make_pair(50, 8, 1.0, "gapped")
         base_version = conc.snapshot_version
         conc.submit(Operation("insert", 1, 11))
         conc.flush()
@@ -295,7 +295,7 @@ class TestConcurrentBasics:
         conc._tree.check_invariants()
 
     def test_pinned_view_survives_flush_and_drain(self):
-        _, conc = make_pair(100, 8, 1.0, "vectorized")
+        _, conc = make_pair(100, 8, 1.0, "gapped")
         snap = conc._snapshot()
         conc.submit(Operation("delete", 20))
         conc.flush()
@@ -306,7 +306,7 @@ class TestConcurrentBasics:
         assert snap.search(20) == 60
 
     def test_pinned_snapshot_rejects_writes(self):
-        _, conc = make_pair(50, 8, 1.0, "vectorized")
+        _, conc = make_pair(50, 8, 1.0, "gapped")
         conc.submit(Operation("insert", 1, 1))
         conc.flush()
         snap = conc._snapshot()
@@ -314,7 +314,7 @@ class TestConcurrentBasics:
         with pytest.raises(ConfigError):
             snap.apply_batch([Operation("insert", 3, 3)])
 
-    @pytest.mark.parametrize("mode", ["vectorized", "gapped"])
+    @pytest.mark.parametrize("mode", ["gapped"])
     def test_flushes_during_drain(self, mode):
         """drain_threshold=1: the first flush starts a drain, held after
         its pin; the next flushes publish while it is in flight, and its
@@ -351,7 +351,7 @@ class TestConcurrentBasics:
         import repro.obs as obs
         from repro.obs.schema import lookup, validate_snapshot
 
-        _, conc = make_pair(50, 8, 1.0, "vectorized")
+        _, conc = make_pair(50, 8, 1.0, "gapped")
         with obs.recording() as rec:
             for i in range(3):
                 conc.submit_many([Operation("insert", 1001 + 2 * i, i),
@@ -373,7 +373,7 @@ class TestConcurrentBasics:
     def test_noop_flush_during_drain_leaves_no_snapshot_age(self):
         """A flush that changes nothing while a drain is in flight: once
         the drain publishes, the base is the visible state again."""
-        _, conc = make_pair(50, 8, 1.0, "vectorized", drain_threshold=1)
+        _, conc = make_pair(50, 8, 1.0, "gapped", drain_threshold=1)
         with DrainGate().installed() as gate:
             conc.submit(Operation("insert", 1001, 1))
             conc.flush()
@@ -387,7 +387,7 @@ class TestConcurrentBasics:
     def test_pins_share_the_published_entries(self):
         """A pin does no collapse work: every pin after a flush carries
         the view the flush published, whose arrays are the index's."""
-        _, conc = make_pair(50, 8, 1.0, "vectorized")
+        _, conc = make_pair(50, 8, 1.0, "gapped")
         for i in range(4):  # several flushes: one collapsed set
             conc.submit_many([Operation("insert", 1001 + 2 * i, i),
                               Operation("update", 2 * i, -i)])
@@ -405,7 +405,7 @@ class TestConcurrentBasics:
         assert conc.delta_runs == 4 and conc.delta_size == 8
 
     def test_drain_error_surfaces_on_flush(self):
-        _, conc = make_pair(50, 8, 1.0, "vectorized")
+        _, conc = make_pair(50, 8, 1.0, "gapped")
         conc._drain_error = RuntimeError("boom")
         conc.submit(Operation("insert", 1, 1))
         with pytest.raises(RuntimeError):
@@ -415,7 +415,7 @@ class TestConcurrentBasics:
         assert conc.search(1) == 1
 
     def test_sync_mode_unaffected(self):
-        em, _ = make_pair(100, 8, 1.0, "vectorized")
+        em, _ = make_pair(100, 8, 1.0, "gapped")
         em.submit(Operation("insert", 1, 1))
         em.flush()
         assert em.delta_size == 0 and em.delta_runs == 0

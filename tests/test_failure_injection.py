@@ -98,8 +98,7 @@ class TestCrashConsistency:
 
     @pytest.mark.parametrize("mode,target", [
         ("scalar", "repro.core.update.BatchUpdater.movement"),
-        ("vectorized",
-         "repro.core.update_plan.VectorizedBatchUpdater._movement"),
+        ("gapped", "repro.core.update_plan.GappedBatchUpdater._apply"),
     ])
     def test_epoch_flush_failure_keeps_old_epoch(self, monkeypatch, mode,
                                                  target):
@@ -112,7 +111,7 @@ class TestCrashConsistency:
         )
 
         def boom(*args, **kwargs):
-            raise RuntimeError("injected movement failure")
+            raise RuntimeError("injected executor failure")
 
         monkeypatch.setattr(target, boom)
         em.submit(Operation("insert", 1, 1))

@@ -141,6 +141,36 @@ def test_sequential_batches_equal(seed, n_shards):
         sharded.close()
 
 
+@pytest.mark.parametrize("n_keys", [8, 200])
+def test_delete_all_on_two_shards(n_keys):
+    """A batch that deletes every key empties both shards' trees (with 8
+    keys each shard is a single leaf); the workers must survive it, serve
+    the empty state, and bootstrap again from the next inserts — exactly
+    as the unsharded tree does."""
+    keys = np.arange(0, 3 * n_keys, 3, dtype=np.int64)
+    ref, sharded = make_pair(keys, 2)
+    try:
+        batch = [Operation("delete", int(k)) for k in keys]
+        assert_batch_results_equal(
+            sharded.apply_batch(batch), ref.apply_batch(batch)
+        )
+        assert ref._layout is None
+        assert len(sharded) == len(ref) == 0
+        q = np.arange(-2, 610, dtype=np.int64)
+        assert np.array_equal(sharded.search_many(q), ref.search_many(q))
+        assert_full_contents_equal(ref, sharded)
+
+        batch = [Operation("insert", int(k), int(k) + 1)
+                 for k in (5, 299, 301, 598)]
+        assert_batch_results_equal(
+            sharded.apply_batch(batch), ref.apply_batch(batch)
+        )
+        assert np.array_equal(sharded.search_many(q), ref.search_many(q))
+        assert_full_contents_equal(ref, sharded)
+    finally:
+        sharded.close()
+
+
 @pytest.mark.parametrize("crash_shard", [0, 1])
 def test_worker_crash_preserves_results(crash_shard):
     """Restart-and-rebuild mid-workload: kill a worker after applied
