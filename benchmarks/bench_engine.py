@@ -97,15 +97,6 @@ def test_engine_compacted(benchmark, bench_tree, bench_queries):
     )
 
 
-def test_engine_compacted_threads(benchmark, bench_tree, bench_queries):
-    issued = _psa_sorted(bench_tree, bench_queries)
-    eng = BatchQueryEngine(bench_tree.layout, n_workers=4, min_parallel=1 << 12)
-    eng.execute(issued)
-    out = benchmark(eng.execute, issued)
-    assert np.array_equal(out, search_batch(bench_tree.layout, issued))
-    benchmark.extra_info["n_chunks"] = eng.last_stats.n_chunks
-
-
 def test_engine_full_pipeline(benchmark, bench_tree, bench_queries):
     """search_many end to end (PSA + lookup + restore)."""
     cfg = SearchConfig(ntg="fanout")
@@ -126,16 +117,15 @@ def _best_of(fn, reps: int = 7) -> float:
     return best
 
 
-def measure(tree_log2: int, batch_log2: int, n_workers: int = 4,
-            seed: int = 1234) -> dict:
+def measure(tree_log2: int, batch_log2: int, seed: int = 1234) -> dict:
     """One sweep point on a uniform batch: the engine against the bare
     NumPy baseline, plus context timings.
 
     * ``bare_s`` — :func:`bare_lookup` (PSA order given);
     * ``prepared_s`` — ``engine.execute_prepared``: the same lookup and
       restore through the engine (``engine_vs_bare`` is the gated ratio);
-    * ``compacted_s`` / ``compacted_threads_s`` — ``engine.execute`` of
-      the issued batch without restore (the overhead gate's series);
+    * ``compacted_s`` — ``engine.execute`` of the issued batch without
+      restore (the overhead gate's series);
     * ``arrival_s`` — the engine on the batch in arrival order (what PSA
       buys on the host);
     * ``search_many_s`` — the public call including PSA preparation;
@@ -152,20 +142,16 @@ def measure(tree_log2: int, batch_log2: int, n_workers: int = 4,
     bare_keys, bare_values = bare_packed_block(layout)
 
     solo = BatchQueryEngine(layout)
-    sharded = BatchQueryEngine(layout, n_workers=n_workers,
-                               min_parallel=1 << 12)
     expect = search_batch(layout, queries)
     assert np.array_equal(solo.execute_prepared(prepared), expect)
     assert np.array_equal(
         bare_lookup(bare_keys, bare_values, prepared.psa), expect
     )
-    sharded.execute(issued)
     t_bare = _best_of(
         lambda: bare_lookup(bare_keys, bare_values, prepared.psa)
     )
     t_prep = _best_of(lambda: solo.execute_prepared(prepared))
     t_comp = _best_of(lambda: solo.execute(issued))
-    t_shard = _best_of(lambda: sharded.execute(issued))
     t_arrival = _best_of(lambda: solo.execute(queries))
     t_many = _best_of(lambda: tree.search_many(queries))
     t_naive = _best_of(lambda: search_batch(layout, issued), reps=3)
@@ -178,8 +164,6 @@ def measure(tree_log2: int, batch_log2: int, n_workers: int = 4,
         "bare_s": round(t_bare, 6),
         "prepared_s": round(t_prep, 6),
         "compacted_s": round(t_comp, 6),
-        "compacted_threads_s": round(t_shard, 6),
-        "n_workers": n_workers,
         "arrival_s": round(t_arrival, 6),
         "search_many_s": round(t_many, 6),
         "naive_s": round(t_naive, 6),
@@ -276,8 +260,7 @@ def _capture_metrics(acceptance: dict, seed: int = 1234) -> dict:
     with obs.recording() as rec:
         eng.execute(issued, issue_sorted=True)
         for name in ("bare_s", "prepared_s", "compacted_s",
-                     "compacted_threads_s", "search_many_s", "naive_s",
-                     "engine_vs_bare"):
+                     "search_many_s", "naive_s", "engine_vs_bare"):
             rec.gauge(f"bench.engine.{name}", acceptance[name])
     snapshot = rec.snapshot()
     problems = validate_snapshot(snapshot)

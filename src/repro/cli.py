@@ -266,11 +266,11 @@ def _cmd_join(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_record(args: argparse.Namespace) -> int:
-    """One instrumented end-to-end run: overlapped stream + simulated
+    """One instrumented end-to-end run: a stream + simulated
     kernel under a single recording, exported as snapshot + Chrome trace.
 
     This is the acceptance run for the observability layer: the trace
-    shows the §4.1.3 sort/traverse overlap on separate thread tracks, and
+    shows each stream batch's sort, traverse and scatter stages, and
     the snapshot carries both ``engine.unique_nodes.l*`` and
     ``gpusim.transactions_per_warp`` for ``obs report``.
     """
@@ -288,9 +288,7 @@ def _cmd_obs_record(args: argparse.Namespace) -> int:
     keys = make_key_set(args.keys, rng=args.seed)
     tree = HarmoniaTree.from_sorted(keys, fanout=args.fanout)
     queries = uniform_queries(tree.layout.all_keys(), args.queries, rng=rng)
-    cfg = SearchConfig(
-        stream_batch=max(args.queries // 8, 1), stream_mode="overlap"
-    )
+    cfg = SearchConfig(stream_batch=max(args.queries // 8, 1))
 
     with obs.recording() as rec:
         tree.search_stream(queries, cfg)

@@ -7,8 +7,9 @@
   block (§3.2.1 + §4.1's PSA order), and the per-level GPU work model
   (:func:`~repro.core.engine.traversal_profile`).
 * :mod:`repro.core.psa` — partially-sorted aggregation (§4.1).
-* :mod:`repro.core.stream` — double-buffered streaming executor overlapping
-  the PSA sort of the next batch with the traversal of the current (§4.1.3).
+* :mod:`repro.core.stream` — streaming executor: fixed-size batches, each
+  sorted, traversed and scattered on the calling thread, with per-stage
+  traces that decide §4.1.3's hiding condition.
 * :mod:`repro.core.ntg` — narrowed thread-group traversal model (§4.2).
 * :mod:`repro.core.update` — per-op batch updates with two-grained locking
   and auxiliary nodes (§3.2.2, Algorithm 1) — the scalar reference path.

@@ -26,22 +26,9 @@ class SearchConfig:
       :class:`~repro.gpusim.device.DeviceSpec` used for simulation; the
       simulator cross-checks).
     * ``profile_sample``: static-profiling sample size (paper: ~1000).
-    * ``engine``: host-side batch executor behind
-      :meth:`~repro.core.tree.HarmoniaTree.search_many` — ``"compacted"``
-      runs the packed-leaf lookup engine
-      (:class:`~repro.core.engine.BatchQueryEngine`), ``"naive"`` the
-      per-query broadcast traversal (the test oracle).
-    * ``engine_workers`` / ``engine_min_parallel``: sharded execution —
-      batches of at least ``engine_min_parallel`` queries are split into
-      ``engine_workers`` contiguous chunks over a thread pool.
-    * ``stream_*``: the §4.1.3 streaming executor behind
-      :meth:`~repro.core.tree.HarmoniaTree.search_stream`.  Traffic is cut
-      into ``stream_batch``-query batches; ``stream_mode="overlap"``
-      pipelines the PSA sort of batch *i+1* under the traversal of batch
-      *i* on ``stream_sort_workers`` background thread(s), with
-      ``stream_depth`` reusable buffer slots bounding the in-flight
-      lookahead (``depth - 1`` sorts ahead).  ``"serial"`` runs the stages
-      back to back per batch — the ablation baseline.
+    * ``stream_batch``: queries per batch of the §4.1.3 streaming
+      executor behind :meth:`~repro.core.tree.HarmoniaTree.search_stream`
+      (sort → traverse → scatter per batch, on the calling thread).
     * ``trace``: per-call observability scope
       (:class:`~repro.obs.registry.TraceConfig`).  ``None`` (the default)
       inherits the ambient recorder — the no-op singleton unless inside
@@ -66,19 +53,7 @@ class SearchConfig:
     #: hypothesis suite pins byte-identical results against.
     ntg_per_level: bool = True
     seed: int = 0x5EED
-    engine: str = "compacted"
-    engine_workers: int = 1
-    engine_min_parallel: int = 1 << 15
     stream_batch: int = 1 << 14
-    stream_depth: int = 2
-    stream_sort_workers: int = 1
-    stream_mode: str = "overlap"
-    #: Bounded-memory tiling of each stream batch's lookup (the FPGA
-    #: level-wise discipline, docs/join.md): ``None`` runs whole batches
-    #: through the engine; an integer drives them through the
-    #: :class:`~repro.join.tiles.TileScheduler` in tiles of this many
-    #: queries, so peak lookup scratch is O(tile) whatever the batch size.
-    stream_tile: Optional[int] = None
     trace: Optional[TraceConfig] = None
 
     def __post_init__(self) -> None:
@@ -103,26 +78,7 @@ class SearchConfig:
                 )
         if self.ntg_profile_levels is not None:
             ensure_positive("ntg_profile_levels", self.ntg_profile_levels)
-        if self.engine not in ("naive", "compacted"):
-            raise ConfigError(
-                f"engine must be 'naive'|'compacted', got {self.engine!r}"
-            )
-        ensure_positive("engine_workers", self.engine_workers)
-        ensure_positive("engine_min_parallel", self.engine_min_parallel)
         ensure_positive("stream_batch", self.stream_batch)
-        ensure_positive("stream_sort_workers", self.stream_sort_workers)
-        if self.stream_mode not in ("serial", "overlap"):
-            raise ConfigError(
-                f"stream_mode must be 'serial'|'overlap', got {self.stream_mode!r}"
-            )
-        min_depth = 2 if self.stream_mode == "overlap" else 1
-        if self.stream_depth < min_depth:
-            raise ConfigError(
-                f"stream_depth must be >= {min_depth} for "
-                f"stream_mode={self.stream_mode!r}, got {self.stream_depth}"
-            )
-        if self.stream_tile is not None:
-            ensure_positive("stream_tile", self.stream_tile)
 
     # Convenience presets matching the paper's ablation (Figure 13).
     @classmethod

@@ -12,8 +12,9 @@ of the batch over that block, a gather of the values, and a miss mask —
 the internal levels are never walked.  PSA (§4.1) still pays on the host:
 a PSA-ordered batch makes neighbouring binary searches land on
 neighbouring leaves, which measures ~4× faster than the same batch in
-arrival order on a 2^20-key tree.  Large batches can be split into
-contiguous chunks over a thread pool (NumPy's kernels release the GIL).
+arrival order on a 2^20-key tree.  The lookup runs on the calling thread:
+splitting a batch over a thread pool measured 1.15–2.11× *slower* than
+one thread on a 2-vCPU host, so the engine has no pool.
 
 **The GPU work model** (:func:`traversal_profile`).  On the GPU the
 paper's kernel does walk the tree level by level, and the walk is what
@@ -41,8 +42,7 @@ holders re-bind by identity check — see
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -60,9 +60,6 @@ _clock = time.perf_counter
 #: to the per-query broadcast compare.
 GROUP_THRESHOLD = 8
 
-#: Batches smaller than this are not worth sharding across threads.
-DEFAULT_MIN_PARALLEL = 1 << 15
-
 
 @dataclass(frozen=True)
 class EngineStats:
@@ -72,8 +69,8 @@ class EngineStats:
     ``l`` — for a PSA-grouped batch exactly the distinct nodes visited,
     the host-side analog of the simulator's ``gld_transactions``.
     ``grouped_levels`` / ``broadcast_levels`` count internal levels the
-    modelled kernel serves with each strategy.  ``n_chunks`` and
-    ``issue_sorted`` describe how the host lookup ran the batch.
+    modelled kernel serves with each strategy.  ``issue_sorted`` is the
+    batch's PSA metadata.
     """
 
     n_queries: int
@@ -81,7 +78,6 @@ class EngineStats:
     unique_nodes_per_level: np.ndarray  # (height,) int64
     grouped_levels: int
     broadcast_levels: int
-    n_chunks: int
     issue_sorted: Optional[bool]  #: PSA metadata, None when unknown
     #: Broadcast levels that sweep only the NTG scan window (a multiple
     #: of that level's degree) instead of the full row.
@@ -118,7 +114,6 @@ class EngineStats:
         if self.hinted:
             rec.counter("engine.hinted_batches")
         rec.counter("engine.node_reads", self.total_node_reads)
-        rec.counter("engine.chunks", self.n_chunks)
         nq = self.n_queries
         for lvl in range(self.height):
             u = int(self.unique_nodes_per_level[lvl])
@@ -197,8 +192,7 @@ def traversal_profile(
             if lvl:
                 node = parent[node - 1]
     return EngineStats(
-        nq, h, uniq, grouped, broadcast, 1 if nq else 0, issue_sorted,
-        capped, hinted,
+        nq, h, uniq, grouped, broadcast, issue_sorted, capped, hinted,
     )
 
 
@@ -208,7 +202,7 @@ class EngineScratch:
     ``array(name, shape)`` returns the cached buffer when the shape and
     dtype match the previous request under that name, else allocates a
     replacement — so repeated batches of the same shape allocate nothing.
-    Each worker thread owns its own scratch; buffers are never shared.
+    Each engine owns its own scratch; buffers are never shared.
     """
 
     __slots__ = ("_buffers",)
@@ -244,38 +238,26 @@ class BatchQueryEngine:
 
     Drop-in replacement for :func:`repro.core.search.search_batch`
     (bit-identical results on any query order); fastest when the batch
-    went through PSA first.  ``n_workers > 1`` splits batches of at least
-    ``min_parallel`` queries into contiguous chunks over a thread pool.
+    went through PSA first.  Runs on the calling thread.
     """
 
-    def __init__(
-        self,
-        layout: HarmoniaLayout,
-        n_workers: int = 1,
-        min_parallel: int = DEFAULT_MIN_PARALLEL,
-    ) -> None:
+    def __init__(self, layout: HarmoniaLayout) -> None:
         if not isinstance(layout, HarmoniaLayout):
             raise ConfigError("BatchQueryEngine needs a HarmoniaLayout")
-        if n_workers < 1:
-            raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
-        if min_parallel < 1:
-            raise ConfigError(f"min_parallel must be >= 1, got {min_parallel}")
         self.layout = layout
-        self.n_workers = int(n_workers)
-        self.min_parallel = int(min_parallel)
-        self._scratch = [EngineScratch() for _ in range(self.n_workers)]
+        self._scratch = EngineScratch()
         self._stats: Optional[EngineStats] = None
         #: What the next :attr:`last_stats` read profiles: ``(queries,
-        #: hinted, issue_sorted, n_chunks, scan_widths)``, where
+        #: hinted, issue_sorted, scan_widths)``, where
         #: ``scan_widths`` is a zero-argument callable or None.
         self._unprofiled: Optional[tuple] = None
 
     @property
     def scratch_nbytes(self) -> int:
-        """Bytes held by the shape-sticky scratch pools — the per-batch
+        """Bytes held by the shape-sticky scratch pool — the per-batch
         working set the tile scheduler budgets against (the packed leaf
         block belongs to the snapshot, not to the batch)."""
-        return sum(s.nbytes for s in self._scratch)
+        return self._scratch.nbytes
 
     @property
     def last_stats(self) -> Optional[EngineStats]:
@@ -288,13 +270,12 @@ class BatchQueryEngine:
         """
         pending = self._unprofiled
         if pending is not None:
-            q, hinted, issue_sorted, n_chunks, widths = pending
-            stats = traversal_profile(
+            q, hinted, issue_sorted, widths = pending
+            self._stats = traversal_profile(
                 self.layout, q, hinted=hinted,
                 scan_widths=widths() if widths is not None else None,
                 issue_sorted=issue_sorted,
             )
-            self._stats = replace(stats, n_chunks=n_chunks)
             self._unprofiled = None
         return self._stats
 
@@ -383,32 +364,17 @@ class BatchQueryEngine:
             )
         else:
             values = out
-        n_chunks = 0
         if nq:
             keys, vals = self.layout.packed_leaves()
-            if self.n_workers > 1 and nq >= max(self.min_parallel,
-                                               self.n_workers):
-                step = -(-nq // self.n_workers)  # ceil
-                bounds = [(s, min(s + step, nq)) for s in range(0, nq, step)]
-                with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-                    for f in [
-                        pool.submit(_search_packed, keys, vals, q[s:e],
-                                    values[s:e], self._scratch[i])
-                        for i, (s, e) in enumerate(bounds)
-                    ]:
-                        f.result()
-                n_chunks = len(bounds)
-            else:
-                _search_packed(keys, vals, q, values, self._scratch[0])
-                n_chunks = 1
+            _search_packed(keys, vals, q, values, self._scratch)
             if overlay is not None:
                 overlay(q, values)
         hinted, issue_sorted, widths = model
-        self._unprofiled = (q, hinted, issue_sorted, n_chunks, widths)
+        self._unprofiled = (q, hinted, issue_sorted, widths)
         if rec.enabled:
             t_lookup = _clock()
             rec.span_at("engine.lookup", t_start, t_lookup, cat="engine",
-                        nq=nq, chunks=n_chunks, issue_sorted=issue_sorted)
+                        nq=nq, issue_sorted=issue_sorted)
             self.last_stats.record_to(rec)
             rec.span_at("engine.profile", t_lookup, _clock(), cat="engine",
                         nq=nq, hinted=hinted)
@@ -442,7 +408,6 @@ __all__ = [
     "EngineScratch",
     "EngineStats",
     "GROUP_THRESHOLD",
-    "DEFAULT_MIN_PARALLEL",
     "ensure_ascending",
     "traversal_profile",
 ]

@@ -357,28 +357,18 @@ class HarmoniaTree:
                 self.delta.overlay_values(q, out)
             return out
 
-    def engine(self, config: Optional[SearchConfig] = None) -> BatchQueryEngine:
+    def engine(self) -> BatchQueryEngine:
         """The lookup engine bound to the current snapshot.
 
         Cached: rebuilt only when the layout snapshot is replaced (batch
-        update) or the worker configuration changes, so scratch buffers
-        persist across batches.  The packed leaf block lives on the
-        snapshot itself and is shared by every engine over it.
+        update), so scratch buffers persist across batches.  The packed
+        leaf block lives on the snapshot itself and is shared by every
+        engine over it.
         """
-        cfg = config or self.search_config
         layout = self.layout  # raises on an empty tree
         eng = self._engine
-        if (
-            eng is None
-            or eng.layout is not layout
-            or eng.n_workers != cfg.engine_workers
-            or eng.min_parallel != cfg.engine_min_parallel
-        ):
-            eng = BatchQueryEngine(
-                layout,
-                n_workers=cfg.engine_workers,
-                min_parallel=cfg.engine_min_parallel,
-            )
+        if eng is None or eng.layout is not layout:
+            eng = BatchQueryEngine(layout)
             self._engine = eng
         return eng
 
@@ -387,28 +377,19 @@ class HarmoniaTree:
         queries: Sequence[int],
         config: Optional[SearchConfig] = None,
     ) -> np.ndarray:
-        """Batched lookup through the configured engine (§4.1's pipeline:
-        PSA reorder → packed-leaf search → restore → delta overlay).
-
-        Bit-identical to :meth:`search_batch`; ``config.engine`` selects
-        the executor (``"compacted"`` by default, ``"naive"`` for the
-        oracle path) and ``config.engine_workers`` enables sharded
-        multi-threaded execution on large batches.
+        """Batched lookup through the engine (§4.1's pipeline: PSA
+        reorder → packed-leaf search → restore → delta overlay), on the
+        calling thread.  Bit-identical to :meth:`search_batch`, the
+        per-query broadcast oracle.
         """
         if self._layout is None:
             return self._no_snapshot(queries)
         cfg = config or self.search_config
-        overlay = self._overlay()
         with obs.scoped(cfg.trace):
             prepared = self.prepare_queries(queries, cfg)
-            if cfg.engine == "compacted":
-                return self.engine(cfg).execute_prepared(
-                    prepared, overlay=overlay
-                )
-            results = _search_batch(self._layout, prepared.queries)
-            if overlay is not None:
-                overlay(prepared.queries, results)
-            return prepared.psa.scatter_restore(results)
+            return self.engine().execute_prepared(
+                prepared, overlay=self._overlay()
+            )
 
     def _overlay(self):
         """The pinned delta's elementwise overlay pass, or None."""
@@ -457,7 +438,7 @@ class HarmoniaTree:
         cfg = config or self.search_config
         overlay = self._overlay()
         with obs.scoped(cfg.trace):
-            eng = self.engine(cfg)
+            eng = self.engine()
             if tile is not None:
                 from repro.join.tiles import TileScheduler
 
@@ -474,10 +455,9 @@ class HarmoniaTree:
         config: Optional[SearchConfig] = None,
     ) -> np.ndarray:
         """Batched lookup through the §4.1.3 streaming executor: traffic is
-        cut into ``config.stream_batch``-query batches and the PSA sort of
-        each next batch overlaps the traversal of the current one
-        (``config.stream_mode="overlap"``; ``"serial"`` is the unpipelined
-        baseline).  Bit-identical to :meth:`search_batch` /
+        cut into ``config.stream_batch``-query batches, each sorted,
+        traversed and scattered back on the calling thread, with per-stage
+        traces.  Bit-identical to :meth:`search_batch` /
         :meth:`search_many` on the same queries.
 
         Thread-safe: each call builds its own

@@ -10,7 +10,7 @@ neighbouring searches landing on neighbouring leaves.  This experiment
 measures both sides of the correspondence on one batch:
 
 * wall-clock: the naive per-query walk vs the engine's packed-leaf
-  lookup (and the sharded multi-worker variant);
+  lookup;
 * counters: the work model's ``unique_nodes_per_level`` total vs the
   simulator's ``gld_transactions``, for a PSA-grouped batch and for the
   arrival-order batch — both counters must move the same way, because
@@ -63,7 +63,6 @@ def run(scale="default", seed: int = 0) -> ExperimentResult:
     )
 
     engine = BatchQueryEngine(layout)
-    sharded = BatchQueryEngine(layout, n_workers=4, min_parallel=1 << 12)
     for label, psa in (
         ("arrival", identity_batch(queries)),
         ("psa", prepare_batch(queries, tree_size=layout.n_keys,
@@ -75,9 +74,6 @@ def run(scale="default", seed: int = 0) -> ExperimentResult:
         t_comp = _best_of(
             lambda: engine.execute(issued, issue_sorted=psa.issue_sorted)
         )
-        t_shard = _best_of(
-            lambda: sharded.execute(issued, issue_sorted=psa.issue_sorted)
-        )
         stats = engine.last_stats
         metrics = simulate_harmonia_search(layout, issued, gs, device=device)
         result.add_row(
@@ -85,7 +81,6 @@ def run(scale="default", seed: int = 0) -> ExperimentResult:
             n_queries=issued.size,
             naive_ms=round(t_naive * 1e3, 2),
             compacted_ms=round(t_comp * 1e3, 2),
-            sharded_ms=round(t_shard * 1e3, 2),
             speedup=round(t_naive / t_comp, 2),
             unique_nodes=stats.total_node_reads,
             compaction_ratio=round(stats.compaction_ratio, 1),

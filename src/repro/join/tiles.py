@@ -12,14 +12,13 @@ two caller-owned arrays are batch-sized; the resident working set is the
 engine scratch, and :class:`TileScheduler` *measures* that peak
 (``stream.tile_peak_bytes``) instead of estimating it.
 
-The scheduler is shared infrastructure: :func:`repro.join.merge_join`
-drives its probe stream through it and
-:class:`repro.core.stream.StreamExecutor` delegates its per-batch lookup
-to it when ``SearchConfig.stream_tile`` is set.
+The scheduler bounds memory for unbounded probe streams:
+:func:`repro.join.merge_join` drives its probe stream through it, and
+:meth:`repro.core.tree.HarmoniaTree.search_sorted_many` does when given
+``tile=``.  A streaming-executor batch is already bounded by
+``SearchConfig.stream_batch``, so the stream does not tile.
 
-Imports are deliberately shallow (engine/constants/errors/obs only) so
-``core/stream.py`` can import this module without a cycle through
-``core/tree.py``.
+Imports are deliberately shallow (engine/constants/errors/obs only).
 """
 
 from __future__ import annotations

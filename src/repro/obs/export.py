@@ -4,9 +4,9 @@ The Chrome trace targets ``chrome://tracing`` and Perfetto
 (https://ui.perfetto.dev): a ``{"traceEvents": [...]}`` object of
 complete ("X") events with microsecond timestamps relative to the
 registry's ``t0_s``.  Thread tracks come from the registry's per-thread
-track ids — the overlapped stream executor's sort spans land on worker
-tracks while traverse/scatter stay on track 0, so §4.1.3's overlap is
-directly visible as vertically stacked, horizontally overlapping bars.
+track ids: spans recorded on the calling thread (a stream batch's sort,
+traverse and scatter, back to back) sit on track 0, spans from other
+threads (the shard router's fan-out, an epoch drain) on worker tracks.
 
 Registries that merged remote payloads
 (:meth:`~repro.obs.registry.MetricsRegistry.merge_remote`) additionally

@@ -2,7 +2,7 @@
 
 Plain fixed-width text (no terminal deps).  The report leads with the
 paper-facing derived quantities — transactions per warp (Fig 2),
-unique nodes per level (Figs 5-7 / 12), the §4.1.3 overlap figures —
+unique nodes per level (Figs 5-7 / 12), §4.1.3's sort/traverse ratio —
 then lists every counter / gauge / histogram with its catalogued unit.
 """
 
@@ -108,12 +108,6 @@ def render_report(snapshot: Dict[str, Any]) -> str:
         status = "hidden" if hidden <= 1.0 else "NOT hidden"
         derived.append(f"  sort/traverse ratio (§4.1.3):   {_fmt(hidden)}  "
                        f"[sort {status}]")
-    overlap = gauges.get("stream.overlap_s")
-    wall = gauges.get("stream.wall_s")
-    if overlap is not None and wall:
-        derived.append(f"  measured overlap:               {_fmt(overlap)} s "
-                       f"of {_fmt(wall)} s wall "
-                       f"({overlap / wall:.1%})")
     qps = gauges.get("stream.throughput_qps")
     if qps is not None:
         derived.append(f"  stream throughput:              {_fmt(qps)} q/s")

@@ -51,7 +51,6 @@ TIME_EDGES_S: Tuple[float, ...] = tuple(
 COUNT_EDGES: Tuple[float, ...] = tuple(float(1 << i) for i in range(0, 25))
 BITS_EDGES: Tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 20.0,
                                  24.0, 32.0, 40.0, 48.0, 56.0, 64.0)
-DEPTH_EDGES: Tuple[float, ...] = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0)
 
 #: Fallback ladder for histogram names observed before being catalogued
 #: (kept so ad-hoc use in notebooks works; validation still flags them).
@@ -95,9 +94,6 @@ CATALOGUE: List[MetricSpec] = [
     MetricSpec("engine.node_reads", "counter", "nodes",
                "work model: distinct node-row reads (sum of frontier runs "
                "over levels) — the host analog of gld_transactions"),
-    MetricSpec("engine.chunks", "counter", "chunks",
-               "contiguous query chunks the host lookup ran (1 per batch "
-               "unless sharded over threads)"),
     MetricSpec("engine.hinted_batches", "counter", "batches",
                "batches profiled as the monotone dual walk "
                "(execute_hinted: frontier lower-bound hints + subtree "
@@ -117,9 +113,6 @@ CATALOGUE: List[MetricSpec] = [
                "queries streamed end to end"),
     MetricSpec("stream.sort_passes", "counter", "passes",
                "radix counting passes executed by the stream's sort stage"),
-    MetricSpec("stream.queue_depth", "histogram", "batches",
-               "sorted batches in flight ahead of the traverse stage, sampled "
-               "at each consume (bounded by depth - 1)", edges=DEPTH_EDGES),
     MetricSpec("stream.sort_s", "histogram", "s",
                "per-batch sort-stage latency", edges=TIME_EDGES_S),
     MetricSpec("stream.traverse_s", "histogram", "s",
@@ -131,11 +124,6 @@ CATALOGUE: List[MetricSpec] = [
                "wall clock of the last stream run"),
     MetricSpec("stream.throughput_qps", "gauge", "queries/s",
                "end-to-end throughput of the last stream run"),
-    MetricSpec("stream.occupancy", "gauge", "ratio",
-               "fraction of the wall during which the traverse stage was busy"),
-    MetricSpec("stream.overlap_s", "gauge", "s",
-               "measured wall time a sort and a traverse/scatter were in "
-               "flight simultaneously (§4.1.3's overlap)"),
     MetricSpec("stream.sort_hidden_ratio", "gauge", "ratio",
                "steady-state sort / traverse time; <= 1.0 means §4.1.3's "
                "hiding condition holds"),
@@ -339,9 +327,9 @@ CATALOGUE: List[MetricSpec] = [
                "one dual-tree merge-join (probe extraction through "
                "classification)"),
     MetricSpec("stream.sort", "span", "-",
-               "sort stage of one batch (worker thread in overlap mode)"),
+               "sort stage of one batch"),
     MetricSpec("stream.traverse", "span", "-",
-               "traverse stage of one batch (main thread)"),
+               "traverse stage of one batch"),
     MetricSpec("stream.scatter", "span", "-",
                "ordered delivery of one batch"),
     MetricSpec("psa.prepare", "span", "-",
@@ -503,7 +491,6 @@ __all__ = [
     "TIME_EDGES_S",
     "COUNT_EDGES",
     "BITS_EDGES",
-    "DEPTH_EDGES",
     "DEFAULT_EDGES",
     "lookup",
     "strip_namespace",

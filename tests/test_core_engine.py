@@ -71,11 +71,10 @@ class TestEngineScratch:
 class TestEngineUnits:
     def test_invalid_config(self, small_layout):
         with pytest.raises(ConfigError):
-            BatchQueryEngine(small_layout, n_workers=0)
-        with pytest.raises(ConfigError):
-            BatchQueryEngine(small_layout, min_parallel=0)
-        with pytest.raises(ConfigError):
             BatchQueryEngine("not a layout")
+        # The engine takes only a layout: it has no thread pool to size.
+        with pytest.raises(TypeError):
+            BatchQueryEngine(small_layout, n_workers=2)
 
     def test_group_threshold_splits_levels(self, medium_layout, medium_keys,
                                            rng):
@@ -130,29 +129,11 @@ class TestEngineUnits:
         q1 = np.sort(rng.integers(0, 1 << 34, 4_096).astype(np.int64))
         q2 = np.sort(rng.integers(0, 1 << 34, 4_096).astype(np.int64))
         eng.execute(q1)
-        buffers_before = dict(eng._scratch[0]._buffers)
+        buffers_before = dict(eng._scratch._buffers)
         eng.execute(q2)
         assert all(
-            eng._scratch[0]._buffers[k] is v for k, v in buffers_before.items()
+            eng._scratch._buffers[k] is v for k, v in buffers_before.items()
         )
-
-    def test_sharded_matches_single_worker(self, medium_layout, medium_keys, rng):
-        q = np.sort(rng.choice(medium_keys, 20_000))
-        solo = BatchQueryEngine(medium_layout)
-        sharded = BatchQueryEngine(medium_layout, n_workers=3, min_parallel=1)
-        a = solo.execute(q)
-        b = sharded.execute(q)
-        assert np.array_equal(a, b)
-        assert sharded.last_stats.n_chunks == 3
-        # Host chunking does not change the modelled GPU work.
-        assert np.array_equal(sharded.last_stats.unique_nodes_per_level,
-                              solo.last_stats.unique_nodes_per_level)
-        assert np.all(np.diff(sharded.last_stats.unique_nodes_per_level) >= 0)
-
-    def test_sharding_gated_by_min_parallel(self, medium_layout, medium_keys):
-        eng = BatchQueryEngine(medium_layout, n_workers=4, min_parallel=1 << 20)
-        eng.execute(medium_keys[:1_000])
-        assert eng.last_stats.n_chunks == 1
 
     def test_single_key_tree(self):
         layout = HarmoniaLayout.from_sorted(np.array([42], dtype=np.int64))
@@ -166,12 +147,6 @@ class TestTreeWiring:
         out = small_tree.search_many(small_keys[:100])
         assert np.array_equal(out, small_keys[:100])
         assert small_tree.last_engine_stats is not None
-
-    def test_search_many_naive_flag(self, small_tree, small_keys, rng):
-        q = np.concatenate([small_keys[:50], small_keys[:50] + 1])
-        a = small_tree.search_many(q, SearchConfig(engine="naive"))
-        b = small_tree.search_many(q, SearchConfig(engine="compacted"))
-        assert np.array_equal(a, b)
 
     def test_engine_rebound_after_update(self, small_tree, small_keys):
         small_tree.search_many(small_keys[:10])
@@ -190,10 +165,12 @@ class TestTreeWiring:
         assert np.all(out == NOT_FOUND)
 
     def test_config_rejects_bad_engine(self):
-        with pytest.raises(ConfigError):
-            SearchConfig(engine="warp-speed")
-        with pytest.raises(ConfigError):
-            SearchConfig(engine_workers=0)
+        # search_many has one executor; search_batch is the oracle.  The
+        # executor and thread-count knobs are gone, not ignored.
+        for knob in ({"engine": "naive"}, {"engine_workers": 2},
+                     {"engine_min_parallel": 16}):
+            with pytest.raises(TypeError):
+                SearchConfig(**knob)
 
 
 # ------------------------------------------------- property-based equivalence
@@ -271,10 +248,9 @@ def test_engine_psa_sorted_vs_unsorted(keys, fanout, bits, seed):
     keys=st.sets(key_strategy, min_size=1, max_size=300),
     fanout=fanout_strategy,
     use_psa=st.booleans(),
-    workers=st.sampled_from([1, 2]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_search_many_equals_search_batch(keys, fanout, use_psa, workers, seed):
+def test_search_many_equals_search_batch(keys, fanout, use_psa, seed):
     """End-to-end: HarmoniaTree.search_many is bit-identical to the
     search_batch oracle under every config combination."""
     karr = np.array(sorted(keys), dtype=np.int64)
@@ -284,9 +260,7 @@ def test_search_many_equals_search_batch(keys, fanout, use_psa, workers, seed):
         rng.choice(karr, 60),
         rng.integers(0, 1 << 48, 60),
     ]).astype(np.int64)
-    cfg = SearchConfig(
-        use_psa=use_psa, engine_workers=workers, engine_min_parallel=16
-    )
+    cfg = SearchConfig(use_psa=use_psa)
     assert np.array_equal(tree.search_many(q, cfg), tree.search_batch(q, cfg))
 
 

@@ -9,14 +9,7 @@ from hypothesis import strategies as st
 
 from repro.constants import NOT_FOUND, VALUE_DTYPE
 from repro.core.config import SearchConfig
-from repro.core.stream import (
-    STREAM_MODES,
-    BatchTrace,
-    StreamExecutor,
-    StreamStats,
-    _intersection_s,
-    _merge_intervals,
-)
+from repro.core.stream import BatchTrace, StreamExecutor, StreamStats
 from repro.core.tree import HarmoniaTree
 from repro.errors import ConfigError
 from repro.workloads.generators import make_key_set, uniform_queries
@@ -41,28 +34,18 @@ def stream_queries(stream_tree):
 
 
 class TestEquivalence:
-    """Stream executor ≡ search_batch ≡ search_many — batching, lookahead
-    depth, worker count and PSA on/off never change results."""
+    """Stream executor ≡ search_batch ≡ search_many — batching and PSA
+    on/off never change results."""
 
     @common_settings
     @given(
         batch_size=st.integers(min_value=1, max_value=9_500),
-        depth=st.integers(min_value=2, max_value=5),
-        sort_workers=st.integers(min_value=1, max_value=3),
-        mode=st.sampled_from(STREAM_MODES),
         use_psa=st.booleans(),
     )
     def test_stream_matches_oracles(
-        self, stream_tree, stream_queries, batch_size, depth, sort_workers,
-        mode, use_psa,
+        self, stream_tree, stream_queries, batch_size, use_psa,
     ):
-        cfg = SearchConfig(
-            use_psa=use_psa,
-            stream_batch=batch_size,
-            stream_depth=depth,
-            stream_sort_workers=sort_workers,
-            stream_mode=mode,
-        )
+        cfg = SearchConfig(use_psa=use_psa, stream_batch=batch_size)
         got = stream_tree.search_stream(stream_queries, cfg)
         assert np.array_equal(got, stream_tree.search_batch(stream_queries, cfg))
         assert np.array_equal(got, stream_tree.search_many(stream_queries, cfg))
@@ -86,7 +69,7 @@ class TestThreadSafety:
         """Four threads stream concurrently; per-call executors mean no
         shared scratch, so every thread gets exact results."""
         ref = stream_tree.search_batch(stream_queries)
-        cfg = SearchConfig(stream_batch=512, stream_depth=3)
+        cfg = SearchConfig(stream_batch=512)
         errors = []
 
         def worker():
@@ -107,7 +90,7 @@ class TestThreadSafety:
 
 class TestStats:
     def test_trace_and_stats_invariants(self, stream_tree, stream_queries):
-        ex = StreamExecutor(stream_tree.layout, batch_size=1000, mode="overlap")
+        ex = StreamExecutor(stream_tree.layout, batch_size=1000)
         ex.run(stream_queries)
         st_ = ex.last_stats
         assert isinstance(st_, StreamStats)
@@ -120,10 +103,12 @@ class TestStats:
             assert t.sort_start <= t.sort_end <= t.traverse_start
             assert t.traverse_start <= t.traverse_end <= t.scatter_start
             assert t.scatter_start <= t.scatter_end <= st_.wall_s + 1e-9
-        # The overlapped window can't exceed either stage's total time.
-        assert st_.overlapped_s <= st_.sort_s + 1e-9
-        assert st_.overlapped_s <= st_.traverse_s + st_.scatter_s + 1e-9
-        assert 0.0 <= st_.occupancy <= 1.0 + 1e-9
+        # One thread runs the stages back to back: batch i+1's sort
+        # starts after batch i's scatter ends.
+        for a, b in zip(st_.traces, st_.traces[1:]):
+            assert b.index == a.index + 1
+            assert a.scatter_end <= b.sort_start
+        assert st_.sort_s + st_.traverse_s + st_.scatter_s <= st_.wall_s + 1e-9
 
     def test_model_double_buffer_never_worse_than_serial(
         self, stream_tree, stream_queries
@@ -158,12 +143,6 @@ class TestStats:
         assert ex.last_stats.n_batches == 0
         assert ex.last_stats.model_total_s("serial") == 0.0
 
-    def test_interval_helpers(self):
-        merged = _merge_intervals([(0.0, 1.0), (0.5, 2.0), (3.0, 4.0), (5.0, 5.0)])
-        assert merged == [(0.0, 2.0), (3.0, 4.0)]
-        assert _intersection_s(merged, [(1.5, 3.5)]) == pytest.approx(1.0)
-        assert _intersection_s([], merged) == 0.0
-
 
 class TestValidation:
     def test_executor_rejects_bad_params(self, stream_tree):
@@ -171,19 +150,10 @@ class TestValidation:
         with pytest.raises(ConfigError):
             StreamExecutor(layout, batch_size=0)
         with pytest.raises(ConfigError):
-            StreamExecutor(layout, mode="triple_buffer")
-        with pytest.raises(ConfigError):
-            StreamExecutor(layout, mode="overlap", depth=1)
-        with pytest.raises(ConfigError):
-            StreamExecutor(layout, mode="serial", depth=0)
-        with pytest.raises(ConfigError):
-            StreamExecutor(layout, sort_workers=0)
-        with pytest.raises(ConfigError):
             StreamExecutor(layout, bits=-1)
         with pytest.raises(ConfigError):
             StreamExecutor("not a layout")
-        # serial mode with a single slot is legal.
-        StreamExecutor(layout, mode="serial", depth=1)
+        StreamExecutor(layout, batch_size=1)  # a one-query batch is legal
 
     def test_run_rejects_bad_out(self, stream_tree, stream_queries):
         ex = StreamExecutor(stream_tree.layout)
@@ -197,26 +167,10 @@ class TestValidation:
 
     def test_search_config_stream_fields(self):
         with pytest.raises(ConfigError):
-            SearchConfig(stream_mode="bogus")
-        with pytest.raises(ConfigError):
-            SearchConfig(stream_mode="overlap", stream_depth=1)
-        with pytest.raises(ConfigError):
             SearchConfig(stream_batch=0)
-        with pytest.raises(ConfigError):
-            SearchConfig(stream_sort_workers=0)
-        SearchConfig(stream_mode="serial", stream_depth=1)  # legal
+        SearchConfig(stream_batch=1)  # legal
 
     def test_empty_tree_streams_not_found(self, stream_queries):
         tree = HarmoniaTree.empty()
         out = tree.search_stream(stream_queries)
         assert np.all(out == NOT_FOUND)
-
-    def test_close_is_idempotent(self, stream_tree, stream_queries):
-        ex = StreamExecutor(stream_tree.layout, batch_size=4096)
-        ex.run(stream_queries)
-        ex.close()
-        ex.close()
-        # A closed executor lazily re-creates its pool on the next run.
-        assert np.array_equal(
-            ex.run(stream_queries), stream_tree.search_batch(stream_queries)
-        )

@@ -10,7 +10,10 @@ delta overlay, on every read surface.
   array of its input layout.
 * Truthful spans: the lookup and the work-model profile are recorded as
   two separate intervals.
+* One thread: every host point read runs on the caller's thread.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -79,17 +82,11 @@ def test_tree_surfaces_equal_oracle(case):
     assert np.array_equal(want, _expect(oracle, q))
     ordered = np.sort(q)
     want_sorted = search_batch(tree.layout, ordered)
-    for cfg in (SearchConfig(), SearchConfig(use_psa=False),
-                SearchConfig(engine_workers=3, engine_min_parallel=16)):
+    for cfg in (SearchConfig(), SearchConfig(use_psa=False)):
         assert np.array_equal(tree.search_many(q, cfg), want)
-    stream = SearchConfig(stream_batch=64, stream_mode="serial",
-                          stream_depth=1)
-    assert np.array_equal(tree.search_stream(q, stream), want)
-    assert np.array_equal(
-        tree.search_stream(q, SearchConfig(stream_batch=128,
-                                           stream_tile=32)),
-        want,
-    )
+    for batch in (64, 128):
+        stream = SearchConfig(stream_batch=batch)
+        assert np.array_equal(tree.search_stream(q, stream), want)
     assert np.array_equal(tree.search_sorted_many(ordered), want_sorted)
     assert np.array_equal(
         tree.search_sorted_many(ordered, hinted=False), want_sorted
@@ -250,3 +247,45 @@ def test_lookup_and_profile_are_separate_spans():
     assert snap["counters"]["engine.batches"] == 2
     assert snap["counters"]["engine.hinted_batches"] == 1
     assert any(k.startswith("ntg.level_degree.l") for k in snap["gauges"])
+
+
+# ------------------------------------------------------ the caller's thread
+
+
+def test_point_reads_start_no_thread(monkeypatch):
+    """search_many, search_sorted_many and search_stream start no thread,
+    on a plain tree and on a pinned concurrent-epoch snapshot with a
+    delta, and return what search_batch returns."""
+    keys = make_key_set(40_000, rng=26)
+    tree = HarmoniaTree.from_sorted(keys, fanout=16, fill=0.7)
+    mgr = EpochManager(HarmoniaTree.from_sorted(keys, fanout=16, fill=0.7),
+                       concurrent=True, drain_threshold=1 << 30)
+    top = int(keys.max())
+    mgr.submit_many(
+        [Operation("insert", top + 1 + i, i) for i in range(100)]
+        + [Operation("delete", int(k)) for k in keys[::97]]
+    )
+    mgr.flush()
+    pinned = mgr.pin()
+    assert pinned.delta is not None
+    rng = np.random.default_rng(27)
+    q = np.concatenate([rng.choice(keys, 1 << 15),
+                        np.arange(top - 50, top + 150)]).astype(np.int64)
+    ordered = np.sort(q)
+    stream = SearchConfig(stream_batch=1 << 12)
+
+    started = []
+    real_start = threading.Thread.start
+
+    def counting_start(self, *args, **kwargs):
+        started.append(self.name)
+        return real_start(self, *args, **kwargs)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    for reader in (tree, pinned):
+        want = reader.search_batch(q)
+        want_sorted = reader.search_batch(ordered)
+        assert np.array_equal(reader.search_many(q), want)
+        assert np.array_equal(reader.search_sorted_many(ordered), want_sorted)
+        assert np.array_equal(reader.search_stream(q, stream), want)
+    assert started == []

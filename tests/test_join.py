@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.constants import NOT_FOUND
-from repro.core.config import SearchConfig, UpdateConfig
+from repro.core.config import UpdateConfig
 from repro.core.engine import BatchQueryEngine, traversal_profile
 from repro.core.epoch import EpochManager
 from repro.core.tree import HarmoniaTree
@@ -319,16 +319,6 @@ class TestTileScheduler:
             BatchQueryEngine(tree.layout), TileConfig(tile_size=512)
         )
         assert np.array_equal(sched.run(q, hinted=True), baseline)
-
-    def test_stream_tile_config_matches_plain(self):
-        keys = make_key_set(4096, rng=87)
-        tree = _tree(keys, 88)
-        q = uniform_queries(keys, 4096, rng=89)
-        cfg = SearchConfig(stream_batch=1024, stream_tile=256)
-        assert np.array_equal(
-            tree.search_stream(q, cfg),
-            tree.search_many(q),
-        )
 
 
 # ------------------------------------------------------------ observability

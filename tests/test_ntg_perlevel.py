@@ -233,16 +233,6 @@ class TestChunkQuantum:
             tree.layout, prep.queries, scan_widths=None
         ).capped_levels
 
-    def test_sharded_engine_matches_solo_on_skewed_tree(self):
-        tree, survivors = make_skewed_tree()
-        q = uniform_queries(survivors, 4096, rng=10)
-        cfg = SearchConfig.full()
-        solo = tree.search_many(q, cfg)
-        sharded = tree.search_many(
-            q, cfg.with_(engine_workers=4, engine_min_parallel=1 << 8)
-        )
-        assert np.array_equal(solo, sharded)
-
 
 # ------------------------------------------------ caching-depth memory model
 
@@ -377,10 +367,8 @@ class TestPerLevelEquivalence:
         n_keys, fanout, keep_every, seed, nq = params
         tree, keys = _equiv_trees(n_keys, fanout, keep_every, seed)
         q = uniform_queries(keys, nq, rng=seed + 3)
-        stream_pl = CFG_PL.with_(stream_batch=256, stream_mode="serial",
-                                 stream_depth=1)
-        stream_gl = CFG_GL.with_(stream_batch=256, stream_mode="serial",
-                                 stream_depth=1)
+        stream_pl = CFG_PL.with_(stream_batch=256)
+        stream_gl = CFG_GL.with_(stream_batch=256)
         assert np.array_equal(
             tree.search_stream(q, stream_pl),
             tree.search_stream(q, stream_gl),

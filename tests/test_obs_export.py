@@ -26,7 +26,7 @@ def _sample_registry():
     reg.counter("engine.unique_nodes.l1", 30)
     reg.gauge("gpusim.transactions_per_warp", 3.25)
     reg.gauge("stream.sort_hidden_ratio", 0.4)
-    reg.histogram("stream.queue_depth", 1)
+    reg.histogram("stream.sort_s", 1e-3)
     reg.span_at("stream.sort", reg.t0_s + 0.001, reg.t0_s + 0.003,
                 cat="stream", tid=999, batch=0)
     reg.span_at("stream.traverse", reg.t0_s + 0.002, reg.t0_s + 0.005,
@@ -148,13 +148,24 @@ class TestObsCLI:
         assert snap_path.exists() and trace_path.exists()
 
         trace = json.loads(trace_path.read_text())
-        sorts = [e for e in trace["traceEvents"]
-                 if e.get("ph") == "X" and e["name"] == "stream.sort"]
-        travs = [e for e in trace["traceEvents"]
-                 if e.get("ph") == "X" and e["name"] == "stream.traverse"]
-        assert sorts and travs
-        # overlap mode: sort spans live on worker tracks, traverses on main
-        assert {e["tid"] for e in sorts}.isdisjoint({e["tid"] for e in travs})
+        ev = [e for e in trace["traceEvents"] if e.get("ph") == "X"]
+        (run,) = [e for e in ev if e["name"] == "stream.run"]
+        sorts = [e for e in ev if e["name"] == "stream.sort"]
+        travs = [e for e in ev if e["name"] == "stream.traverse"]
+        # One sort and one traverse span per batch ...
+        n = run["args"]["batches"]
+        assert n > 1
+        assert sorted(e["args"]["batch"] for e in sorts) == list(range(n))
+        assert sorted(e["args"]["batch"] for e in travs) == list(range(n))
+        # ... each batch's sort ends before its traverse starts, and all
+        # of them lie inside stream.run (eps: float rounding in µs).
+        eps = 1e-3
+        trav = {e["args"]["batch"]: e for e in travs}
+        for e in sorts:
+            assert e["ts"] + e["dur"] <= trav[e["args"]["batch"]]["ts"] + eps
+        lo, hi = run["ts"] - eps, run["ts"] + run["dur"] + eps
+        assert all(lo <= e["ts"] and e["ts"] + e["dur"] <= hi
+                   for e in sorts + travs)
 
         assert cli_main(["obs", "validate", str(snap_path)]) == 0
         assert cli_main(["obs", "report", str(snap_path)]) == 0

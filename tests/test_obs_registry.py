@@ -16,7 +16,7 @@ from repro.obs.registry import (
     TraceConfig,
 )
 from repro.obs.schema import (
-    DEPTH_EDGES,
+    BITS_EDGES,
     SCHEMA_VERSION,
     default_edges_for,
     lookup,
@@ -101,9 +101,9 @@ class TestHistogram:
 
     def test_registry_uses_catalogue_edges(self):
         reg = MetricsRegistry()
-        reg.histogram("stream.queue_depth", 3)
+        reg.histogram("psa.bits_sorted", 12)
         snap = reg.snapshot()
-        assert tuple(snap["histograms"]["stream.queue_depth"]["edges"]) == DEPTH_EDGES
+        assert tuple(snap["histograms"]["psa.bits_sorted"]["edges"]) == BITS_EDGES
 
     def test_default_edges_for_uncatalogued(self):
         assert default_edges_for("no.such.histogram") == default_edges_for(
@@ -235,7 +235,7 @@ class TestThreadSafety:
         def work():
             for _ in range(n_iter):
                 reg.counter("stream.queries", 2)
-                reg.histogram("stream.queue_depth", 1)
+                reg.histogram("stream.sort_s", 1e-3)
                 reg.span_at("stream.sort", reg.t0_s, reg.t0_s + 1e-6)
 
         threads = [threading.Thread(target=work) for _ in range(n_threads)]
@@ -246,7 +246,7 @@ class TestThreadSafety:
         total = n_threads * n_iter
         assert reg.counter_value("stream.queries") == 2 * total
         snap = reg.snapshot()
-        assert snap["histograms"]["stream.queue_depth"]["count"] == total
+        assert snap["histograms"]["stream.sort_s"]["count"] == total
         assert snap["spans"]["count"] + snap["spans"]["dropped"] == total
 
     def test_worker_tracks_are_stable_and_distinct(self):

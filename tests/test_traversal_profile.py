@@ -129,7 +129,7 @@ def test_profile_edges():
     tree, keys = _plain(20000, 16, 3)
     layout = tree.layout
     empty = traversal_profile(layout, np.empty(0, dtype=np.int64))
-    assert empty.n_queries == 0 and empty.n_chunks == 0
+    assert empty.n_queries == 0
     assert empty.total_node_reads == 0 and empty.compaction_ratio == 1.0
     single = HarmoniaTree.from_sorted([42]).layout
     one = traversal_profile(single, np.array([41, 42, 43], dtype=np.int64))
