@@ -8,9 +8,10 @@ on CPU-bound batch replay and fan-out query service:
 * **scatter** — one ``np.searchsorted`` pass routes every query / op to
   its shard; a stable argsort groups the batch per shard (arrival order
   is preserved inside each shard, the invariant update replay needs);
-* **dispatch** — per-shard slices go to the workers concurrently (the
-  router threads block on the workers' pipes, so worker CPU runs truly
-  in parallel); arrays travel through shared memory, never pickle
+* **dispatch** — from the caller's thread, every involved shard's
+  request is sent first and the replies are then read in the order they
+  complete, so the workers compute in parallel while the router waits
+  on all their pipes at once; arrays travel as raw bytes, never pickle
   (:class:`~repro.shard.transport.ShardChannel`);
 * **gather** — results scatter back into caller order through the
   routing permutation (searches), sum into one
@@ -24,10 +25,14 @@ deterministic function of its **base snapshot** (the arrays it was
 loaded with) plus the **op log** (the batches routed to it since), both
 of which the router keeps.  A dead worker — detected by liveness checks
 or a broken pipe mid-call — is restarted and rebuilt from snapshot +
-log replay, then the failed call is retried; :meth:`checkpoint` folds
-the log back into the base to bound replay cost, and :meth:`rebalance`
-re-cuts the key space by fresh quantiles (merging shrunken shards,
-splitting swollen ones) when the size skew exceeds a threshold.
+log replay, then the failed request is re-sent once.  A batch enters a
+shard's op log when the router reads that shard's full reply, so the
+log always equals what the worker acknowledged; a request that fails
+any other way restarts every shard whose reply was not read.
+:meth:`checkpoint` folds the log back into the base to bound replay
+cost, and :meth:`rebalance` re-cuts the key space by fresh quantiles
+(merging shrunken shards, splitting swollen ones) when the size skew
+exceeds a threshold.
 
 Everything is observable through the ``shard.*`` metric family
 (docs/observability.md): scatter/dispatch/gather spans, per-shard batch
@@ -49,9 +54,10 @@ from __future__ import annotations
 import multiprocessing as mp
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from multiprocessing.connection import wait
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,13 +71,17 @@ from repro.core.update import BatchResult, Operation
 from repro.core.update_plan import _KIND_CODE
 from repro.errors import ConfigError
 from repro.shard.partition import Partitioner
-from repro.shard.transport import DEFAULT_CAPACITY_BYTES, ShardChannel
+from repro.shard.transport import ShardChannel
 from repro.shard.worker import worker_main
 from repro.utils.validation import ensure_key_array, ensure_scalar_key
 
-T = TypeVar("T")
-
 _clock = time.perf_counter
+
+#: What a dead worker's pipe raises (BrokenPipeError is an OSError).
+_DEAD = (EOFError, OSError)
+
+#: One shard's part of a request: ``(shard index, *payload)``.
+Job = Tuple[Any, ...]
 
 
 @dataclass
@@ -89,7 +99,8 @@ class _Shard:
     base_values: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=VALUE_DTYPE)
     )
-    #: Op batches routed since the base (wire triples: kinds/keys/values).
+    #: Op batches the worker acknowledged since the base (wire triples:
+    #: kinds/keys/values).
     oplog: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
         default_factory=list
     )
@@ -108,6 +119,25 @@ def _encode_ops(
         (op.value for op in ops), dtype=VALUE_DTYPE, count=n
     )
     return kinds, keys, values
+
+
+def _request(ch: ShardChannel, cmd: str, s: int,
+             ctx: Optional[TraceContext]) -> None:
+    """Send command ``cmd`` to shard ``s``, with its trace context when
+    the request is traced."""
+    if ctx is not None:
+        ch.send(cmd, ctx.for_shard(s))
+    else:
+        ch.send(cmd)
+
+
+def _expect(ch: ShardChannel, s: int, tag: str) -> tuple:
+    """Read one reply tuple, which must be tagged ``tag``; anything else
+    means the worker is gone."""
+    reply = ch.recv()
+    if not reply or reply[0] != tag:
+        raise EOFError(f"shard {s} wanted {tag!r}, got {reply!r}")
+    return reply
 
 
 class ShardedTree:
@@ -131,7 +161,6 @@ class ShardedTree:
         fill: float = 1.0,
         search_config: Optional[SearchConfig] = None,
         update_config: Optional[UpdateConfig] = None,
-        capacity_bytes: int = DEFAULT_CAPACITY_BYTES,
         concurrent: bool = False,
     ) -> None:
         self.partitioner = partitioner
@@ -147,15 +176,10 @@ class ShardedTree:
         cfg = search_config or SearchConfig()
         self.search_config = cfg.with_(trace=None)
         self.update_config = update_config or UpdateConfig()
-        self.capacity_bytes = int(capacity_bytes)
         self._closed = False
         self._shards: List[_Shard] = [
             self._spawn(i) for i in range(partitioner.n_shards)
         ]
-        self._pool = ThreadPoolExecutor(
-            max_workers=partitioner.n_shards,
-            thread_name_prefix="shard-router",
-        )
 
     # ------------------------------------------------------------- builders
 
@@ -169,7 +193,6 @@ class ShardedTree:
         fill: float = 1.0,
         search_config: Optional[SearchConfig] = None,
         update_config: Optional[UpdateConfig] = None,
-        capacity_bytes: int = DEFAULT_CAPACITY_BYTES,
         concurrent: bool = False,
     ) -> "ShardedTree":
         """Bulk-build: quantile-partition sorted ``keys`` and load one
@@ -184,8 +207,7 @@ class ShardedTree:
         part = Partitioner.from_keys(karr, n_shards)
         tree = cls(
             part, fanout=fanout, fill=fill, search_config=search_config,
-            update_config=update_config, capacity_bytes=capacity_bytes,
-            concurrent=concurrent,
+            update_config=update_config, concurrent=concurrent,
         )
         bounds = np.searchsorted(
             part.boundaries, karr, side="left"
@@ -203,7 +225,7 @@ class ShardedTree:
         return self.partitioner.n_shards
 
     def _spawn(self, index: int) -> _Shard:
-        router_side, worker_side = ShardChannel.pair(self.capacity_bytes)
+        router_side, worker_side = ShardChannel.pair()
         proc = mp.Process(
             target=worker_main,
             args=(worker_side, self.fanout, self.fill,
@@ -221,18 +243,20 @@ class ShardedTree:
         self, s: int, keys: np.ndarray, values: np.ndarray
     ) -> None:
         """Replace shard ``s``'s contents (and its rebuild base)."""
-        shard = self._shards[s]
-        with shard.lock:
-            ch = shard.channel
+
+        def send(job: Job, ch: ShardChannel) -> None:
             ch.send("load")
             ch.send_array(keys)
             ch.send_array(values)
-            reply = ch.recv()
-            if not reply or reply[0] != "loaded":  # pragma: no cover
-                raise ConfigError(f"shard {s} load failed: {reply!r}")
+
+        def recv(job: Job, ch: ShardChannel) -> None:
+            _expect(ch, s, "loaded")
+            shard = self._shards[s]
             shard.base_keys = keys
             shard.base_values = values
             shard.oplog = []
+
+        self._fan_out([(s,)], send, recv)
 
     def _restart_locked(self, s: int) -> None:
         """Rebuild a dead worker from base snapshot + op-log replay.
@@ -246,7 +270,7 @@ class ShardedTree:
         try:
             shard.channel.close()
         finally:
-            if shard.proc.is_alive():  # pragma: no cover — hung worker
+            if shard.proc.is_alive():  # hung, or holding an unread reply
                 shard.proc.terminate()
             shard.proc.join(timeout=5.0)
         fresh = self._spawn(s)
@@ -281,26 +305,115 @@ class ShardedTree:
         registry under this shard's namespace (traced requests only)."""
         if ctx is None:
             return
-        reply = ch.recv()
-        if not reply or reply[0] != "trace":  # pragma: no cover
-            raise EOFError(f"shard {s} trace got {reply!r}")
-        payload = reply[1]
+        payload = _expect(ch, s, "trace")[1]
         rec = obs.active
         if rec.enabled and payload is not None:
             rec.merge_remote(payload, prefix=shard_prefix(s))
 
-    def _call(self, s: int, fn: Callable[[ShardChannel], T]) -> T:
-        """Run one request against shard ``s``, restarting and retrying
-        once if the worker is dead or dies mid-call."""
-        shard = self._shards[s]
-        with shard.lock:
-            if shard.proc.is_alive():
-                try:
-                    return fn(shard.channel)
-                except (EOFError, OSError, BrokenPipeError):
-                    pass  # fall through to rebuild + retry
-            self._restart_locked(s)
-            return fn(shard.channel)
+    def _fan_out(
+        self,
+        jobs: Sequence[Job],
+        send: Callable[[Job, ShardChannel], None],
+        recv: Callable[[Job, ShardChannel], Any],
+        timeout: Optional[float] = None,
+    ) -> List[Any]:
+        """Run one request on every shard in ``jobs`` (ascending shard
+        order) from the caller's thread; returns ``recv``'s results in
+        job order.
+
+        All requests are sent before any reply is read; replies are read
+        as they complete.  A worker that is dead, dies mid-request or is
+        silent past ``timeout`` is restarted and its job re-run once; a
+        second failure propagates.  On any exception, every shard whose
+        reply was not fully read is restarted before its lock is
+        released, so no worker keeps an unlogged batch or a stale reply.
+        """
+        shards = [self._shards[job[0]] for job in jobs]
+        results: List[Any] = [None] * len(jobs)
+        retried = [False] * len(jobs)
+        unread = set()  # jobs sent whose reply is not fully read yet
+        pending = {}  # connection → index of the job awaiting its reply
+
+        def retry(i: int, exc: BaseException) -> None:
+            if retried[i]:
+                raise exc
+            retried[i] = True
+            self._restart_locked(shards[i].index)
+            send(jobs[i], shards[i].channel)
+            pending[shards[i].channel.conn] = i
+
+        with ExitStack() as held:
+            for shard in shards:
+                held.enter_context(shard.lock)
+            try:
+                for i, shard in enumerate(shards):
+                    unread.add(i)
+                    try:
+                        if not shard.proc.is_alive():
+                            raise EOFError(f"shard {shard.index} is dead")
+                        send(jobs[i], shard.channel)
+                        pending[shard.channel.conn] = i
+                    except _DEAD as exc:
+                        retry(i, exc)
+                while pending:
+                    ready = wait(list(pending), timeout)
+                    for conn in ready or list(pending):
+                        i = pending.pop(conn)
+                        try:
+                            if not ready:
+                                raise EOFError(
+                                    f"shard {shards[i].index} silent for "
+                                    f"{timeout}s")
+                            results[i] = recv(jobs[i], shards[i].channel)
+                            unread.discard(i)
+                        except _DEAD as exc:
+                            retry(i, exc)
+            except BaseException:
+                for i in sorted(unread):
+                    self._restart_locked(shards[i].index)
+                raise
+        return results
+
+    def _account(self, op: str, size: Tuple[str, int],
+                 times: Tuple[float, float, float, float],
+                 ctx: Optional[TraceContext], n_shards: int,
+                 counters: dict) -> None:
+        """Bookkeeping shared by the routed requests: the flight ring
+        always; ``counters``, the ``shard.request_s`` histogram and the
+        request/scatter/dispatch/gather spans when traced.  ``size`` is
+        the request's span argument (``("nq", n)`` …)."""
+        t0, t1, t2, t3 = times
+        FLIGHT.note(op, {"n": size[1], "shards": n_shards})
+        FLIGHT.latency(f"router.{op}", t3 - t0)
+        if ctx is None:
+            return
+        rec = obs.active
+        for name, value in counters.items():
+            rec.counter(name, value)
+        rec.counter("trace.requests")
+        rec.histogram("shard.request_s", t3 - t0)
+        tid = ctx.trace_id
+        sized = {size[0]: size[1]}
+        rec.span_at("shard.request", t0, t3, cat="shard", trace_id=tid,
+                    **sized)
+        rec.span_at("shard.scatter", t0, t1, cat="shard", trace_id=tid,
+                    **sized)
+        rec.span_at("shard.dispatch", t1, t2, cat="shard",
+                    shards=n_shards, trace_id=tid)
+        rec.span_at("shard.gather", t2, t3, cat="shard", trace_id=tid)
+        FLIGHT.publish(rec)
+
+    def _slices(self, bounds: np.ndarray, rec) -> List[Job]:
+        """``(shard, lo, hi)`` for every shard with a non-empty slice of
+        one scattered batch."""
+        jobs: List[Job] = []
+        for s in range(self.n_shards):
+            lo, hi = int(bounds[s]), int(bounds[s + 1])
+            if hi > lo:
+                jobs.append((s, lo, hi))
+                if rec.enabled:
+                    rec.histogram("shard.batch_size", hi - lo)
+        return jobs
 
     def close(self) -> None:
         """Stop all workers and release the channels (idempotent)."""
@@ -312,7 +425,7 @@ class ShardedTree:
                 try:
                     shard.channel.send("stop")
                     shard.channel.recv(timeout=2.0)
-                except (EOFError, OSError, BrokenPipeError):
+                except _DEAD:
                     pass
                 shard.channel.close()
                 if shard.proc.is_alive():
@@ -320,7 +433,6 @@ class ShardedTree:
                 if shard.proc.is_alive():  # pragma: no cover — hung worker
                     shard.proc.terminate()
                     shard.proc.join(timeout=2.0)
-        self._pool.shutdown(wait=False)
 
     def __enter__(self) -> "ShardedTree":
         return self
@@ -339,14 +451,12 @@ class ShardedTree:
     def ping(self, s: int, timeout: float = 5.0) -> Tuple[int, int]:
         """(epoch, n_keys) of shard ``s``; restarts it first if dead."""
 
-        def do(ch: ShardChannel) -> Tuple[int, int]:
-            ch.send("ping")
-            reply = ch.recv(timeout=timeout)
-            if not reply or reply[0] != "pong":
-                raise EOFError(f"shard {s} ping got {reply!r}")
+        def recv(job: Job, ch: ShardChannel) -> Tuple[int, int]:
+            reply = _expect(ch, s, "pong")
             return int(reply[1]), int(reply[2])
 
-        return self._call(s, do)
+        return self._fan_out([(s,)], lambda job, ch: ch.send("ping"), recv,
+                             timeout=timeout)[0]
 
     def health_check(self, timeout: float = 5.0) -> List[int]:
         """Ping every worker; dead ones are restarted and rebuilt.
@@ -392,8 +502,8 @@ class ShardedTree:
         return None if out[0] == NOT_FOUND else int(out[0])
 
     def search_many(self, queries: Sequence[int]) -> np.ndarray:
-        """Batched point lookup: scatter by boundary key, dispatch to all
-        owning workers concurrently, gather into caller order.
+        """Batched point lookup: scatter by boundary key, send every
+        owning worker its slice, gather into caller order.
 
         Identical results to ``HarmoniaTree.search_many`` on the same
         data (misses map to :data:`~repro.constants.NOT_FOUND`).
@@ -407,72 +517,29 @@ class ShardedTree:
         t0 = _clock()
         ids, order, bounds = self.partitioner.scatter(q)
         routed = q[order]
+        jobs = self._slices(bounds, rec)
         t1 = _clock()
 
-        def do_search(s: int, lo: int, hi: int) -> np.ndarray:
-            chunk = routed[lo:hi]
+        def send(job: Job, ch: ShardChannel) -> None:
+            s, lo, hi = job
+            _request(ch, "search", s, ctx)
+            ch.send_array(routed[lo:hi])
 
-            def call(ch: ShardChannel) -> np.ndarray:
-                if ctx is not None:
-                    ch.send("search", ctx.for_shard(s))
-                else:
-                    ch.send("search")
-                ch.send_array(chunk)
-                reply = ch.recv()
-                if not reply or reply[0] != "found":
-                    raise EOFError(f"shard {s} search got {reply!r}")
-                res = ch.recv_array()
-                self._recv_trace(s, ch, ctx)
-                return res
+        def recv(job: Job, ch: ShardChannel) -> np.ndarray:
+            _expect(ch, job[0], "found")
+            res = ch.recv_array()
+            self._recv_trace(job[0], ch, ctx)
+            return res
 
-            return self._call(s, call)
-
-        parts = self._dispatch(bounds, do_search, rec)
+        results = self._fan_out(jobs, send, recv)
         t2 = _clock()
-        for s, lo, hi, res in parts:
+        for (s, lo, hi), res in zip(jobs, results):
             out[order[lo:hi]] = res
         t3 = _clock()
-        FLIGHT.note("search", {"n": int(q.size), "shards": len(parts)})
-        FLIGHT.latency("router.search", t3 - t0)
-        if rec.enabled:
-            rec.counter("shard.batches")
-            rec.counter("shard.queries", q.size)
-            rec.counter("trace.requests")
-            rec.histogram("shard.request_s", t3 - t0)
-            rec.span_at("shard.request", t0, t3, cat="shard",
-                        trace_id=ctx.trace_id, nq=q.size)
-            rec.span_at("shard.scatter", t0, t1, cat="shard", nq=q.size,
-                        trace_id=ctx.trace_id)
-            rec.span_at("shard.dispatch", t1, t2, cat="shard",
-                        shards=len(parts), trace_id=ctx.trace_id)
-            rec.span_at("shard.gather", t2, t3, cat="shard",
-                        trace_id=ctx.trace_id)
-            FLIGHT.publish(rec)
+        self._account("search", ("nq", int(q.size)), (t0, t1, t2, t3),
+                      ctx, len(jobs),
+                      {"shard.batches": 1, "shard.queries": q.size})
         return out
-
-    def _dispatch(
-        self,
-        bounds: np.ndarray,
-        fn: Callable[[int, int, int], T],
-        rec,
-    ) -> List[Tuple[int, int, int, T]]:
-        """Fan one scattered batch out to every shard with a non-empty
-        slice; returns ``(shard, lo, hi, result)`` per dispatched slice."""
-        jobs: List[Tuple[int, int, int]] = []
-        for s in range(self.n_shards):
-            lo, hi = int(bounds[s]), int(bounds[s + 1])
-            if hi > lo:
-                jobs.append((s, lo, hi))
-                if rec.enabled:
-                    rec.histogram("shard.batch_size", hi - lo)
-        if len(jobs) == 1:
-            s, lo, hi = jobs[0]
-            return [(s, lo, hi, fn(s, lo, hi))]
-        futures = [
-            (s, lo, hi, self._pool.submit(fn, s, lo, hi))
-            for s, lo, hi in jobs
-        ]
-        return [(s, lo, hi, f.result()) for s, lo, hi, f in futures]
 
     # -------------------------------------------------------------- updates
 
@@ -485,9 +552,9 @@ class ShardedTree:
         identical to the unsharded path because an op's success depends
         only on same-key history.  Structural counters
         (``split_leaves`` …) are per-shard quantities and are summed as
-        such.  Acknowledged batches enter the shard's op log (the
-        restart-and-rebuild source); a crash mid-batch is retried after
-        rebuild, exactly once.
+        such.  A shard's slice enters its op log (the restart-and-rebuild
+        source) when the router reads that shard's full reply; a crash
+        mid-batch is retried after rebuild, exactly once.
         """
         rec = obs.active
         result = BatchResult()
@@ -499,57 +566,36 @@ class ShardedTree:
         kinds, keys, values = _encode_ops(ops)
         ids, order, bounds = self.partitioner.scatter(keys)
         rk, rkeys, rvals = kinds[order], keys[order], values[order]
+        jobs = self._slices(bounds, rec)
         t1 = _clock()
 
-        def do_apply(s: int, lo: int, hi: int):
-            sk = np.ascontiguousarray(rk[lo:hi])
-            skeys = np.ascontiguousarray(rkeys[lo:hi])
-            svals = np.ascontiguousarray(rvals[lo:hi])
+        def send(job: Job, ch: ShardChannel) -> None:
+            s, lo, hi = job
+            _request(ch, "apply", s, ctx)
+            ch.send_array(rk[lo:hi])
+            ch.send_array(rkeys[lo:hi])
+            ch.send_array(rvals[lo:hi])
 
-            def call(ch: ShardChannel):
-                if ctx is not None:
-                    ch.send("apply", ctx.for_shard(s))
-                else:
-                    ch.send("apply")
-                ch.send_array(sk)
-                ch.send_array(skeys)
-                ch.send_array(svals)
-                reply = ch.recv()
-                if not reply or reply[0] != "applied":
-                    raise EOFError(f"shard {s} apply got {reply!r}")
-                self._recv_trace(s, ch, ctx)
-                return reply[1:]
+        def recv(job: Job, ch: ShardChannel) -> tuple:
+            s, lo, hi = job
+            reply = _expect(ch, s, "applied")
+            self._recv_trace(s, ch, ctx)
+            self._shards[s].oplog.append(
+                (rk[lo:hi], rkeys[lo:hi], rvals[lo:hi])
+            )
+            return reply[1:]
 
-            counts = self._call(s, call)
-            return (sk, skeys, svals), counts
-
-        parts = self._dispatch(bounds, do_apply, rec)
+        results = self._fan_out(jobs, send, recv)
         t2 = _clock()
-        for s, _lo, _hi, (wire, counts) in parts:
-            self._shards[s].oplog.append(wire)
-            ins, upd, dele, fail, split = counts
+        for ins, upd, dele, fail, split in results:
             result.inserted += ins
             result.updated += upd
             result.deleted += dele
             result.failed += fail
             result.split_leaves += split
         t3 = _clock()
-        FLIGHT.note("apply", {"n": n, "shards": len(parts)})
-        FLIGHT.latency("router.apply", t3 - t0)
-        if rec.enabled:
-            rec.counter("shard.batches")
-            rec.counter("shard.ops", n)
-            rec.counter("trace.requests")
-            rec.histogram("shard.request_s", t3 - t0)
-            rec.span_at("shard.request", t0, t3, cat="shard",
-                        trace_id=ctx.trace_id, ops=n)
-            rec.span_at("shard.scatter", t0, t1, cat="shard", ops=n,
-                        trace_id=ctx.trace_id)
-            rec.span_at("shard.dispatch", t1, t2, cat="shard",
-                        shards=len(parts), trace_id=ctx.trace_id)
-            rec.span_at("shard.gather", t2, t3, cat="shard",
-                        trace_id=ctx.trace_id)
-            FLIGHT.publish(rec)
+        self._account("apply", ("ops", n), (t0, t1, t2, t3), ctx,
+                      len(jobs), {"shard.batches": 1, "shard.ops": n})
         return result
 
     def insert(self, key: int, value: int) -> bool:
@@ -598,7 +644,7 @@ class ShardedTree:
         lasts = self.partitioner.shard_of(hi_arr)
         valid = lo_arr <= hi_arr
         # Per shard: the (query, clipped-bounds) list it must scan.
-        jobs: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+        jobs: List[Job] = []
         for s in range(self.n_shards):
             qidx = np.flatnonzero(valid & (firsts <= s) & (lasts >= s))
             if qidx.size == 0:
@@ -614,30 +660,21 @@ class ShardedTree:
             jobs.append((s, qidx, clo, chi))
         t1 = _clock()
 
-        def do_range(s, qidx, clo, chi):
-            def call(ch: ShardChannel):
-                if ctx is not None:
-                    ch.send("range", ctx.for_shard(s))
-                else:
-                    ch.send("range")
-                ch.send_array(clo)
-                ch.send_array(chi)
-                reply = ch.recv()
-                if not reply or reply[0] != "ranged":
-                    raise EOFError(f"shard {s} range got {reply!r}")
-                counts = ch.recv_array()
-                keys = ch.recv_array()
-                vals = ch.recv_array()
-                self._recv_trace(s, ch, ctx)
-                return counts, keys, vals
+        def send(job: Job, ch: ShardChannel) -> None:
+            s, _qidx, clo, chi = job
+            _request(ch, "range", s, ctx)
+            ch.send_array(clo)
+            ch.send_array(chi)
 
-            return self._call(s, call)
+        def recv(job: Job, ch: ShardChannel):
+            _expect(ch, job[0], "ranged")
+            counts = ch.recv_array()
+            keys = ch.recv_array()
+            vals = ch.recv_array()
+            self._recv_trace(job[0], ch, ctx)
+            return counts, keys, vals
 
-        if len(jobs) == 1:
-            results = [do_range(*jobs[0])]
-        else:
-            futures = [self._pool.submit(do_range, *job) for job in jobs]
-            results = [f.result() for f in futures]
+        results = self._fan_out(jobs, send, recv)
         t2 = _clock()
 
         # Stitch: shards were visited in ascending order, so per query
@@ -660,21 +697,10 @@ class ShardedTree:
             else:
                 out.append(concat_sorted_runs(parts))
         t3 = _clock()
-        FLIGHT.note("range", {"n": n, "shards": len(jobs)})
-        FLIGHT.latency("router.range", t3 - t0)
-        if rec.enabled:
-            rec.counter("shard.range_queries", int(np.count_nonzero(valid)))
-            rec.counter("trace.requests")
-            rec.histogram("shard.request_s", t3 - t0)
-            rec.span_at("shard.request", t0, t3, cat="shard",
-                        trace_id=ctx.trace_id, ranges=n)
-            rec.span_at("shard.scatter", t0, t1, cat="shard", ranges=n,
-                        trace_id=ctx.trace_id)
-            rec.span_at("shard.dispatch", t1, t2, cat="shard",
-                        shards=len(jobs), trace_id=ctx.trace_id)
-            rec.span_at("shard.gather", t2, t3, cat="shard",
-                        trace_id=ctx.trace_id)
-            FLIGHT.publish(rec)
+        self._account(
+            "range", ("ranges", n), (t0, t1, t2, t3), ctx, len(jobs),
+            {"shard.range_queries": int(np.count_nonzero(valid))},
+        )
         return out
 
     # ---------------------------------------------------- rebalance / ckpt
@@ -682,14 +708,12 @@ class ShardedTree:
     def _dump(self, s: int) -> Tuple[np.ndarray, np.ndarray]:
         """Shard ``s``'s full sorted contents."""
 
-        def call(ch: ShardChannel):
-            ch.send("dump")
-            reply = ch.recv()
-            if not reply or reply[0] != "dumped":
-                raise EOFError(f"shard {s} dump got {reply!r}")
+        def recv(job: Job, ch: ShardChannel):
+            _expect(ch, s, "dumped")
             return ch.recv_array(), ch.recv_array()
 
-        return self._call(s, call)
+        return self._fan_out([(s,)], lambda job, ch: ch.send("dump"),
+                             recv)[0]
 
     def checkpoint(self) -> None:
         """Fold every shard's op log into its base snapshot.

@@ -1,35 +1,34 @@
-"""Shared-memory numpy transport between the router and one worker.
+"""Pipe transport for numpy arrays between the router and one worker.
 
-Key and value arrays never cross the process boundary through pickle:
-each worker channel owns one anonymous shared-memory block
-(``multiprocessing.RawArray``, plain ``mmap`` pages — inherited on fork,
-transferred by handle on spawn), and both sides view it as numpy arrays.
-The control :class:`~multiprocessing.connection.Connection` (pipe)
-carries only tiny tuples — command names, element counts, dtype codes,
-accounting integers.
+Each router↔worker link is one duplex
+:class:`~multiprocessing.connection.Connection` (a Unix socket pair).
+Control tuples — command names, element counts, dtype codes, accounting
+integers — go through ``Connection.send`` / ``recv``.  Key and value
+arrays never cross the process boundary through pickle: an array is a
+small ``("arr", n, dtype_code)`` header tuple followed by the array's
+raw bytes, written with an ``os.write`` loop on the connection's file
+descriptor and read straight into the freshly allocated output with an
+``os.readv`` loop.
 
-The protocol is strictly lock-step (one request in flight per worker —
-the router serializes access with a per-worker lock), so a single block
-serves both directions.  Arrays larger than the block stream through it
-in capacity-sized windows with an ack handshake per window:
-
-    sender:   ("arr", total, dtype_code) → [write window; ("w", n); wait "ok"]*
-    receiver: read header → [copy window out of the block; send "ok"]*
-
-Copy-out is required only for the *assembled* result (the receiver
-concatenates windows); single-window payloads still pay one copy so the
-block can be reused immediately — that copy is a vectorized
-``ndarray.copy`` of the window, never element pickling.
+Mixing raw bytes with framed messages on one descriptor works because
+CPython's Unix ``Connection`` reads exactly the sizes its frames
+announce and never reads ahead: after ``recv`` returns the header, the
+array's bytes are the next bytes on the descriptor.  The protocol is
+request/reply (one request in flight per worker — the router holds a
+per-worker lock across the exchange), so each side always knows whether
+a tuple or an array comes next.  A peer that closes mid-array makes
+``recv_array`` raise :class:`EOFError`, as a closed pipe does for
+``recv``.
 
 **Trace piggyback.**  Distributed tracing (docs/observability.md) rides
-the same control pipe without a protocol fork: a traced command tuple
-carries a :class:`~repro.obs.trace.TraceContext` wire dict as its last
-element (``("search", {"trace_id": ..., "shard": s})``), and the worker
-appends one ``("trace", payload)`` tuple after its normal reply, where
+the same pipe without a protocol fork: a traced command tuple carries a
+:class:`~repro.obs.trace.TraceContext` wire dict as its last element
+(``("search", {"trace_id": ..., "shard": s})``), and the worker appends
+one ``("trace", payload)`` tuple after its normal reply, where
 ``payload`` is its registry's
 :meth:`~repro.obs.registry.MetricsRegistry.export_remote` dict.  The
-lock-step discipline makes this safe: the router sent the context, so
-it — and only it — knows to read the one extra tuple.  Untraced
+request/reply discipline makes this safe: the router sent the context,
+so it — and only it — knows to read the one extra tuple.  Untraced
 commands (including restart op-log replay) stay wire-identical to the
 pre-tracing protocol.
 """
@@ -37,6 +36,7 @@ pre-tracing protocol.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 from multiprocessing.connection import Connection
 from typing import Optional, Tuple
 
@@ -44,43 +44,27 @@ import numpy as np
 
 from repro.errors import ConfigError
 
-#: Default shared block capacity in bytes (64 Ki int64 slots).
-DEFAULT_CAPACITY_BYTES = (1 << 16) * 8
-
 _DTYPES = (np.dtype(np.int64), np.dtype(np.int8), np.dtype(np.float64))
 _DTYPE_CODE = {dt: i for i, dt in enumerate(_DTYPES)}
 
 
 class ShardChannel:
-    """One side of a router↔worker link: shared block + control pipe.
+    """One side of a router↔worker link: a duplex pipe.
 
-    Constructed in the router (:meth:`pair`); the worker side is rebuilt
-    from the same raw block and the peer connection inside the worker
-    process.  ``send_array`` / ``recv_array`` move numpy arrays through
-    the block; ``send`` / ``recv`` pass small control tuples on the pipe.
+    Constructed in the router (:meth:`pair`); the worker side travels to
+    the worker process with its arguments.  ``send`` / ``recv`` pass
+    small control tuples; ``send_array`` / ``recv_array`` move numpy
+    arrays as a header tuple plus raw bytes.
     """
 
-    def __init__(self, conn: Connection, raw, capacity_bytes: int) -> None:
+    def __init__(self, conn: Connection) -> None:
         self.conn = conn
-        self.raw = raw
-        self.capacity_bytes = int(capacity_bytes)
-        self._buf = np.frombuffer(raw, dtype=np.uint8)
-
-    # ------------------------------------------------------------- factory
 
     @classmethod
-    def pair(
-        cls, capacity_bytes: int = DEFAULT_CAPACITY_BYTES
-    ) -> Tuple["ShardChannel", "ShardChannel"]:
-        """A connected (router_side, worker_side) channel pair sharing one
-        block."""
-        if capacity_bytes < 8:
-            raise ConfigError(
-                f"capacity_bytes must be >= 8, got {capacity_bytes}"
-            )
-        raw = mp.RawArray("b", int(capacity_bytes))
+    def pair(cls) -> Tuple["ShardChannel", "ShardChannel"]:
+        """A connected (router_side, worker_side) channel pair."""
         a, b = mp.Pipe(duplex=True)
-        return cls(a, raw, capacity_bytes), cls(b, raw, capacity_bytes)
+        return cls(a), cls(b)
 
     # ------------------------------------------------------------- control
 
@@ -93,33 +77,19 @@ class ShardChannel:
             return None
         return self.conn.recv()
 
-    def poll(self, timeout: float = 0.0) -> bool:
-        return self.conn.poll(timeout)
-
     # -------------------------------------------------------------- arrays
 
-    def _view(self, dtype: np.dtype, n: int) -> np.ndarray:
-        return self._buf[: n * dtype.itemsize].view(dtype)
-
     def send_array(self, arr: np.ndarray) -> None:
-        """Stream ``arr`` through the shared block in windows."""
+        """Send ``arr`` as a header tuple followed by its raw bytes."""
         arr = np.ascontiguousarray(arr)
-        dtype = arr.dtype
-        code = _DTYPE_CODE.get(dtype)
+        code = _DTYPE_CODE.get(arr.dtype)
         if code is None:
-            raise ConfigError(f"unsupported transport dtype {dtype}")
-        window = self.capacity_bytes // dtype.itemsize
-        total = int(arr.size)
-        self.send("arr", total, code)
-        sent = 0
-        while sent < total:
-            n = min(window, total - sent)
-            self._view(dtype, n)[:] = arr[sent : sent + n]
-            self.send("w", n)
-            ack = self.conn.recv()
-            if ack != ("ok",):  # pragma: no cover — protocol violation
-                raise ConfigError(f"bad transport ack {ack!r}")
-            sent += n
+            raise ConfigError(f"unsupported transport dtype {arr.dtype}")
+        self.send("arr", int(arr.size), code)
+        fd = self.conn.fileno()
+        view = memoryview(arr).cast("B")
+        while view:
+            view = view[os.write(fd, view):]
 
     def recv_array(self) -> np.ndarray:
         """Receive one array announced by a peer :meth:`send_array`."""
@@ -127,16 +97,14 @@ class ShardChannel:
         if not (isinstance(header, tuple) and header and header[0] == "arr"):
             raise ConfigError(f"bad transport header {header!r}")
         _, total, code = header
-        dtype = _DTYPES[code]
-        out = np.empty(total, dtype=dtype)
-        got = 0
-        while got < total:
-            tag, n = self.conn.recv()
-            if tag != "w":  # pragma: no cover — protocol violation
-                raise ConfigError(f"bad transport window tag {tag!r}")
-            out[got : got + n] = self._view(dtype, n)
-            self.send("ok")
-            got += n
+        out = np.empty(total, dtype=_DTYPES[code])
+        fd = self.conn.fileno()
+        view = memoryview(out).cast("B")
+        while view:
+            n = os.readv(fd, [view])
+            if n == 0:
+                raise EOFError("peer closed mid-array")
+            view = view[n:]
         return out
 
     # ------------------------------------------------------------ lifecycle
@@ -148,4 +116,4 @@ class ShardChannel:
             pass
 
 
-__all__ = ["ShardChannel", "DEFAULT_CAPACITY_BYTES"]
+__all__ = ["ShardChannel"]

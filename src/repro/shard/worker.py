@@ -41,7 +41,7 @@ the ring to ``$HARMONIA_FLIGHT_DIR`` before the process dies.
 
 The module-level :func:`worker_main` is the process target (top-level so
 it is importable under the ``spawn`` start method too; under the default
-``fork`` the channel's raw block is inherited directly).
+``fork`` the channel's pipe is inherited directly).
 """
 
 from __future__ import annotations

@@ -1,10 +1,14 @@
 """Directed tests for the sharded service tier (repro.shard).
 
 Covers the pieces in isolation — partitioner routing/balancing, the
-shared-memory transport's windowed streaming, concat_sorted_runs — and
-the assembled service: lifecycle, restart-and-rebuild, checkpoint,
-rebalance, obs instrumentation, and the CLI entry.
+pipe transport's raw-byte arrays, concat_sorted_runs — and the
+assembled service: lifecycle, caller-thread routing, restart-and-rebuild
+(between calls and mid-request), op-log consistency after a failed
+request, checkpoint, rebalance, obs instrumentation, and the CLI entry.
 """
+
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from repro.core.update import Operation
 from repro.errors import ConfigError
 from repro.obs.schema import validate_snapshot
 from repro.shard import Partitioner, ShardChannel, ShardedTree
+from repro.shard import router as router_mod
 
 
 # --------------------------------------------------------------------------
@@ -133,10 +138,9 @@ class TestConcatSortedRuns:
 
 
 def _roundtrip(a, b, arr):
-    """Send on ``a``, drain on ``b`` — in a thread, because the windowed
-    protocol is lock-step (each window waits for the receiver's ack)."""
-    import threading
-
+    """Send on ``a``, drain on ``b`` — in a thread, because a payload
+    larger than the socket buffer blocks the sender until the receiver
+    reads."""
     got = {}
     t = threading.Thread(target=lambda: got.update(out=b.recv_array()))
     t.start()
@@ -148,20 +152,20 @@ def _roundtrip(a, b, arr):
 
 class TestShardChannel:
     def test_roundtrip_within_capacity(self):
-        a, b = ShardChannel.pair(capacity_bytes=1024)
+        a, b = ShardChannel.pair()
         arr = np.arange(32, dtype=np.int64)
         out = _roundtrip(a, b, arr)
         assert np.array_equal(out, arr)
         assert out.dtype == np.int64
 
     def test_roundtrip_windowed(self):
-        # 1 KiB block = 128 int64 slots; stream 1000 elements through it.
-        a, b = ShardChannel.pair(capacity_bytes=1024)
-        arr = np.arange(1000, dtype=np.int64)
+        # 8 MiB: many times any socket buffer, so both sides loop.
+        a, b = ShardChannel.pair()
+        arr = np.arange(1 << 20, dtype=np.int64)
         assert np.array_equal(_roundtrip(a, b, arr), arr)
 
     def test_dtypes(self):
-        a, b = ShardChannel.pair(capacity_bytes=1024)
+        a, b = ShardChannel.pair()
         for arr in (
             np.asarray([1, -2, 3], dtype=np.int8),
             np.asarray([1.5, -2.5], dtype=np.float64),
@@ -171,19 +175,24 @@ class TestShardChannel:
             assert np.array_equal(out, arr) and out.dtype == arr.dtype
 
     def test_unsupported_dtype(self):
-        a, _b = ShardChannel.pair(capacity_bytes=1024)
+        a, _b = ShardChannel.pair()
         with pytest.raises(ConfigError):
             a.send_array(np.asarray([1], dtype=np.uint16))
 
     def test_control_roundtrip_and_timeout(self):
-        a, b = ShardChannel.pair(capacity_bytes=64)
+        a, b = ShardChannel.pair()
         a.send("ping", 1)
         assert b.recv(timeout=5.0) == ("ping", 1)
         assert b.recv(timeout=0.01) is None
 
-    def test_capacity_validation(self):
-        with pytest.raises(ConfigError):
-            ShardChannel.pair(capacity_bytes=4)
+    def test_peer_closes_mid_array(self):
+        a, b = ShardChannel.pair()
+        # Announce 1000 int64 but deliver only 100 of them, then hang up.
+        a.send("arr", 1000, 0)
+        os.write(a.conn.fileno(), np.arange(100, dtype=np.int64).tobytes())
+        a.close()
+        with pytest.raises(EOFError):
+            b.recv_array()
 
 
 # --------------------------------------------------------------------------
@@ -309,6 +318,112 @@ class TestRestartAndRebuild:
         sharded._shards[0].channel.send("crash")
         sharded._shards[0].proc.join(timeout=10)
         assert sharded.search(1) == 11
+
+
+def _oracle_check(st, oracle):
+    """Point and range reads through ``st`` equal the dict ``oracle``."""
+    probe = np.asarray(sorted(set(oracle) | {1, 999, 3001, 5000}))
+    want = [oracle.get(int(k), NOT_FOUND) for k in probe]
+    assert st.search_many(probe).tolist() == want
+    (k, v), = st.range_search_batch([-10], [10_000])
+    assert k.tolist() == sorted(oracle)
+    assert v.tolist() == [oracle[key] for key in sorted(oracle)]
+
+
+def _kill_before_reply(monkeypatch, st, s):
+    """Make the router's next reply read from shard ``s`` find its worker
+    dead: the request was sent, the reply is lost with the process."""
+    shard = st._shards[s]
+
+    def killed(timeout=None):
+        shard.proc.kill()
+        shard.proc.join(timeout=10)
+        raise EOFError("worker killed before its reply was read")
+
+    monkeypatch.setattr(shard.channel, "recv", killed)
+
+
+class TestCallerThreadRouting:
+    def test_requests_start_no_thread(self, sharded):
+        before = set(threading.enumerate())
+        sharded.search_many(np.asarray([0, 2000, 3998]))
+        sharded.apply_batch([Operation("insert", 1, 11),
+                             Operation("insert", 3001, 31)])
+        sharded.range_search_batch([0, 1900], [100, 2100])
+        new = [t.name for t in threading.enumerate() if t not in before]
+        assert new == []
+        assert not any(t.name.startswith("shard-router")
+                       for t in threading.enumerate())
+
+    def test_kill_mid_search(self, monkeypatch, sharded):
+        q = np.asarray([0, 2000, 3998, 5])
+        _kill_before_reply(monkeypatch, sharded, 0)
+        assert sharded.search_many(q).tolist() == [0, 2000, 3998, NOT_FOUND]
+        assert sharded._shards[0].restarts == 1
+
+    def test_kill_mid_apply_applies_once(self, monkeypatch, sharded):
+        new_keys = [1, 5, 2001, 3999]  # odd: absent, both shards
+        oracle = {int(k): int(k) for k in KEYS}
+        oracle.update({k: 10 * k for k in new_keys})
+        _kill_before_reply(monkeypatch, sharded, 1)
+        res = sharded.apply_batch(
+            [Operation("insert", k, 10 * k) for k in new_keys]
+        )
+        assert res.inserted == len(new_keys) and res.failed == 0
+        assert sharded._shards[1].restarts == 1
+        _oracle_check(sharded, oracle)
+
+    def test_kill_mid_range(self, monkeypatch, sharded):
+        ref = HarmoniaTree.from_sorted(KEYS, fanout=16)
+        _kill_before_reply(monkeypatch, sharded, 0)
+        got = sharded.range_search_batch([100, 1500], [2900, 2500])
+        want = ref.range_search_batch([100, 1500], [2900, 2500])
+        for (gk, gv), (wk, wv) in zip(got, want):
+            assert np.array_equal(gk, wk) and np.array_equal(gv, wv)
+        assert sharded._shards[0].restarts == 1
+
+
+class TestOpLogMatchesAcks:
+    def test_failed_reply_keeps_log_equal_to_acks(self, monkeypatch,
+                                                  sharded):
+        """A non-retried failure reading shard 0's ``applied`` reply must
+        leave every op log equal to what its worker acknowledged."""
+        real_wait = router_mod.wait
+
+        def shard1_first(conns, timeout=None):
+            # Hold until every reply is in, then serve shard 1 first.
+            ready = real_wait(conns, timeout)
+            while len(ready) < len(conns):
+                ready = real_wait(conns, timeout)
+            return sorted(ready, key=lambda c: c is not shard1.conn)
+
+        shard0 = sharded._shards[0].channel
+        shard1 = sharded._shards[1].channel
+        real_recv = shard0.recv
+
+        def failing(timeout=None):
+            reply = real_recv(timeout)
+            if reply and reply[0] == "applied":
+                raise ConfigError("injected reply failure")
+            return reply
+
+        monkeypatch.setattr(router_mod, "wait", shard1_first,
+                            raising=False)
+        monkeypatch.setattr(shard0, "recv", failing)
+        with pytest.raises(ConfigError, match="injected"):
+            sharded.apply_batch([Operation("insert", 1, 11),
+                                 Operation("insert", 3001, 31)])
+        monkeypatch.undo()
+
+        oracle = {int(k): int(k) for k in KEYS}
+        oracle[3001] = 31  # shard 1 acknowledged; shard 0 did not
+        _oracle_check(sharded, oracle)
+        sharded._shards[1].channel.send("crash")
+        sharded._shards[1].proc.join(timeout=10)
+        assert sharded.health_check() == [1]
+        _oracle_check(sharded, oracle)
+        assert sharded.search(3001) == 31
+        assert sharded.search(1) is None
 
 
 class TestRebalance:
