@@ -16,8 +16,8 @@ base layout and overlay it on every read path:
 * point lookups: one filter lookup plus one ``np.searchsorted``; hit
   positions overwrite the base values, tombstone hits become
   :data:`~repro.constants.NOT_FOUND`;
-* range scans: the delta's slice of ``[lo, hi]`` is merged over the base
-  window, tombstones dropped;
+* range scans: one merge over the whole batch folds each window's delta
+  slice over its base window, tombstones dropped;
 * full iteration / dumps: one last-wins merge of the base items with
   the delta.
 
@@ -51,6 +51,7 @@ import numpy as np
 import repro.obs as obs
 from repro.constants import NOT_FOUND, VALUE_DTYPE
 from repro.core.merge import merge_last_wins
+from repro.core.search import RangeBatch, run_index
 from repro.core.update import BatchResult, Operation
 from repro.core.update_plan import K_DELETE, K_INSERT, K_UPDATE, _KIND_CODE
 
@@ -211,24 +212,40 @@ class DeltaView:
         )
         return keys, values
 
-    def merge_range(
-        self,
-        lo: int,
-        hi: int,
-        base_keys: np.ndarray,
-        base_values: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Merge the delta's ``[lo, hi]`` slice over one base range window."""
+    def merge_ranges(
+        self, base: RangeBatch, los: np.ndarray, his: np.ndarray
+    ) -> RangeBatch:
+        """Merge the delta's ``[lo, hi]`` slices over a whole batch of
+        base range windows at once (last wins, tombstones dropped).
+
+        Every entry is tagged with its query index; one stable sort on
+        ``(query, key)`` puts each delta entry right after the base entry
+        it replaces, so keeping the last of each ``(query, key)`` run is
+        the last-wins rule.  ``los``/``his`` are the validated bounds
+        ``base`` was scanned with.
+        """
         r = self.run
-        a = int(np.searchsorted(r.keys, lo, side="left"))
-        b = int(np.searchsorted(r.keys, hi, side="right"))
-        if a == b:
-            return base_keys, base_values
-        keys, (values,) = merge_last_wins(
-            base_keys, (base_values,), r.keys[a:b], (r.values[a:b],),
-            new_keep=~r.tombstones[a:b],
-        )
-        return keys, values
+        n = los.size
+        a = np.searchsorted(r.keys, los, side="left")
+        b = np.searchsorted(r.keys, his, side="right")
+        dcounts = np.maximum(b - a, 0)  # lo > hi: no delta entries
+        didx = run_index(a, dcounts)
+        if not didx.size:
+            return base
+        queries = np.arange(n)
+        qid = np.concatenate([np.repeat(queries, base.counts),
+                              np.repeat(queries, dcounts)])
+        keys = np.concatenate([base.keys, r.keys[didx]])
+        order = np.lexsort((keys, qid))  # stable: base before delta
+        qid, keys = qid[order], keys[order]
+        keep = np.ones(keys.size, dtype=bool)
+        keep[:-1] = (qid[1:] != qid[:-1]) | (keys[1:] != keys[:-1])
+        tombs = np.concatenate([np.zeros(base.keys.size, dtype=bool),
+                                r.tombstones[didx]])
+        keep &= ~tombs[order]
+        values = np.concatenate([base.values, r.values[didx]])[order]
+        return RangeBatch.from_counts(np.bincount(qid[keep], minlength=n),
+                                      keys[keep], values[keep])
 
 
 class DeltaFold(NamedTuple):

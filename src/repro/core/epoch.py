@@ -47,7 +47,7 @@ from repro.core.config import SearchConfig, UpdateConfig
 from repro.core.delta import DeltaIndex, resolve_batch
 from repro.core.layout import HarmoniaLayout
 from repro.core.merge import merge_last_wins
-from repro.core.search import contains_batch
+from repro.core.search import RangeBatch, contains_batch
 from repro.core.tree import HarmoniaTree
 from repro.core.update import BatchResult, Operation
 from repro.errors import ConfigError
@@ -225,7 +225,7 @@ class EpochManager:
 
     def range_search_batch(
         self, los: Sequence[int], his: Sequence[int]
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+    ) -> RangeBatch:
         """Batch of range scans, all against one pinned snapshot."""
         return self._snapshot().range_search_batch(los, his)
 

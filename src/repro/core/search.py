@@ -19,12 +19,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.constants import KEY_MAX, NOT_FOUND, VALUE_DTYPE
 from repro.core.layout import HarmoniaLayout
+from repro.errors import ConfigError
 from repro.utils.validation import ensure_key_array, ensure_scalar_key
 
 
@@ -168,7 +169,7 @@ def range_search(
 
     Thin wrapper over :func:`range_search_batch` so single- and
     multi-range scans share one vectorized code path (batched leaf
-    location + contiguous block slicing).
+    location + one gather of the windows' leaf rows).
     """
     lo = ensure_scalar_key(lo)
     hi = ensure_scalar_key(hi)
@@ -235,47 +236,115 @@ def contains_batch(
     return rows[np.arange(t.size), pos_c] == t
 
 
-def range_search_batch(
-    layout: HarmoniaLayout, los: Sequence[int], his: Sequence[int]
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Batch of range queries (list of per-query (keys, values) pairs).
-
-    All ``lo`` and ``hi`` leaves are located with *one* batched pass over
-    the cached routing bounds (:func:`locate_leaves_bounds`); each window
-    is then a contiguous block slice of the leaf region with ``KEY_MAX``
-    pads masked out (the flattened block cannot be searchsorted directly:
-    pads inside interior rows break global ordering).  The pad mask also
-    honors gapped leaves: slack slots and fully emptied leaves inside the
-    window drop out with the sentinels.  Only the per-query window
-    extraction — variable-size output — remains a loop.  This is the
-    single range-scan code path: the scalar :func:`range_search` and the
-    sharded global scan both route through it.
-    """
+def range_bounds(
+    los: Sequence[int], his: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Validated ``(los, his)`` key arrays of one range batch; every range
+    surface rejects misaligned bounds with :class:`ConfigError`."""
     lo_arr = ensure_key_array(np.asarray(los), "los")
     hi_arr = ensure_key_array(np.asarray(his), "his")
     if lo_arr.shape != hi_arr.shape:
-        raise ValueError("los and his must align")
+        raise ConfigError("los and his must align")
+    return lo_arr, hi_arr
+
+
+def run_index(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The runs ``starts[i] + arange(counts[i])``, concatenated."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - ends + counts, counts) + np.arange(total)
+
+
+class RangeBatch:
+    """The result of a batch of range scans in CSR form: query ``i``'s
+    pairs are ``keys[offsets[i]:offsets[i + 1]]`` and the same slice of
+    ``values``, ascending by key.
+
+    Acts as a sequence of per-query ``(keys, values)`` pairs (``len``,
+    iteration, indexing, unpacking); each pair is a pair of slice views
+    built on access, so producers and the transport handle three arrays
+    whatever the batch size.
+    """
+
+    __slots__ = ("offsets", "keys", "values")
+
+    def __init__(
+        self, offsets: np.ndarray, keys: np.ndarray, values: np.ndarray
+    ) -> None:
+        self.offsets = offsets  # (n + 1,) int64, offsets[0] == 0
+        self.keys = keys
+        self.values = values
+
+    @classmethod
+    def from_counts(
+        cls, counts: np.ndarray, keys: np.ndarray, values: np.ndarray
+    ) -> "RangeBatch":
+        """The batch whose query ``i`` holds ``counts[i]`` pairs."""
+        offsets = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return cls(offsets, keys, values)
+
+    @classmethod
+    def empty(cls, n: int = 0) -> "RangeBatch":
+        """``n`` empty windows."""
+        return cls(
+            np.zeros(n + 1, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=VALUE_DTYPE),
+        )
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Pairs per query."""
+        return np.diff(self.offsets)
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
+        i = range(len(self))[i]  # negative indices, IndexError
+        a, b = int(self.offsets[i]), int(self.offsets[i + 1])
+        return self.keys[a:b], self.values[a:b]
+
+    def __iter__(self):
+        keys, values = self.keys, self.values
+        off = self.offsets.tolist()
+        for a, b in zip(off, off[1:]):
+            yield keys[a:b], values[a:b]
+
+
+def range_search_batch(
+    layout: HarmoniaLayout, los: Sequence[int], his: Sequence[int]
+) -> RangeBatch:
+    """Batch of range queries as one :class:`RangeBatch`.
+
+    All ``lo`` and ``hi`` leaves are located with *one* batched pass over
+    the cached routing bounds (:func:`locate_leaves_bounds`); the leaf
+    rows of every window are then gathered at once (windows in query
+    order, rows ascending inside each) and masked with ``lo <= k <= hi``.
+    The mask drops the ``KEY_MAX`` pads and gapped slack, so emptied
+    leaves inside a window need no special case; row-major order of the
+    kept entries is CSR order.  This is the single range-scan code path:
+    the scalar :func:`range_search`, the tree, epoch and shard surfaces
+    all route through it.
+    """
+    lo_arr, hi_arr = range_bounds(los, his)
     n = lo_arr.size
     if n == 0:
-        return []
+        return RangeBatch.empty()
     leaves = locate_leaves_bounds(layout, np.concatenate([lo_arr, hi_arr]))
-    start_leaf, end_leaf = leaves[:n], leaves[n:]
-    empty = (
-        np.empty(0, dtype=layout.key_region.dtype),
-        np.empty(0, dtype=VALUE_DTYPE),
-    )
-    out: List[Tuple[np.ndarray, np.ndarray]] = []
-    for i in range(n):
-        lo, hi = int(lo_arr[i]), int(hi_arr[i])
-        if lo > hi:
-            out.append(empty)
-            continue
-        a, b = int(start_leaf[i]), int(end_leaf[i]) + 1
-        window_k = layout.leaf_keys[a:b].ravel()
-        window_v = layout.leaf_values[a:b].ravel()
-        mask = (window_k >= lo) & (window_k <= hi)
-        out.append((window_k[mask], window_v[mask]))
-    return out
+    first = leaves[:n]
+    # Leaf location is monotone, so lo <= hi implies first <= last.
+    nrows = np.where(lo_arr <= hi_arr, leaves[n:] - first + 1, 0)
+    rows = run_index(first, nrows)
+    keys = layout.leaf_keys[rows]
+    keep = keys >= np.repeat(lo_arr, nrows)[:, None]
+    keep &= keys <= np.repeat(hi_arr, nrows)[:, None]
+    # Entries kept up to each row's end, read at each window's last row.
+    kept = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=kept[1:])
+    offsets = kept[np.concatenate(([0], np.cumsum(nrows)))]
+    return RangeBatch(offsets, keys[keep], layout.leaf_values[rows][keep])
 
 
 __all__ = [
@@ -284,6 +353,9 @@ __all__ = [
     "traverse_batch",
     "search_batch",
     "contains_batch",
+    "RangeBatch",
+    "range_bounds",
+    "run_index",
     "range_search",
     "range_search_batch",
     "locate_leaves_batch",

@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +41,8 @@ from repro.core.ntg import (
 )
 from repro.core.psa import PSABatch, identity_batch, prepare_batch
 from repro.core.search import (
+    RangeBatch,
+    range_bounds,
     range_search_batch as _range_search_batch,
     search_batch as _search_batch,
     search_scalar,
@@ -486,34 +488,25 @@ class HarmoniaTree:
 
     def range_search(self, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
         """All pairs with ``lo <= key <= hi`` (keys ascending)."""
-        out = self.range_search_batch([lo], [hi])
-        return out[0]
+        return self.range_search_batch([lo], [hi])[0]
 
     def range_search_batch(
         self, los: Sequence[int], his: Sequence[int]
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Batch of range scans: one vectorized leaf-location pass for all
-        bounds, then per-query contiguous block slices (list of
-        ``(keys, values)`` pairs aligned with the inputs).  With a pinned
-        delta overlay each window is merged with the delta's slice of the
-        same bounds (last wins, tombstones dropped)."""
-        lo_arr = ensure_key_array(np.asarray(los), "los")
-        hi_arr = ensure_key_array(np.asarray(his), "his")
-        if lo_arr.shape != hi_arr.shape:
-            raise ValueError("los and his must align")
+    ) -> RangeBatch:
+        """Batch of range scans as one :class:`~repro.core.search.RangeBatch`
+        aligned with the inputs: one vectorized leaf-location pass for all
+        bounds, then one gather of every window's leaf rows.  A pinned
+        delta overlay is merged over the whole batch at once
+        (:meth:`~repro.core.delta.DeltaView.merge_ranges`: last wins,
+        tombstones dropped)."""
+        lo_arr, hi_arr = range_bounds(los, his)
         if self._layout is None:
-            empty_k = np.empty(0, dtype=np.int64)
-            empty_v = np.empty(0, dtype=np.int64)
-            base = [(empty_k, empty_v)] * lo_arr.size
+            base = RangeBatch.empty(lo_arr.size)
         else:
             base = _range_search_batch(self._layout, lo_arr, hi_arr)
         if self.delta is None:
             return base
-        return [
-            self.delta.merge_range(int(lo_arr[i]), int(hi_arr[i]), bk, bv)
-            if lo_arr[i] <= hi_arr[i] else (bk, bv)
-            for i, (bk, bv) in enumerate(base)
-        ]
+        return self.delta.merge_ranges(base, lo_arr, hi_arr)
 
     def items(self, start: Optional[int] = None):
         """Lazy cursor over ``(key, value)`` pairs in key order.

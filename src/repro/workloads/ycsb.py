@@ -168,8 +168,7 @@ def run_ycsb(
         if batch.range_bounds is not None:
             los, his = batch.range_bounds
             t0 = time.perf_counter()
-            for lo, hi in zip(los, his):
-                tree.range_search(int(lo), int(hi))
+            tree.range_search_batch(los, his)
             totals["range_s"] += time.perf_counter() - t0
             totals["ranges"] += los.size
         if batch.updates:

@@ -31,6 +31,7 @@ from repro.core.delta import (
     resolve_batch,
 )
 from repro.core.merge import concat_sorted_runs, merge_last_wins
+from repro.core.search import RangeBatch
 from repro.core.update import Operation
 from repro.errors import ConfigError
 
@@ -211,12 +212,22 @@ class TestDeltaView:
         assert keys.tolist() == sorted(model)
         assert values.tolist() == [model[k] for k in sorted(model)]
 
+        # One batch: the window [lo, hi], the same window again, and an
+        # inverted row between them that must stay empty.
         hi = lo + span
         in_r = [k for k in sorted(model) if lo <= k <= hi]
         rbk_mask = (bk >= lo) & (bk <= hi)
-        rkeys, rvalues = view.merge_range(lo, hi, bk[rbk_mask], bv[rbk_mask])
-        assert rkeys.tolist() == in_r
-        assert rvalues.tolist() == [model[k] for k in in_r]
+        wk, wv = bk[rbk_mask], bv[rbk_mask]
+        c = wk.size
+        base = RangeBatch(np.asarray([0, c, c, 2 * c], dtype=np.int64),
+                          np.concatenate([wk, wk]), np.concatenate([wv, wv]))
+        los = np.asarray([lo, hi + 1, lo], dtype=np.int64)
+        his = np.asarray([hi, lo, hi], dtype=np.int64)
+        merged = view.merge_ranges(base, los, his)
+        assert len(merged) == 3 and merged[1][0].size == 0
+        for rkeys, rvalues in (merged[0], merged[2]):
+            assert rkeys.tolist() == in_r
+            assert rvalues.tolist() == [model[k] for k in in_r]
 
     def test_tombstone_value_equal_to_sentinel_reads_absent(self):
         # A *stored* value equal to NOT_FOUND must read back as NOT_FOUND

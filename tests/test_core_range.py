@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.layout import HarmoniaLayout
-from repro.core.search import range_search, range_search_batch
+from repro.core.search import RangeBatch, range_search, range_search_batch
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +110,11 @@ class TestRangeBatchVectorized:
 
     def test_empty_batch(self, setup):
         layout, _ = setup
-        assert range_search_batch(layout, [], []) == []
+        out = range_search_batch(layout, [], [])
+        assert isinstance(out, RangeBatch)
+        assert len(out) == 0 and list(out) == []
+        assert out.offsets.tolist() == [0]
+        assert out.keys.size == 0 and out.values.size == 0
 
     def test_locate_leaves_batch_agrees_with_traversal(self, setup):
         from repro.core.search import locate_leaves_batch, traverse_batch
