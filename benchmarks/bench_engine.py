@@ -184,10 +184,10 @@ def measure_per_level_ntg(
 ) -> dict:
     """Per-level NTG vs the global single-width chooser on a skewed tree.
 
-    The tree is bulk-built full, then thinned to one key in ``keep_every``
-    per leaf via gapped deletes (compaction suppressed), so leaf occupancy
-    collapses while the internal separator levels stay dense — the
-    occupancy skew ``ntg_degree[depth]`` exists for.  Both paths run the
+    The layout is bulk-built full, then thinned to one key in
+    ``keep_every`` in place (:meth:`HarmoniaLayout.thinned`), so leaf
+    occupancy collapses while the internal separator levels stay dense —
+    the occupancy skew ``ntg_degree[depth]`` exists for.  Both paths run the
     same PSA-sorted batch through the GPU kernel simulator; the speedup
     metric is simulated *global memory transactions* (Figure 12's
     currency — the throughput proxy for a memory-bound GPU kernel), with
@@ -196,18 +196,13 @@ def measure_per_level_ntg(
     """
     from dataclasses import replace
 
-    from repro.core.config import UpdateConfig
-    from repro.core.update import Operation
+    from repro.core.layout import HarmoniaLayout
     from repro.gpusim import simulate_harmonia_search
 
     keys = make_key_set(1 << tree_log2, rng=seed)
-    tree = HarmoniaTree.from_sorted(keys, fanout=64, fill=1.0)
-    thin_cfg = UpdateConfig(
-        mode="gapped", gap_watermark=1.0, occupancy_low=0.0
-    )
-    doomed = keys[np.arange(keys.size) % keep_every != 0]
-    tree.apply_batch([Operation("delete", int(k)) for k in doomed], thin_cfg)
     survivors = keys[np.arange(keys.size) % keep_every == 0]
+    full = HarmoniaLayout.from_sorted(keys, fanout=64, fill=1.0)
+    tree = HarmoniaTree(full.thinned(survivors), fill=1.0)
     queries = uniform_queries(survivors, 1 << batch_log2, rng=seed + 1)
 
     cfg = SearchConfig.full()

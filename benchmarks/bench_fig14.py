@@ -1,9 +1,9 @@
 """Figure 14 bench — batch update throughput (both pipelines are real).
 
 Every Harmonia mode reports ``movement_share`` in ``extra_info`` — the
-fraction of the executor's phase time spent in the movement/compaction
-stage: the scalar reference pays a full movement rebuild per batch, the
-default gapped executor demotes it to a rare compaction epoch.
+fraction of the executor's phase time spent in the movement stage: the
+scalar reference's whole-tree movement pass, the default write's merge
+into the next packed leaf block.
 """
 
 import pytest
@@ -32,7 +32,7 @@ def _movement_share(result) -> float:
 
 
 def test_fig14_harmonia_batch_update(benchmark, update_world):
-    """The default executor — the gapped in-place absorber."""
+    """The default executor — resolve, then merge into the block."""
     keys, ops = update_world
 
     def run():

@@ -1,5 +1,5 @@
-"""Update bench — the per-op scalar reference path vs the production gapped
-executor (§3.2.2).
+"""Update bench — the per-op scalar reference path vs the production merge
+write (§3.2.2).
 
 Two entry points:
 
@@ -9,20 +9,23 @@ Two entry points:
 * a standalone emitter (``python benchmarks/bench_update.py [--smoke]``)
   that sweeps tree sizes x batch sizes x mixes and writes
   ``BENCH_update.json`` at the repo root.  The acceptance point (2^14
-  mixed ops on a 2^20-key tree) compares the gapped executor against the
-  best scalar configuration (per-op :class:`~repro.core.update.
-  BatchUpdater` under Algorithm 1 locking, best of 1 and 4 threads).  Every
-  row also carries the last time recorded for the retired vectorized
-  plan/apply/movement executor on that row (:data:`VECTORIZED_RECORD`), so
-  each mix shows whether gapped is slower than what it replaced; the
-  Figure 14 paper mix (5% insert / 95% update) must beat that record by
-  >= 1.5x with a movement-epoch time share < 15%, and absorb >= 0.8 of
-  its ops in place (also wired into CI via ``--gap-check``).
+  mixed ops on a 2^20-key tree) compares the production write
+  (:meth:`~repro.core.tree.HarmoniaTree.apply_batch`: resolve the batch
+  against the packed leaf block, merge the run into the next block)
+  against the best scalar configuration (per-op :class:`~repro.core.
+  update.BatchUpdater` under Algorithm 1 locking, best of 1 and 4
+  threads).  Every row also carries the last time recorded for the
+  retired vectorized plan/apply/movement executor on that row
+  (:data:`VECTORIZED_RECORD`), so each mix shows whether the write is
+  slower than what it replaced; the Figure 14 paper mix (5% insert / 95%
+  update) must beat that record by >= 1.5x, and no row may fall below
+  1.0x of its record (the 2^18 mixed row is also wired into CI via
+  ``--gap-check``).
 
 The scalar path mutates the layout it is given, so every scalar rep gets a
-fresh ``layout.copy()`` *outside* the timed region.  The gapped executor
-never mutates its input — reps re-run against the same snapshot, exactly
-how the :class:`~repro.core.epoch.EpochManager` drives it.
+fresh ``layout.copy()`` *outside* the timed region.  The merge write never
+mutates its input — reps re-run against the same snapshot, exactly how
+the :class:`~repro.core.epoch.EpochManager` drives it.
 """
 
 from __future__ import annotations
@@ -37,17 +40,15 @@ import numpy as np
 
 from repro.core import EpochManager, HarmoniaTree, UpdateConfig
 from repro.core.update import BatchUpdater
-from repro.core.update_plan import GappedBatchUpdater
 from repro.workloads.generators import make_key_set
 from repro.workloads.mixes import PAPER_UPDATE_MIX, UpdateMix, make_update_batch
 from benchmarks.conftest import BENCH_SCALE
 
-#: The emitter's sweep mix exercises every executor stage: absorbed
-#: updates, inserts and deletes, staged overflow and compaction epochs.
+#: The emitter's sweep mix: updates, inserts and deletes together.
 MIXED = UpdateMix(insert=0.1, update=0.8, delete=0.1)
-#: Insert-heavy mix for the fill-1.0 rows: every leaf starts full, so
-#: inserts overflow and the compaction epoch runs on every batch — the
-#: thin-margin case for the gapped executor.
+#: Insert-heavy mix for the fill-1.0 rows: every leaf starts full, so the
+#: scalar reference splits leaves on every batch and the merge grows the
+#: block most.
 INSERT_HEAVY = UpdateMix(insert=0.8, update=0.1, delete=0.1)
 
 #: Last recorded best-of time (seconds) of the retired vectorized
@@ -92,22 +93,18 @@ def test_update_scalar(benchmark, bench_keys, bench_tree):
     assert res.failed == 0
 
 
-def test_update_gapped(benchmark, bench_keys, bench_tree):
+def test_update_merge(benchmark, bench_keys, bench_tree):
     ops = _bench_ops(bench_keys)
-    base = bench_tree.layout
+    base = bench_tree.snapshot
 
     def run():
-        # Non-mutating: absorption happens on a private working copy.
+        # Non-mutating: the merge writes a fresh block.
         return HarmoniaTree(base, fill=0.7).apply_batch(
-            ops, UpdateConfig(mode="gapped")
+            ops, UpdateConfig(mode="merge")
         )
 
     res = benchmark.pedantic(run, rounds=3, iterations=1)
     benchmark.extra_info["ops"] = len(ops)
-    total = res.timer.total()
-    benchmark.extra_info["movement_share"] = (
-        round(res.timer.get("movement") / total, 4) if total > 0 else 0.0
-    )
     assert res.failed == 0
 
 
@@ -131,28 +128,27 @@ def _scalar_once(layout, fill, ops, n_threads):
 
 def measure(tree_log2: int, batch_log2: int, mix: str = "mixed",
             fill: float = 0.7, seed: int = 1234, reps: int = 3) -> dict:
-    """One sweep point: scalar (best of 1 and 4 threads) vs gapped, next
-    to the row's recorded vectorized time when there is one."""
+    """One sweep point: scalar (best of 1 and 4 threads) vs the merge
+    write, next to the row's recorded vectorized time when there is
+    one."""
     upd_mix = MIX_NAMES[mix]
     keys = make_key_set(1 << tree_log2, rng=seed)
     tree = HarmoniaTree.from_sorted(keys, fanout=64, fill=fill)
+    snap = tree.snapshot
     layout = tree.layout
     ops = make_update_batch(keys, 1 << batch_log2, mix=upd_mix,
                             rng=seed + 1)
 
     # Equivalence sanity before timing anything: identical accounting,
-    # content and query results (the physical layouts differ by design).
+    # content and query results.
     ref, ref_layout = _scalar_once(layout.copy(), fill, ops, n_threads=1)
-    gap = GappedBatchUpdater(layout, fill=fill)
-    gres = gap.run(ops)
+    written = HarmoniaTree(snap, fill=fill)
+    mres = written.apply_batch(ops)
     for field in ("inserted", "updated", "deleted", "failed"):
-        assert getattr(gres, field) == getattr(ref.result, field), field
-    assert gap.new_layout.n_keys == ref_layout.n_keys
-    assert np.array_equal(gap.new_layout.all_keys(), ref_layout.all_keys())
-    from repro.core.search import search_batch
-    probe = np.asarray([op.key for op in ops[: 1 << 12]], dtype=np.int64)
-    assert np.array_equal(search_batch(gap.new_layout, probe),
-                          search_batch(ref_layout, probe))
+        assert getattr(mres, field) == getattr(ref.result, field), field
+    for got, want in zip(written.snapshot.packed_leaves(),
+                         ref_layout.packed_leaves()):
+        assert np.array_equal(got, want)
 
     t_scalar = float("inf")
     scalar_threads = 1
@@ -165,11 +161,10 @@ def measure(tree_log2: int, batch_log2: int, mix: str = "mixed",
         if t < t_scalar:
             t_scalar, scalar_threads = t, n_threads
 
-    t_gap = _best_of(
-        lambda: GappedBatchUpdater(layout, fill=fill).run(ops), reps
+    t_merge = _best_of(
+        lambda: HarmoniaTree(snap, fill=fill).apply_batch(ops), reps
     )
-    phases = gres.timer
-    gap_total = phases.total()
+    phases = mres.timer
     n_ops = 1 << batch_log2
     row = {
         "tree_log2": tree_log2,
@@ -180,27 +175,17 @@ def measure(tree_log2: int, batch_log2: int, mix: str = "mixed",
         "fill": fill,
         "scalar_s": round(t_scalar, 6),
         "scalar_threads": scalar_threads,
-        "gapped_s": round(t_gap, 6),
-        "speedup": round(t_scalar / t_gap, 2),
-        "gapped_kops": round(n_ops / t_gap / 1e3, 1),
-        "plan_ms": round(phases.get("plan") * 1e3, 3),
-        "apply_ms": round(phases.get("apply") * 1e3, 3),
-        "movement_ms": round(phases.get("movement") * 1e3, 3),
-        "absorbed_ops": gap.absorbed_ops,
-        "replay_ops": gap.overflow_ops,
-        "split_leaves": gres.split_leaves,
-        "moved_clean": gres.moved_clean,
-        "rebuilt_dirty": gres.rebuilt_dirty,
-        "gapped_movement_share": round(
-            phases.get("movement") / gap_total, 4
-        ) if gap_total > 0 else 0.0,
-        "gap_absorption": round(gap.absorbed_ops / max(n_ops, 1), 4),
-        "movement_epochs": gap.movement_epochs,
+        "merge_s": round(t_merge, 6),
+        "speedup": round(t_scalar / t_merge, 2),
+        "merge_kops": round(n_ops / t_merge / 1e3, 1),
+        "resolve_ms": round(phases.get("apply") * 1e3, 3),
+        "merge_ms": round(phases.get("movement") * 1e3, 3),
+        "scalar_split_leaves": ref.result.split_leaves,
     }
     t_vec = VECTORIZED_RECORD.get((tree_log2, batch_log2, mix, fill))
     if t_vec is not None:
         row["vectorized_s"] = t_vec
-        row["gapped_speedup_vs_vectorized"] = round(t_vec / t_gap, 2)
+        row["merge_speedup_vs_vectorized"] = round(t_vec / t_merge, 2)
     return row
 
 
@@ -214,8 +199,9 @@ def measure_concurrent(tree_log2: int, batch_log2: int, rounds: int = 8,
     Each round submits one mixed batch, flushes, then serves a read batch
     — the service-loop shape the EpochManager exists for.  Read latency
     is measured from the *round start*, so the synchronous mode pays the
-    full rebuild before its reads return while the concurrent mode pays
-    only batch resolution (the rebuild runs in the drain); the final
+    merge into the base before its reads return while the concurrent mode
+    pays only batch resolution (the base merge runs in the drain); the
+    final
     ``sync()`` is inside the concurrent wall, so deferred work is not
     dropped from the throughput comparison.  Equivalence of every read
     batch (and the final contents) is asserted before any timing is
@@ -332,9 +318,9 @@ def measure_concurrent(tree_log2: int, batch_log2: int, rounds: int = 8,
 
 
 def _capture_metrics(acceptance: dict, seed: int = 1234) -> dict:
-    """One *recorded* gapped run of the acceptance point — outside the
-    timed loops so the emitted timings stay disabled-path numbers — plus
-    the emitter's headline figures as ``bench.*`` gauges."""
+    """One *recorded* write of the acceptance point — outside the timed
+    loops so the emitted timings stay disabled-path numbers — plus the
+    emitter's headline figures as ``bench.*`` gauges."""
     import repro.obs as obs
     from repro.obs.schema import validate_snapshot
 
@@ -343,7 +329,7 @@ def _capture_metrics(acceptance: dict, seed: int = 1234) -> dict:
     ops = make_update_batch(keys, 1 << acceptance["batch_log2"],
                             mix=MIXED, rng=seed + 1)
     with obs.recording() as rec:
-        GappedBatchUpdater(tree.layout, fill=0.7).run(ops)
+        HarmoniaTree(tree.snapshot, fill=0.7).apply_batch(ops)
         # A short concurrent session so the epoch.* / delta.* family is
         # present (and catalogue-validated) in the emitted snapshot.
         mgr = EpochManager(
@@ -357,11 +343,11 @@ def _capture_metrics(acceptance: dict, seed: int = 1234) -> dict:
                                    dtype=np.int64))
         mgr.sync()
         rec.gauge("bench.update.scalar_s", acceptance["scalar_s"])
-        rec.gauge("bench.update.gapped_s", acceptance["gapped_s"])
+        rec.gauge("bench.update.merge_s", acceptance["merge_s"])
         rec.gauge("bench.update.speedup", acceptance["speedup"])
-        if "gapped_speedup_vs_vectorized" in acceptance:
-            rec.gauge("bench.update.gapped_speedup",
-                      acceptance["gapped_speedup_vs_vectorized"])
+        if "merge_speedup_vs_vectorized" in acceptance:
+            rec.gauge("bench.update.merge_speedup",
+                      acceptance["merge_speedup_vs_vectorized"])
     snapshot = rec.snapshot()
     problems = validate_snapshot(snapshot)
     if problems:
@@ -379,14 +365,13 @@ def main(out_path: str = None, smoke: bool = False) -> dict:
         rows += [measure(18, 14, "insert_heavy", 1.0),
                  measure(20, 14, "insert_heavy", 1.0)]
 
-    # Figure 14's paper mix: the gapped executor must beat the retired
-    # vectorized executor's record by >= 1.5x with the movement rebuild
-    # demoted below 15% of its phase time.
+    # Figure 14's paper mix: the merge write must beat the retired
+    # vectorized executor's record by >= 1.5x.
     fig14 = measure(acceptance["tree_log2"], acceptance["batch_log2"],
                     mix="paper")
     recorded = [r for r in rows + [fig14] if "vectorized_s" in r]
     # None at the smoke point, which has no vectorized record.
-    fig14_vs_vec = fig14.get("gapped_speedup_vs_vectorized")
+    fig14_vs_vec = fig14.get("merge_speedup_vs_vectorized")
 
     # Snapshot epochs + delta: mixed read/write service loop, synchronous
     # flush vs concurrent publish-then-drain (docs/epochs.md).
@@ -402,7 +387,7 @@ def main(out_path: str = None, smoke: bool = False) -> dict:
         "(insert-heavy rows: fill 1.0)",
         "cpu_count": os.cpu_count() or 1,
         "acceptance": {
-            "criterion": "production (gapped) executor >= 3x the scalar "
+            "criterion": "production (merge) write >= 3x the scalar "
             f"per-op path at 2^{acceptance['batch_log2']} mixed ops on a "
             f"2^{acceptance['tree_log2']}-key tree",
             "speedup": acceptance["speedup"],
@@ -411,20 +396,16 @@ def main(out_path: str = None, smoke: bool = False) -> dict:
             "worse than the scalar path",
             "fig14_speedup": fig14["speedup"],
             "fig14_ok": fig14["speedup"] >= 1.0,
-            "gapped_criterion": "gapped executor >= 1.5x the last "
-            "recorded vectorized time on the paper mix with movement-"
-            "epoch time share < 15%, and no row slower than its recorded "
-            "vectorized time",
-            "gapped_speedup": fig14_vs_vec,
-            "gapped_min_row_speedup": min(
-                r["gapped_speedup_vs_vectorized"] for r in recorded
+            "merge_criterion": "merge write >= 1.5x the last recorded "
+            "vectorized time on the paper mix, and no row slower than its "
+            "recorded vectorized time",
+            "merge_speedup": fig14_vs_vec,
+            "merge_min_row_speedup": min(
+                r["merge_speedup_vs_vectorized"] for r in recorded
             ),
-            "gapped_movement_share": fig14["gapped_movement_share"],
-            "gap_absorption": fig14["gap_absorption"],
-            "gapped_ok": (
+            "merge_ok": (
                 (fig14_vs_vec is None or fig14_vs_vec >= 1.5)
-                and fig14["gapped_movement_share"] < 0.15
-                and all(r["gapped_speedup_vs_vectorized"] >= 1.0
+                and all(r["merge_speedup_vs_vectorized"] >= 1.0
                         for r in recorded)
             ),
             "concurrent_criterion": "snapshot+delta mixed read/write "
@@ -452,20 +433,22 @@ def main(out_path: str = None, smoke: bool = False) -> dict:
     return record
 
 
-def gap_check(min_absorption: float = 0.8) -> None:
-    """CI quick gate: one small fig14 paper-mix point through the gapped
-    executor must absorb at least ``min_absorption`` of its ops in place.
-    Exits non-zero (via AssertionError) when the ratio regresses."""
-    row = measure(18, 12, mix="paper", reps=1)
+def gap_check(min_speedup: float = 1.0) -> None:
+    """CI quick gate: the 2^18-key mixed row through the production write
+    must be no slower than the retired vectorized executor's record for
+    that row (the per-row threshold of the full emitter).  Exits non-zero
+    (via AssertionError) when it regresses."""
+    row = measure(18, 12, mix="mixed", reps=3)
     print(json.dumps({k: row[k] for k in
-                      ("gap_absorption", "gapped_movement_share",
-                       "speedup", "movement_epochs")}, indent=2))
-    assert row["gap_absorption"] >= min_absorption, (
-        f"gap absorption {row['gap_absorption']} < {min_absorption} "
-        "on the standard fig14 paper mix"
+                      ("merge_s", "vectorized_s",
+                       "merge_speedup_vs_vectorized", "speedup")},
+                     indent=2))
+    got = row["merge_speedup_vs_vectorized"]
+    assert got >= min_speedup, (
+        f"merge write at {got}x the vectorized record < {min_speedup}x "
+        "on the 2^18 mixed row"
     )
-    print(f"gap-check OK: absorption {row['gap_absorption']} >= "
-          f"{min_absorption}")
+    print(f"gap-check OK: {got}x the vectorized record >= {min_speedup}x")
 
 
 def delta_check(max_overhead: float = 0.15) -> None:
@@ -494,8 +477,8 @@ if __name__ == "__main__":  # pragma: no cover
     ap.add_argument("--smoke", action="store_true",
                     help="single small sweep point (CI)")
     ap.add_argument("--gap-check", action="store_true",
-                    help="CI quick gate: fail if the gapped executor's "
-                    "absorption ratio < 0.8 on a small fig14 paper mix")
+                    help="CI quick gate: fail if the merge write is slower "
+                    "than the vectorized record on the 2^18 mixed row")
     ap.add_argument("--delta-check", action="store_true",
                     help="CI quick gate: fail if a freshly pinned read "
                     "over a three-flush delta pays > 0.15 overlay overhead "

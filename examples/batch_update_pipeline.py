@@ -37,7 +37,7 @@ mix_with_deletes = UpdateMix(insert=0.05, update=0.90, delete=0.05)
 
 for round_no in range(1, ROUNDS + 1):
     # ---- query phase (immutable snapshot) ---------------------------
-    stored = tree.layout.all_keys()
+    stored = tree.snapshot.keys
     queries = uniform_queries(stored, QUERIES_PER_PHASE, rng=rng)
     t0 = time.perf_counter()
     tree.search_batch(queries, SearchConfig.full())

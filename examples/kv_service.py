@@ -94,7 +94,7 @@ assert not anomalies
 # ---- persistence -------------------------------------------------------
 with tempfile.TemporaryDirectory() as d:
     path = Path(d) / "index.npz"
-    snapshot = HarmoniaTree(service._tree.layout, fill=0.7)
+    snapshot = HarmoniaTree(service._tree.snapshot, fill=0.7)
     save_tree(snapshot, path)
     restored = load_tree(path, fill=0.7)  # validates invariants on load
     probe = keys[:1_000]

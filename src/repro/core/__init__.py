@@ -11,11 +11,12 @@
   sorted, traversed and scattered on the calling thread, with per-stage
   traces that decide §4.1.3's hiding condition.
 * :mod:`repro.core.ntg` — narrowed thread-group traversal model (§4.2).
+* :mod:`repro.core.snapshot` — one tree state: the packed leaf block it
+  stores, and the layout derived from it on demand.
 * :mod:`repro.core.update` — per-op batch updates with two-grained locking
-  and auxiliary nodes (§3.2.2, Algorithm 1) — the scalar reference path.
-* :mod:`repro.core.update_plan` — the gapped batch-update executor: absorbs
-  batches into per-leaf slack and demotes movement to a rare compaction
-  epoch (the production executor, result-equivalent to the scalar path).
+  and auxiliary nodes (§3.2.2, Algorithm 1) — the scalar reference path;
+  the production write resolves a batch against the block and merges it
+  (:meth:`~repro.core.tree.HarmoniaTree.apply_batch`).
 * :mod:`repro.core.tree` — :class:`HarmoniaTree`, the user-facing index that
   glues the above together.
 """
@@ -27,16 +28,16 @@ from repro.core.heap import RecordStore, ValueHeap
 from repro.core.io import load_layout, load_tree, save_layout, save_tree
 from repro.core.layout import HarmoniaLayout
 from repro.core.merge import compact, merge_layouts
+from repro.core.snapshot import Snapshot
 from repro.core.stats import layout_stats
 from repro.core.stream import BatchTrace, StreamExecutor, StreamStats
 from repro.core.tree import HarmoniaTree
 from repro.core.tuning import recommend_fanout
-from repro.core.update_plan import GappedBatchUpdater
 
 __all__ = [
     "HarmoniaLayout",
     "HarmoniaTree",
-    "GappedBatchUpdater",
+    "Snapshot",
     "BatchQueryEngine",
     "EngineScratch",
     "EngineStats",

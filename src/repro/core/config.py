@@ -105,48 +105,30 @@ class SearchConfig:
 class UpdateConfig:
     """Knobs of the CPU batch-update pipeline (§3.2.2).
 
-    ``mode`` selects the batch executor: ``"gapped"`` (the default) runs
-    :class:`~repro.core.update_plan.GappedBatchUpdater` — updates and
-    gap-absorbable inserts/deletes scatter into per-leaf slack and the
-    movement rebuild is demoted to a rare compaction epoch; ``"scalar"``
+    ``mode`` selects the batch executor: ``"merge"`` (the default)
+    resolves the batch against the tree's packed leaf block and merges
+    the resolved run into the next block
+    (:meth:`~repro.core.tree.HarmoniaTree.apply_batch`); ``"scalar"``
     runs the per-operation Algorithm 1 reference path
     (:class:`~repro.core.update.BatchUpdater`, two-grained locking per
-    op).  The two are *result*-equivalent — identical accounting, query
-    results and key/value content; the physical layout differs by
-    design — hypothesis-pinned (docs/update.md).
+    op) on a copy of the layout, then its movement pass.  The two are
+    *result*-equivalent — identical accounting, query results and
+    key/value content; only the scalar path reports structural counters
+    (split/underflow leaves) — hypothesis-pinned (docs/update.md).
 
-    ``n_threads`` sizes the scalar path's per-op worker pool (the gapped
-    absorber is one NumPy pass and ignores it).
-
-    Gapped-mode knobs (ignored by the scalar path):
-
-    * ``gap_watermark`` — a compaction epoch runs once the fraction of
-      leaves pending compaction (underflowed past the B+tree minimum or
-      filled to the brim) exceeds this;
-    * ``occupancy_low`` — epoch trigger on global leaf-slot occupancy
-      falling below this (delete-heavy drift);
-    * ``plan_window`` — oversized batches stream through the planner in
-      windows of this many operations, so routing/scatter scratch stays
-      cache-resident instead of scaling with the batch.
+    ``n_threads`` sizes the scalar path's per-op worker pool (the merge
+    is one NumPy pass and ignores it).
     """
 
     n_threads: int = 4
-    mode: str = "gapped"
-    gap_watermark: float = 0.10
-    occupancy_low: float = 0.35
-    plan_window: int = 1 << 16
+    mode: str = "merge"
 
     def __post_init__(self) -> None:
         ensure_positive("n_threads", self.n_threads)
-        if self.mode not in ("gapped", "scalar"):
+        if self.mode not in ("merge", "scalar"):
             raise ConfigError(
-                f"mode must be 'gapped'|'scalar', got {self.mode!r}"
+                f"mode must be 'merge'|'scalar', got {self.mode!r}"
             )
-        if not 0.0 < self.gap_watermark <= 1.0:
-            raise ConfigError("gap_watermark must be in (0, 1]")
-        if not 0.0 <= self.occupancy_low < 1.0:
-            raise ConfigError("occupancy_low must be in [0, 1)")
-        ensure_positive("plan_window", self.plan_window)
 
 
 __all__ = ["SearchConfig", "UpdateConfig"]

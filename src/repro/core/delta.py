@@ -1,14 +1,14 @@
 """Mergeable delta index: the write-side absorber of the snapshot-epoch
 read path (docs/epochs.md).
 
-A flush in concurrent mode does *not* rebuild the tree.  It resolves the
+A flush in concurrent mode does *not* write the base snapshot.  It resolves the
 batch against the currently *visible* state (base snapshot + published
 delta) into one immutable sorted :class:`DeltaRun` of upserts and
 tombstones, and folds that run into the visible delta — one collapsed,
 sorted entry set — with one two-way last-wins merge.  The new set is
-visible to readers the moment it is published; the expensive rebuild is
-deferred to a background drain that folds the pinned set into snapshot
-N+1 while reads continue against N.
+visible to readers the moment it is published; the merge into the base
+block is deferred to a background drain that folds the pinned set into
+snapshot N+1 while reads continue against N.
 
 Readers pin a :class:`DeltaView` of the visible set together with the
 base layout and overlay it on every read path:
@@ -52,8 +52,14 @@ import repro.obs as obs
 from repro.constants import NOT_FOUND, VALUE_DTYPE
 from repro.core.merge import merge_last_wins
 from repro.core.search import RangeBatch, run_index
-from repro.core.update import BatchResult, Operation
-from repro.core.update_plan import K_DELETE, K_INSERT, K_UPDATE, _KIND_CODE
+from repro.core.update import (
+    K_DELETE,
+    K_INSERT,
+    K_UPDATE,
+    KIND_CODE,
+    BatchResult,
+    Operation,
+)
 
 
 @dataclass(frozen=True)
@@ -202,8 +208,7 @@ class DeltaView:
 
         Both sides are sorted and unique, so this is one two-way
         :func:`~repro.core.merge.merge_last_wins` — O(n + d log n), no
-        argsort of the full contents.  That keeps the bulk drain rebuild
-        linear in the base, which is what the drain's cost model assumes.
+        argsort of the full contents — the same merge a drain runs.
         """
         r = self.run
         keys, (values,) = merge_last_wins(
@@ -369,9 +374,6 @@ class DeltaIndex:
 # Batch resolution
 # --------------------------------------------------------------------------
 
-_CODE_OF_KIND = _KIND_CODE
-
-
 def resolve_batch(
     ops: Sequence[Operation],
     exists_fn: Callable[[np.ndarray], np.ndarray],
@@ -387,8 +389,10 @@ def resolve_batch(
     resolved fully vectorized; multi-op keys (rare in real batches) fall
     back to a per-key Python replay.
 
-    Structural counters (``split_leaves`` …) stay zero: structural work
-    is deferred to the drain and accounted there.
+    The whole resolution is timed as the result's ``apply`` phase.
+    Structural counters (``split_leaves`` …) stay zero: the sorted merge
+    that applies the run (:meth:`~repro.core.snapshot.Snapshot.merge`)
+    has no leaves to split.
     """
     result = BatchResult()
     n = len(ops)
@@ -396,8 +400,8 @@ def resolve_batch(
     if n == 0:
         return empty, result
 
-    with result.timer.phase("plan"):
-        code = _CODE_OF_KIND
+    with result.timer.phase("apply"):
+        code = KIND_CODE
         kinds = np.fromiter(
             (code[op.kind] for op in ops), dtype=np.int8, count=n
         )

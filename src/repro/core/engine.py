@@ -6,8 +6,7 @@ results.
 **The host lookup** (:class:`BatchQueryEngine`).  §3.2.1 stores every
 leaf in one contiguous block, so the real leaf keys form one globally
 sorted array once the ``KEY_MAX`` pads between rows are removed
-(:meth:`~repro.core.layout.HarmoniaLayout.packed_leaves`, cached per
-snapshot).  A batch of point lookups is therefore one ``np.searchsorted``
+(what a :class:`~repro.core.snapshot.Snapshot` stores).  A batch of point lookups is therefore one ``np.searchsorted``
 of the batch over that block, a gather of the values, and a miss mask —
 the internal levels are never walked.  PSA (§4.1) still pays on the host:
 a PSA-ordered batch makes neighbouring binary searches land on
@@ -33,10 +32,10 @@ for it.  With an obs recorder enabled it is computed eagerly instead, and
 the two costs are recorded as separate spans: ``engine.lookup`` and
 ``engine.profile``.
 
-Caching discipline: the engine binds to one :class:`HarmoniaLayout`
-snapshot.  Batch updates replace the snapshot (phase semantics), so
-holders re-bind by identity check — see
-:meth:`repro.core.tree.HarmoniaTree.engine`.
+Caching discipline: the engine binds to one snapshot.  Batch updates
+replace the snapshot (phase semantics), so holders re-bind by identity
+check — see :meth:`repro.core.tree.HarmoniaTree.engine`.  The work model
+walks the snapshot's layout, derived on the first profile.
 """
 
 from __future__ import annotations
@@ -50,6 +49,8 @@ import numpy as np
 import repro.obs as obs
 from repro.constants import NOT_FOUND, VALUE_DTYPE
 from repro.core.layout import HarmoniaLayout
+from repro.core.search import locate_leaves_bounds
+from repro.core.snapshot import Snapshot
 from repro.errors import ConfigError
 from repro.utils.validation import ensure_key_array
 
@@ -139,7 +140,8 @@ def traversal_profile(
     """The per-level work the paper's GPU kernel does for one batch.
 
     Each query's node at every level follows from its leaf (one binary
-    search over :meth:`~repro.core.layout.HarmoniaLayout.leaf_bounds`)
+    search over the leaf bounds,
+    :func:`~repro.core.search.locate_leaves_bounds`)
     and the parent map (Equation 1 read backwards).  A level's frontier
     runs are the maximal stretches of queries sharing a node; by the
     disjoint-children property of Equation 1 their count never falls
@@ -170,8 +172,7 @@ def traversal_profile(
     uniq = np.zeros(h, dtype=np.int64)
     grouped = broadcast = capped = 0
     if nq:
-        node = np.searchsorted(layout.leaf_bounds(), q, side="right") - 1
-        node += layout.leaf_start
+        node = locate_leaves_bounds(layout, q) + layout.leaf_start
         # Children of all internal nodes fill BFS slots 1..n_nodes-1 in
         # parent order, so parent[i - 1] is the parent of node i.
         parent = np.repeat(
@@ -234,23 +235,36 @@ class EngineScratch:
 
 
 class BatchQueryEngine:
-    """Batch point lookup over one layout snapshot's packed leaf block.
+    """Batch point lookup over one snapshot's packed leaf block.
 
     Drop-in replacement for :func:`repro.core.search.search_batch`
     (bit-identical results on any query order); fastest when the batch
-    went through PSA first.  Runs on the calling thread.
+    went through PSA first.  Runs on the calling thread.  Binds to a
+    :class:`~repro.core.snapshot.Snapshot` (a bare layout is wrapped in
+    one); the lookup reads only the block, so it never derives the
+    snapshot's layout — :attr:`last_stats` does.
     """
 
-    def __init__(self, layout: HarmoniaLayout) -> None:
-        if not isinstance(layout, HarmoniaLayout):
-            raise ConfigError("BatchQueryEngine needs a HarmoniaLayout")
-        self.layout = layout
+    def __init__(self, snapshot) -> None:
+        if isinstance(snapshot, HarmoniaLayout):
+            snapshot = Snapshot.of_layout(snapshot)
+        elif not isinstance(snapshot, Snapshot):
+            raise ConfigError(
+                "BatchQueryEngine needs a Snapshot or a HarmoniaLayout"
+            )
+        self.snapshot = snapshot
         self._scratch = EngineScratch()
         self._stats: Optional[EngineStats] = None
         #: What the next :attr:`last_stats` read profiles: ``(queries,
         #: hinted, issue_sorted, scan_widths)``, where
         #: ``scan_widths`` is a zero-argument callable or None.
         self._unprofiled: Optional[tuple] = None
+
+    @property
+    def layout(self) -> HarmoniaLayout:
+        """The snapshot's layout — derived on first access; only the work
+        model reads it."""
+        return self.snapshot.layout
 
     @property
     def scratch_nbytes(self) -> int:
@@ -365,7 +379,7 @@ class BatchQueryEngine:
         else:
             values = out
         if nq:
-            keys, vals = self.layout.packed_leaves()
+            keys, vals = self.snapshot.packed_leaves()
             _search_packed(keys, vals, q, values, self._scratch)
             if overlay is not None:
                 overlay(q, values)

@@ -15,22 +15,22 @@ discipline so applications do not have to hand-roll it:
   cheaply.
 
 **Concurrent mode** (``concurrent=True``) removes the stop-the-world
-flush (docs/epochs.md).  A flush no longer rebuilds the tree on the
-writer's critical path: the batch is *resolved* against the visible
+flush (docs/epochs.md).  A flush no longer merges into the base block
+on the writer's critical path: the batch is *resolved* against the visible
 state into one immutable sorted run, folded into the visible entry set
 of a :class:`~repro.core.delta.DeltaIndex` and published — readers
 overlay that set on the pinned base snapshot (snapshot-then-delta, last
 wins, tombstones mask), byte-identical to a synchronous flush.  A
 background drain thread folds the pinned set into snapshot N+1 — one
-sorted merge of N's packed leaf block with the delta, then the §3.1 bulk
-construction, publishing N+1 with its packed block and leaf counts
-already built — while reads continue against N; publication of the new
-base and retirement of the drained entries is a single swap under the
-publish lock, so a reader pin — ``(layout, delta view)`` grabbed
-atomically — is always a consistent visible state.
+sorted merge of N's packed leaf block with the delta, whose output *is*
+N+1 (:meth:`~repro.core.snapshot.Snapshot.merge`; its layout is derived
+only if someone asks) — while reads continue against N; publication of
+the new base and retirement of the drained entries is a single swap
+under the publish lock, so a reader pin — ``(snapshot, delta view)``
+grabbed atomically — is always a consistent visible state.
 
 This is deliberately *not* a concurrent B+tree: it is the batch-update
-contract of the paper, enforced — with the rebuild taken off the read
+contract of the paper, enforced — with the merge taken off the write
 path.
 """
 
@@ -45,9 +45,8 @@ import numpy as np
 import repro.obs as obs
 from repro.core.config import SearchConfig, UpdateConfig
 from repro.core.delta import DeltaIndex, resolve_batch
-from repro.core.layout import HarmoniaLayout
-from repro.core.merge import merge_last_wins
 from repro.core.search import RangeBatch, contains_batch
+from repro.core.snapshot import Snapshot
 from repro.core.tree import HarmoniaTree
 from repro.core.update import BatchResult, Operation
 from repro.errors import ConfigError
@@ -56,7 +55,7 @@ from repro.utils.validation import ensure_positive
 #: Default visible-delta size (entries, one per key) at which a flush
 #: schedules a background drain.  ~2 mid-size batches: small enough that
 #: the query-time overlay stays a rounding error, large enough to
-#: amortize one rebuild over several flushes.
+#: amortize one base merge over several flushes.
 DEFAULT_DRAIN_THRESHOLD = 1 << 15
 
 
@@ -103,7 +102,7 @@ class EpochManager:
     @property
     def snapshot_version(self) -> int:
         """Base-snapshot generation: bumps when a drain (or a synchronous
-        flush) swaps the layout reference.  In synchronous mode it equals
+        flush) swaps the snapshot reference.  In synchronous mode it equals
         :attr:`epoch`."""
         return self._snapshot_version if self.concurrent else self._epoch
 
@@ -131,54 +130,16 @@ class EpochManager:
         with self._write_lock:
             return len(self._pending)
 
-    def occupancy(self) -> float:
-        """Leaf-slot occupancy of the current *base* snapshot in ``[0, 1]``.
-
-        The observable behind the gapped mode's watermark policy
-        (``UpdateConfig(mode="gapped")``): in-place absorption lets
-        occupancy drift between flushes — inserts consume per-leaf slack,
-        deletes leave gaps — and the executor schedules a compaction
-        epoch once it sinks below ``update_config.occupancy_low`` (or the
-        per-leaf under/overflow fraction crosses
-        ``update_config.gap_watermark``).  Exposed here so operators can
-        watch the drift (also surfaced as the ``layout.occupancy`` obs
-        gauge) without reaching into layout internals.  Returns 1.0 for
-        an empty tree (nothing to compact).  In concurrent mode this
-        reads the published base layout — delta entries occupy no leaf
-        slots until a drain folds them in, and compaction only ever runs
-        inside a drain's shadow rebuild, never on a snapshot a reader
-        still holds.
-        """
-        with self._publish_lock:
-            layout = self._tree._layout
-        return layout.occupancy() if layout is not None else 1.0
-
-    def compaction_pending(self) -> float:
-        """Fraction of leaves the gapped executor would enqueue for
-        compaction right now (under the B+tree minimum or packed full) —
-        the other input to the watermark policy; see :meth:`occupancy`.
-        Returns 0.0 for an empty tree."""
-        with self._publish_lock:
-            layout = self._tree._layout
-        if layout is None or layout.n_leaves == 0:
-            return 0.0
-        counts = layout.leaf_key_counts(copy=False)
-        min_leaf = (layout.fanout - 1 + 1) // 2
-        pending = counts >= layout.slots
-        if counts.size > 1:
-            pending = pending | (counts < min_leaf)
-        return int(np.count_nonzero(pending)) / counts.size
-
     def _snapshot(self) -> HarmoniaTree:
-        # The tree's layout reference is swapped atomically under the
-        # publish lock; pinning = grabbing the current layout object —
+        # The tree's snapshot reference is swapped atomically under the
+        # publish lock; pinning = grabbing the current snapshot object —
         # and, in concurrent mode, the current delta view in the same
         # critical section, so (base, delta) is one consistent state.
         with self._publish_lock:
-            layout = self._tree._layout
+            snap = self._tree._snap
             fill = self._tree._fill
             view = self._delta.view() if self.concurrent else None
-        pinned = HarmoniaTree(layout, fill=fill,
+        pinned = HarmoniaTree(snap, fill=fill,
                               search_config=self._tree.search_config)
         if view is not None:
             pinned.delta = view
@@ -281,11 +242,12 @@ class EpochManager:
         self._pending = []
         # Snapshot isolation: readers keep querying their pinned (old)
         # snapshot while the batch runs; publication is a single reference
-        # swap.  No update mode writes its input layout (the scalar path
-        # edits a private copy, gapped absorbs into a private working
-        # copy), so the shadow tree can start from the published one.
+        # swap.  No update mode writes its input snapshot (the merge
+        # writes a fresh block, the scalar path edits a private copy of
+        # the layout), so the shadow tree can start from the published
+        # one.
         with self._publish_lock:
-            current = self._tree._layout
+            current = self._tree._snap
             fill = self._tree._fill
         shadow = HarmoniaTree(
             current, fill=fill, search_config=self._tree.search_config
@@ -293,20 +255,20 @@ class EpochManager:
         shadow._empty_fanout = self._tree._empty_fanout
         result = shadow.apply_batch(ops, self.update_config)
         with self._publish_lock:
-            self._tree._layout = shadow._layout
+            self._tree._snap = shadow._snap
             self._epoch += 1
         return result
 
     # ------------------------------------------------- concurrent flush path
 
-    def _visible_exists_fn(self, layout, view):
+    def _visible_exists_fn(self, snap, view):
         """Existence probe over one pinned (base, delta) state."""
 
         def exists_fn(ukeys: np.ndarray) -> np.ndarray:
-            if layout is None:
+            if snap is None:
                 exists = np.zeros(ukeys.size, dtype=bool)
             else:
-                exists = np.asarray(contains_batch(layout, ukeys), dtype=bool)
+                exists = np.asarray(contains_batch(snap, ukeys), dtype=bool)
             if view is not None:
                 view.overlay_exists(ukeys, exists)
             return exists
@@ -318,14 +280,14 @@ class EpochManager:
         ops = self._pending
         self._pending = []
         with self._publish_lock:
-            layout = self._tree._layout
+            snap = self._tree._snap
             view = self._delta.view()
         # Resolution needs only existence bits of the visible state: an
         # op's outcome depends solely on its key's same-batch history plus
         # whether the key is visible now.  Counts therefore match the
         # synchronous flush exactly (structural counters accrue at drain).
         run, result = resolve_batch(
-            ops, self._visible_exists_fn(layout, view)
+            ops, self._visible_exists_fn(snap, view)
         )
         # The merge into the visible set runs here, outside the publish
         # lock; publish() only redoes it if a drain moved the set since.
@@ -381,8 +343,8 @@ class EpochManager:
         """Fold the visible delta into a fresh base snapshot.
 
         Returns whether anything was drained.  The drain pins the visible
-        entry set as it stands; runs published while the shadow rebuild
-        is in flight are folded into the visible set *and* into a second
+        entry set as it stands; runs published while the merge is in
+        flight are folded into the visible set *and* into a second
         set of everything published since the pin, so they stay visible
         through the overlay — the final publish step swaps the base and
         makes that second set the visible one in one critical section.
@@ -394,40 +356,20 @@ class EpochManager:
                     return False
                 flushes = self._delta.n_runs
                 epoch_at_pin = self._epoch
-                layout = self._tree._layout
+                snap = self._tree._snap
+                fanout = self._tree.fanout
                 fill = self._tree._fill
             t0 = time.perf_counter()
             publish_wait = 0.0
             try:
-                dk, dv, dt = pinned.keys, pinned.values, pinned.tombstones
-                # One path: merge the delta into the base's sorted
-                # contents and bulk-build (§3.1).  The base contents are
-                # the snapshot's packed leaf block, which its readers
-                # have already built; the merged arrays are the new
-                # snapshot's packed block, and the bulk build hands over
-                # its leaf counts — so the first read after the publish
-                # derives nothing.
-                if layout is None:
-                    base_k = np.empty(0, dtype=np.int64)
-                    base_v = np.empty(0, dtype=base_k.dtype)
-                else:
-                    base_k, base_v = layout.packed_leaves()
-                new_k, (new_v,) = merge_last_wins(
-                    base_k, (base_v,), dk, (dv,), new_keep=~dt,
-                )
-                if new_k.size:
-                    fanout = (layout.fanout if layout is not None
-                              else self._tree._empty_fanout)
-                    new_layout = HarmoniaLayout.from_sorted(
-                        new_k, new_v, fanout=fanout, fill=fill,
-                    )
-                    new_layout.install_derived(packed=(new_k, new_v))
-                else:
-                    new_layout = None
+                # The drain is the write's merge: the delta folded into
+                # the base block is the new snapshot, whose layout is
+                # derived only if someone asks.
+                new_snap = Snapshot.merge(snap, pinned, fanout, fill)
                 w0 = time.perf_counter()
                 with self._publish_lock:
                     publish_wait = time.perf_counter() - w0
-                    self._tree._layout = new_layout
+                    self._tree._snap = new_snap
                     self._delta.finish_drain()
                     self._snapshot_version += 1
                     # Runs published after the pin are still undrained:
@@ -446,13 +388,13 @@ class EpochManager:
         if rec.enabled:
             t1 = time.perf_counter()
             rec.counter("epoch.drains")
-            rec.counter("epoch.drained_ops", int(dk.size))
+            rec.counter("epoch.drained_ops", pinned.n)
             rec.gauge("delta.size", self.delta_size)
             rec.gauge("delta.runs", self.delta_runs)
             rec.gauge("epoch.snapshot_age", self.snapshot_age)
             rec.histogram("epoch.publish_wait_s", publish_wait)
             rec.span_at("epoch.drain", t0, t1, cat="epoch",
-                        entries=int(dk.size), runs=flushes)
+                        entries=pinned.n, runs=flushes)
         return True
 
     def _raise_drain_error(self) -> None:

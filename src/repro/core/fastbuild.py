@@ -25,8 +25,8 @@ from repro.constants import (
     VALUE_DTYPE,
 )
 from repro.core.layout import HarmoniaLayout
-from repro.errors import ConfigError, EmptyTreeError
-from repro.utils.validation import ensure_fanout, ensure_sorted_unique
+from repro.errors import EmptyTreeError
+from repro.utils.validation import ensure_block, ensure_fanout, ensure_fill
 
 
 def _chunk_sizes_fast(
@@ -103,17 +103,10 @@ def build_layout_fast(
     """Build a :class:`HarmoniaLayout` from strictly increasing keys with
     vectorized passes only (no pointer tree, no per-node Python)."""
     fanout = ensure_fanout(fanout)
-    karr = ensure_sorted_unique(np.asarray(keys))
+    karr, varr = ensure_block(keys, values)
     if karr.size == 0:
         raise EmptyTreeError("cannot lay out an empty tree")
-    if values is None:
-        varr = karr.astype(VALUE_DTYPE, copy=True)
-    else:
-        varr = np.ascontiguousarray(values, dtype=VALUE_DTYPE)
-        if varr.shape != karr.shape:
-            raise ConfigError("values must align with keys")
-    if not 0.0 < fill <= 1.0:
-        raise ConfigError(f"fill must be in (0, 1], got {fill}")
+    ensure_fill(fill)
 
     slots = fanout - 1
     min_leaf = (slots + 1) // 2

@@ -150,15 +150,15 @@ class RecordStore:
             reclaimed = self.heap.bytes_used()
             self.heap = ValueHeap()
             return reclaimed
-        items = self.tree.layout.iter_leaf_items()
+        keys, offsets = self.tree.snapshot.packed_leaves()
         old = self.heap
         self.heap = ValueHeap()
         new_offsets = np.asarray(
-            [self.heap.append(old.get(int(off))) for off in items[:, 1]],
+            [self.heap.append(old.get(off)) for off in offsets.tolist()],
             dtype=np.int64,
         )
         self.tree = HarmoniaTree.from_sorted(
-            items[:, 0], new_offsets, fanout=self.tree.fanout,
+            keys, new_offsets, fanout=self.tree.fanout,
             fill=self.tree._fill,
         )
         return old.bytes_used() - self.heap.bytes_used()

@@ -29,18 +29,15 @@ cache; :meth:`child_region_bytes` exposes the footprint and
 usable constant-memory budget — the levels below pay read-only-cache /
 global-memory cost (the simulator consumes this).
 
-**Gapped leaves.**  Leaf rows may carry pre-allocated slack: a leaf with
-``c`` real keys stores them sorted in slots ``[0, c)`` and pads the tail
-with ``KEY_MAX`` sentinels, so every per-row ``searchsorted``/``bisect``
-works unmodified and the flattened leaf block stays globally sorted once
-pads are masked.  The optional :attr:`leaf_counts` array caches the
-per-leaf fill counts (computed lazily otherwise); the gapped batch-update
-pipeline (:class:`~repro.core.update_plan.GappedBatchUpdater`) absorbs
-inserts/deletes into the slack in place and keeps the *internal* region —
-and therefore :meth:`leaf_bounds`, the per-leaf routing intervals —
-untouched between rare compaction epochs.  A leaf's content is always a
-subset of its routing interval, so gaps (even fully emptied leaves) never
-perturb traversal, range scans or the packed-leaf block.
+**Leaf slack.**  Leaf rows carry slack: a leaf with ``c`` real keys
+stores them sorted in slots ``[0, c)`` and pads the tail with ``KEY_MAX``
+sentinels, so every per-row ``searchsorted``/``bisect`` works unmodified
+and the flattened leaf block stays globally sorted once pads are masked
+(:meth:`packed_leaves`).  The optional :attr:`leaf_counts` array caches
+the per-leaf fill counts (computed lazily otherwise), and
+:meth:`leaf_bounds` the per-leaf routing intervals the work model
+descends from.  A tree stores only the packed block and derives this
+layout from it on demand (:mod:`repro.core.snapshot`).
 """
 
 from __future__ import annotations
@@ -82,8 +79,9 @@ class HarmoniaLayout:
     leaf_values: np.ndarray  #: (n_leaves, fanout-1) int64, NOT_FOUND padded
     level_starts: np.ndarray  #: (height+1,) first BFS index of each level
     n_keys: int  #: number of stored key/value pairs
-    #: Optional per-leaf fill counts (gapped layouts); ``None`` means every
-    #: leaf is packed and counts are derived lazily from the sentinels.
+    #: Optional per-leaf fill counts (the bulk build hands its chunk
+    #: sizes over); ``None`` means they are derived lazily from the
+    #: sentinels.
     leaf_counts: Optional[np.ndarray] = None
 
     # Derived fields (filled in __post_init__).
@@ -233,11 +231,10 @@ class HarmoniaLayout:
         return int(np.searchsorted(row, KEY_MAX, side="left"))
 
     def leaf_key_counts(self, copy: bool = True) -> np.ndarray:
-        """Per-leaf key counts — the occupancy vector the batch-update
-        planner classifies in-place vs structural operations against.
+        """Per-leaf key counts (the occupancy vector).
 
         Derived from the sentinel pads in one vectorized pass and cached
-        on :attr:`leaf_counts`; gapped builders pass the counts in
+        on :attr:`leaf_counts`; the bulk build passes the counts in
         directly.  Returns a fresh array by default so callers may
         scribble on it; ``copy=False`` hands out the cached array for
         read-only use.
@@ -247,8 +244,7 @@ class HarmoniaLayout:
         return self.leaf_counts.copy() if copy else self.leaf_counts
 
     def occupancy(self) -> float:
-        """Fraction of leaf key slots holding real keys — the quantity the
-        gapped update pipeline's watermark policy tracks."""
+        """Fraction of leaf key slots holding real keys."""
         total = self.n_leaves * self.slots
         return self.n_keys / total if total else 0.0
 
@@ -262,11 +258,9 @@ class HarmoniaLayout:
         bound, child ``j > 0`` starts at separator ``j - 1``.  Because
         separators route equal keys right (side='right'), the leaf for key
         ``k`` is ``searchsorted(bounds, k, side='right') - 1`` — one
-        binary search instead of a level-synchronous traversal, which is
-        what makes the gapped planner's routing O(log n_leaves) per key.
-        Valid for gapped layouts by construction: in-place absorption
-        never touches the internal region, so every leaf's content stays
-        inside its routing interval.
+        binary search instead of a level-synchronous traversal — how the
+        work model (:func:`~repro.core.engine.traversal_profile`) places
+        a batch's queries on their leaves.
         """
         if self._leaf_bounds is None:
             bounds = np.full(1, np.iinfo(np.int64).min, dtype=KEY_DTYPE)
@@ -296,18 +290,14 @@ class HarmoniaLayout:
 
         §3.2.1's point: leaves are one consecutive array, so the real leaf
         keys are globally sorted once the pads between rows are removed
-        (gapped rows included — their pads sit at the row tails).  Cached
-        for the snapshot's lifetime, so every engine, tree facade, stream
-        executor and tile scheduler over one snapshot shares one block; it
-        costs ~16 B per key while the snapshot is alive.  A snapshot
-        published by an epoch drain arrives with the block already
-        installed (the drain's merged arrays *are* the block, see
-        :meth:`install_derived`); any other snapshot builds it on its
-        first read, so a snapshot nobody reads never pays for it.
-        Caching is sound because a published snapshot is never written —
-        every update executor produces a fresh layout.  Two threads racing
-        the first build each produce an identical block; one of them is
-        kept.
+        (rows with slack included — their pads sit at the row tails).
+        Cached for the layout's lifetime and built on first use; a tree
+        stores this block as its :class:`~repro.core.snapshot.Snapshot`
+        and reaches a layout only the other way round, so this is for
+        bare layouts (a loaded file, the scalar reference executor's
+        output).  Caching is sound because no update writes a published
+        layout.  Two threads racing the first build each produce an
+        identical block; one of them is kept.
         """
         packed = self._packed
         if packed is None:
@@ -318,28 +308,6 @@ class HarmoniaLayout:
                 arr.flags.writeable = False  # shared by every reader
             self._packed = packed
         return packed
-
-    def install_derived(
-        self,
-        leaf_bounds: Optional[np.ndarray] = None,
-        packed: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> None:
-        """Hand a fresh snapshot derived arrays its producer already holds,
-        so no reader derives them again.
-
-        ``leaf_bounds`` must equal what :meth:`leaf_bounds` would compute
-        from this internal region (the gapped executor's, unchanged
-        between compaction epochs); ``packed`` must equal the
-        :meth:`packed_leaves` block (an epoch drain's merged arrays).  The
-        packed arrays are frozen read-only: from here on every reader of
-        the snapshot shares them.  Call before the snapshot is published.
-        """
-        if leaf_bounds is not None:
-            self._leaf_bounds = leaf_bounds
-        if packed is not None:
-            for arr in packed:
-                arr.flags.writeable = False
-            self._packed = packed
 
     def children_count(self, node: int) -> int:
         return int(self.prefix_sum[node + 1] - self.prefix_sum[node])
@@ -418,9 +386,9 @@ class HarmoniaLayout:
     def max_key(self) -> int:
         """Largest stored key.
 
-        The rightmost *non-empty* leaf holds it — a gapped layout may have
-        emptied its tail leaves in place, so scan back from the last BFS
-        node (packed layouts stop at the first row).
+        The rightmost *non-empty* leaf holds it — scan back from the last
+        BFS node, so a hand-built layout with emptied tail leaves still
+        answers (bulk-built layouts stop at the first row).
         """
         if self.n_keys == 0:
             raise EmptyTreeError("layout holds no keys")
@@ -461,6 +429,37 @@ class HarmoniaLayout:
             leaf_counts=(
                 None if self.leaf_counts is None else self.leaf_counts.copy()
             ),
+        )
+
+    def thinned(self, survivors: np.ndarray) -> "HarmoniaLayout":
+        """A copy holding only ``survivors`` (a subset of the stored
+        keys): every leaf row keeps its survivors at its front and pads
+        the rest, and the internal levels stay as they are.
+
+        This is the shape in-place deletes leave in a bulk-built tree —
+        dense separator levels over sparse leaves, the occupancy skew
+        per-level NTG degrees exist for — on which the GPU models and the
+        work model are studied.  Trees never produce it themselves: their
+        layouts are derived packed from the block.
+        """
+        rows = self.leaf_keys
+        keep = np.isin(rows, survivors)
+        order = np.argsort(~keep, axis=1, kind="stable")
+        keys = np.take_along_axis(rows, order, axis=1)
+        values = np.take_along_axis(self.leaf_values, order, axis=1)
+        kept = np.take_along_axis(keep, order, axis=1)
+        keys[~kept] = KEY_MAX
+        values[~kept] = NOT_FOUND
+        key_region = self.key_region.copy()
+        key_region[self.leaf_start :] = keys
+        return HarmoniaLayout(
+            fanout=self.fanout,
+            height=self.height,
+            key_region=key_region,
+            prefix_sum=self.prefix_sum.copy(),
+            leaf_values=values,
+            level_starts=self.level_starts.copy(),
+            n_keys=int(np.count_nonzero(kept)),
         )
 
     # ------------------------------------------------------------ validation
@@ -521,8 +520,8 @@ class HarmoniaLayout:
                 )
 
         # Leaf keys globally sorted & unique, and count matches n_keys.
-        # (Gapped leaves hold: sorted rows put pads at the tail, so the
-        # masked flatten stays globally increasing whatever the gaps.)
+        # (Sorted rows put pads at the tail, so the masked flatten stays
+        # globally increasing whatever the slack.)
         flat = self.all_keys()
         if flat.size != self.n_keys:
             raise InvariantViolation(

@@ -122,9 +122,17 @@ def merge_last_wins(
     out; the newer entries then go in at their sorted positions — except
     those ``new_keep`` masks off, which only delete (how a tombstone
     removes a base entry and is itself dropped).  One ``searchsorted`` of
-    the newer run into the older plus scatters: O(n + r log n) for ``n``
-    older and ``r`` newer entries, no sort of the union.  Either side's
-    arrays may come back unchanged (not copied) when the other is empty.
+    the newer run into the older plus copies: O(n + r log n) for ``n``
+    older and ``r`` newer entries, no sort of the union.
+
+    Only *moves* — a kept newer key the older run lacks (insert), a
+    masked-off one it holds (delete) — shift entries.  A kept newer key
+    the older run holds overwrites that entry's columns in place after
+    the moves, and the keys array is shared when nothing moves, so an
+    update-heavy batch costs one copy of its columns.  Moves are placed
+    by :func:`_place_segments` when few, else by :func:`_place_masked`.
+    Either side's arrays may come back unchanged (not copied) when the
+    other is empty.
     """
     if any(c.shape != keys.shape for c in cols) or any(
         c.shape != new_keys.shape for c in new_cols
@@ -132,40 +140,95 @@ def merge_last_wins(
         raise ConfigError("each run needs aligned keys and columns")
     if new_keys.size > 1 and not np.all(new_keys[1:] > new_keys[:-1]):
         raise ConfigError("the newer run must be sorted with unique keys")
-    if new_keep is None:
-        kept_keys, kept_cols = new_keys, tuple(new_cols)
-    else:
-        kept_keys = new_keys[new_keep]
-        kept_cols = tuple(c[new_keep] for c in new_cols)
     if keys.size == 0:
-        return kept_keys, kept_cols
+        if new_keep is None:
+            return new_keys, tuple(new_cols)
+        return new_keys[new_keep], tuple(c[new_keep] for c in new_cols)
     if new_keys.size == 0:
         return keys, tuple(cols)
     idx = np.searchsorted(keys, new_keys, side="left")
-    clip = np.minimum(idx, keys.size - 1)
-    dup = keys[clip] == new_keys
-    if dup.any():
+    held = keys[np.minimum(idx, keys.size - 1)] == new_keys
+    keep = (np.ones(new_keys.size, dtype=bool) if new_keep is None
+            else new_keep)
+    moves = np.flatnonzero(held != keep)
+    if not moves.size:
+        out_keys, out_cols = keys, [c.copy() for c in cols]
+    else:
+        place = (_place_segments
+                 if moves.size * _SEGMENT_RATIO <= keys.size
+                 else _place_masked)
+        out_keys, out_cols = place(
+            keys, cols, new_keys[moves], [c[moves] for c in new_cols],
+            idx[moves], keep[moves],
+        )
+    over = held & keep
+    if over.any():
+        # Output position of an overwritten entry: its older position,
+        # shifted by the inserts minus the deletes of the keys below it.
+        step = keep.astype(np.int64) - held
+        pos = idx + np.cumsum(step) - step
+        for out, new in zip(out_cols, new_cols):
+            out[pos[over]] = new[over]
+    return out_keys, tuple(out_cols)
+
+
+#: :func:`merge_last_wins` places its moves segment by segment when the
+#: older run holds at least this many entries per move.  Measured on a
+#: 2^20-entry block with two columns: a segment copy is a plain memcpy
+#: (1.6 ms for the block) where the masked scatter costs 3.1 ms, and each
+#: segment adds ~3.6 µs of Python, so segments win below ~2400 entries
+#: per move.  64 inserts: 1.9 ms against 3.5 ms.
+_SEGMENT_RATIO = 4096
+
+
+def _place_segments(keys, cols, move_keys, move_cols, idx, insert):
+    """Apply few moves — ``insert[j]``: put ``move_keys[j]`` in at older
+    position ``idx[j]``, else delete the older entry there — by copying
+    the older entries between two moves as one slice."""
+    total = keys.size + 2 * int(np.count_nonzero(insert)) - idx.size
+    olds = (keys, *cols)
+    news = (move_keys, *move_cols)
+    outs = [np.empty(total, dtype=a.dtype) for a in olds]
+    src = dst = 0
+    for j, (stop, put) in enumerate(zip(idx.tolist(), insert.tolist())):
+        end = dst + stop - src
+        for out, old in zip(outs, olds):
+            out[dst:end] = old[src:stop]
+        if put:
+            for out, new in zip(outs, news):
+                out[end] = new[j]
+            dst, src = end + 1, stop
+        else:
+            dst, src = end, stop + 1
+    for out, old in zip(outs, olds):
+        out[dst:] = old[src:]
+    return outs[0], outs[1:]
+
+
+def _place_masked(keys, cols, move_keys, move_cols, idx, insert):
+    """Apply many moves (see :func:`_place_segments`) with boolean-mask
+    scatters: drop the deleted older entries, then put the inserts in at
+    their merged positions."""
+    delete = ~insert
+    if delete.any():
         keep_old = np.ones(keys.size, dtype=bool)
-        keep_old[clip[dup]] = False
+        keep_old[idx[delete]] = False
         keys = keys[keep_old]
         cols = [c[keep_old] for c in cols]
-        # Older entries below each newer key, minus the dropped ones
-        # (exactly the duplicates of the newer keys before it).
-        idx = idx - (np.cumsum(dup) - dup)
-    if new_keep is not None:
-        idx = idx[new_keep]
-    # Merged position of newer entry i = (#older below it) + i.
-    pos = idx + np.arange(kept_keys.size)
-    total = keys.size + kept_keys.size
+        # Older entries below each insert, minus the deleted ones.
+        idx = idx - (np.cumsum(delete) - delete)
+    # Merged position of insert i = (#older below it) + i.
+    pos = idx[insert] + np.arange(int(np.count_nonzero(insert)))
+    total = keys.size + pos.size
     at_old = np.ones(total, dtype=bool)
     at_old[pos] = False
-    out = []
-    for old, new in zip((keys, *cols), (kept_keys, *kept_cols)):
+    outs = []
+    for old, new in zip((keys, *cols), (move_keys, *move_cols)):
         merged = np.empty(total, dtype=old.dtype)
         merged[at_old] = old
-        merged[pos] = new
-        out.append(merged)
-    return out[0], tuple(out[1:])
+        merged[pos] = new[insert]
+        outs.append(merged)
+    return outs[0], outs[1:]
 
 
 def compact(layout: HarmoniaLayout, fill: float = 1.0) -> HarmoniaLayout:

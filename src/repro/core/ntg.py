@@ -19,7 +19,7 @@ warp-max step count.  Halve ``GS`` while the predicted ratio exceeds 1.
 **Per-level degrees.**  The real CUDA Harmonia (``harmonia.cuh``) does not
 stop at one global width: it tunes an ``ntg_degree[depth]`` array, one
 group width per tree level, because each level has its own fanout /
-occupancy / comparison profile (the root rarely needs 32 lanes; a gapped
+occupancy / comparison profile (the root rarely needs 32 lanes; a partly filled
 leaf level rarely needs more than a handful).  The kernel can only *split*
 groups as the frontier descends — once lanes have diverged to different
 children they cannot re-merge — so the degree vector is non-increasing

@@ -52,6 +52,7 @@ import repro.obs as obs
 from repro.constants import VALUE_DTYPE
 from repro.core.engine import BatchQueryEngine
 from repro.core.layout import HarmoniaLayout
+from repro.core.snapshot import Snapshot
 from repro.core.psa import optimal_sort_bits
 from repro.errors import ConfigError
 from repro.sort.radix import partial_radix_argsort
@@ -226,7 +227,7 @@ class StreamStats:
 
 class StreamExecutor:
     """Batch-at-a-time (sort → traverse → scatter) streaming executor over
-    one layout snapshot, run on the calling thread.
+    one snapshot (or bare layout), run on the calling thread.
 
     Results are bit-identical to
     :meth:`~repro.core.tree.HarmoniaTree.search_batch` on the same queries
@@ -238,30 +239,31 @@ class StreamExecutor:
     and the engine scratch are reused across batches).  Concurrent streams
     each take their own executor —
     :meth:`~repro.core.tree.HarmoniaTree.search_stream` does exactly that;
-    all of them share the snapshot's immutable packed leaf block
-    (:meth:`~repro.core.layout.HarmoniaLayout.packed_leaves`).
+    all of them share the snapshot's immutable packed leaf block.
     """
 
     def __init__(
         self,
-        layout: HarmoniaLayout,
+        snapshot,
         batch_size: int = DEFAULT_STREAM_BATCH,
         bits: Optional[int] = None,
         use_psa: bool = True,
         keys_per_cacheline: int = 16,
     ) -> None:
-        if not isinstance(layout, HarmoniaLayout):
-            raise ConfigError("StreamExecutor needs a HarmoniaLayout")
+        if not isinstance(snapshot, (HarmoniaLayout, Snapshot)):
+            raise ConfigError(
+                "StreamExecutor needs a Snapshot or a HarmoniaLayout"
+            )
         if batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
 
-        self.layout = layout
         self.batch_size = int(batch_size)
-        self.engine = BatchQueryEngine(layout)
+        self.engine = BatchQueryEngine(snapshot)
+        self.snapshot = snap = self.engine.snapshot
 
         # Equation 2 over the effective key space, exactly as
         # HarmoniaTree.prepare_queries resolves it.
-        space_bits = layout.key_space_bits()
+        space_bits = snap.key_space_bits()
         if not use_psa:
             resolved = 0
         elif bits is not None:
@@ -270,7 +272,7 @@ class StreamExecutor:
             resolved = min(bits, space_bits)
         else:
             resolved = optimal_sort_bits(
-                max(layout.n_keys, 1), keys_per_cacheline, key_bits=space_bits
+                max(snap.n_keys, 1), keys_per_cacheline, key_bits=space_bits
             )
         self.bits = int(resolved)
         self.key_bits = int(space_bits)
@@ -282,12 +284,12 @@ class StreamExecutor:
         self.last_stats: Optional[StreamStats] = None
 
     @classmethod
-    def from_config(cls, layout: HarmoniaLayout, config) -> "StreamExecutor":
+    def from_config(cls, snapshot, config) -> "StreamExecutor":
         """Build from a :class:`~repro.core.config.SearchConfig` — O(1):
         the packed leaf block is the snapshot's, built once however many
         executors read it."""
         return cls(
-            layout,
+            snapshot,
             batch_size=config.stream_batch,
             bits=config.psa_bits,
             use_psa=config.use_psa,

@@ -2,19 +2,25 @@
 
 Glues the pieces together the way the paper's system does:
 
-* point queries run over the immutable
-  :class:`~repro.core.layout.HarmoniaLayout` snapshot as PSA order (§4.1)
-  → one binary search over the packed leaf block (§3.2.1) → scatter
-  restore → delta overlay;
+* the tree's state is one immutable
+  :class:`~repro.core.snapshot.Snapshot` — the packed leaf block
+  (§3.2.1), with the :class:`~repro.core.layout.HarmoniaLayout` derived
+  from it on first use (:attr:`HarmoniaTree.layout`);
+* point queries run as PSA order (§4.1) → one binary search over the
+  block → scatter restore → delta overlay; range scans, iteration and
+  joins slice the same block;
 * the NTG group size chosen by static profiling (§4.2) configures the
   simulated-GPU kernel (:func:`repro.gpusim.kernels.simulate_search`) and
   the work model; every :class:`PreparedBatch` resolves it on demand, so
   benches and the simulator agree on the kernel configuration while the
-  host lookup never pays for it;
-* updates are collected into batches and applied by one of the update
-  executors, each of which writes a fresh layout.
+  host lookup never pays for it (nor for the layout it needs);
+* an update batch is resolved against the block
+  (:func:`~repro.core.delta.resolve_batch`) and merged into the next
+  block (:meth:`~repro.core.snapshot.Snapshot.merge`) — or, in the
+  ``"scalar"`` reference mode, run through Algorithm 1 on a copy of the
+  layout.
 
-The phase discipline is the paper's: a batch update replaces the layout
+The phase discipline is the paper's: a batch update replaces the
 snapshot and never writes the old one, so queries pinned to an older
 snapshot keep seeing it unchanged.
 """
@@ -31,6 +37,7 @@ import numpy as np
 import repro.obs as obs
 from repro.constants import DEFAULT_FANOUT, NOT_FOUND
 from repro.core.config import SearchConfig, UpdateConfig
+from repro.core.delta import resolve_batch
 from repro.core.engine import BatchQueryEngine, EngineStats
 from repro.core.layout import HarmoniaLayout
 from repro.core.ntg import (
@@ -42,14 +49,14 @@ from repro.core.ntg import (
 from repro.core.psa import PSABatch, identity_batch, prepare_batch
 from repro.core.search import (
     RangeBatch,
+    contains_batch,
     range_bounds,
     range_search_batch as _range_search_batch,
     search_batch as _search_batch,
-    search_scalar,
 )
+from repro.core.snapshot import Snapshot
 from repro.core.update import BatchResult, BatchUpdater, Operation
-from repro.core.update_plan import GappedBatchUpdater
-from repro.errors import EmptyTreeError
+from repro.errors import ConfigError, EmptyTreeError, InvariantViolation
 from repro.utils.validation import ensure_key_array, ensure_scalar_key
 
 
@@ -146,7 +153,8 @@ class PreparedBatch:
     """A query batch after PSA (§4.1), ready for the lookup.
 
     ``psa`` holds the issue-order queries and the restore permutation —
-    all the host lookup reads.  The §4.2 kernel configuration
+    all the host lookup reads; ``snapshot`` is the state it was prepared
+    against.  The §4.2 kernel configuration
     (:attr:`group_size`, :attr:`ntg_selection`, :attr:`ntg_degrees`,
     :attr:`scan_widths`) describes the simulated GPU kernel and the work
     model; it is resolved from this batch on first read, so a lookup that
@@ -154,12 +162,18 @@ class PreparedBatch:
     """
 
     psa: PSABatch
-    layout: HarmoniaLayout = field(repr=False, compare=False)
+    snapshot: Snapshot = field(repr=False, compare=False)
     config: SearchConfig = field(repr=False, compare=False)
 
     @property
     def queries(self) -> np.ndarray:
         return self.psa.queries
+
+    @property
+    def layout(self) -> HarmoniaLayout:
+        """The snapshot's layout (derived on first access) — what the
+        kernel configuration is profiled against."""
+        return self.snapshot.layout
 
     @property
     def warp_size(self) -> int:
@@ -193,6 +207,17 @@ class PreparedBatch:
         return self._ntg[3]
 
 
+
+
+def _iter_pairs(keys: np.ndarray, values: np.ndarray, first: int,
+                step: int = 4096):
+    """``(key, value)`` pairs of a block from position ``first`` on,
+    converted ``step`` at a time so a partial scan touches only what it
+    crosses."""
+    for a in range(first, keys.size, step):
+        yield from zip(keys[a:a + step].tolist(), values[a:a + step].tolist())
+
+
 class HarmoniaTree:
     """High-throughput batched B+tree index (Harmonia, PPoPP '19).
 
@@ -205,17 +230,23 @@ class HarmoniaTree:
 
     def __init__(
         self,
-        layout: Optional[HarmoniaLayout],
+        snapshot=None,
         fill: float = 1.0,
         search_config: Optional[SearchConfig] = None,
     ) -> None:
-        self._layout = layout
+        """``snapshot`` is the tree's state: a
+        :class:`~repro.core.snapshot.Snapshot`, a
+        :class:`~repro.core.layout.HarmoniaLayout` (wrapped as an already
+        derived snapshot), or ``None`` for an empty tree."""
+        if isinstance(snapshot, HarmoniaLayout):
+            snapshot = Snapshot.of_layout(snapshot, fill=fill)
+        self._snap: Optional[Snapshot] = snapshot
         self._fill = fill
         self.search_config = search_config or SearchConfig()
-        if layout is not None:
+        if snapshot is not None:
             # Remember the branching factor so a tree that is emptied and
             # re-populated keeps its configuration.
-            self._empty_fanout = layout.fanout
+            self._empty_fanout = snapshot.fanout
 
     # ------------------------------------------------------------- builders
 
@@ -228,12 +259,17 @@ class HarmoniaTree:
         fill: float = 1.0,
         search_config: Optional[SearchConfig] = None,
     ) -> "HarmoniaTree":
-        """Bulk-build from strictly increasing keys (the evaluation path)."""
-        karr = ensure_key_array(np.asarray(keys))
-        if karr.size == 0:
-            return cls(None, fill=fill, search_config=search_config)
-        layout = HarmoniaLayout.from_sorted(karr, values, fanout=fanout, fill=fill)
-        return cls(layout, fill=fill, search_config=search_config)
+        """Bulk-load from strictly increasing keys (the evaluation path).
+
+        Stores the validated block; the layout is derived on first use.
+        Bad input — unsorted or duplicate keys, the ``KEY_MAX`` sentinel,
+        values that overflow the value dtype — is rejected here.
+        """
+        snap = Snapshot.from_sorted(keys, values, fanout=fanout, fill=fill)
+        if not snap.n_keys:
+            return cls.empty(snap.fanout, fill=fill,
+                             search_config=search_config)
+        return cls(snap, fill=fill, search_config=search_config)
 
     @classmethod
     def empty(
@@ -263,21 +299,30 @@ class HarmoniaTree:
     # ------------------------------------------------------------ properties
 
     @property
+    def snapshot(self) -> Optional[Snapshot]:
+        """The current state (``None`` for an empty tree)."""
+        return self._snap
+
+    def _require_snapshot(self) -> Snapshot:
+        if self._snap is None:
+            raise EmptyTreeError("tree is empty; no snapshot exists")
+        return self._snap
+
+    @property
     def layout(self) -> HarmoniaLayout:
-        if self._layout is None:
-            raise EmptyTreeError("tree is empty; no layout snapshot exists")
-        return self._layout
+        """The snapshot's §3.1 layout, derived on first access."""
+        return self._require_snapshot().layout
 
     @property
     def fanout(self) -> int:
-        return self._layout.fanout if self._layout is not None else self._empty_fanout
+        return self._snap.fanout if self._snap is not None else self._empty_fanout
 
     @property
     def height(self) -> int:
-        return self._layout.height if self._layout is not None else 0
+        return self.layout.height if self._snap is not None else 0
 
     def __len__(self) -> int:
-        base = self._layout.n_keys if self._layout is not None else 0
+        base = self._snap.n_keys if self._snap is not None else 0
         return base + (self.delta.net if self.delta is not None else 0)
 
     def __contains__(self, key: int) -> bool:
@@ -286,16 +331,20 @@ class HarmoniaTree:
     # --------------------------------------------------------------- queries
 
     def search(self, key: int) -> Optional[int]:
-        """Single-key lookup (CPU scalar path)."""
+        """Single-key lookup: one binary search of the block."""
         key = ensure_scalar_key(key)
         if self.delta is not None:
             hit = self.delta.lookup(key)
             if hit is not None:
                 tombstoned, value = hit
                 return None if tombstoned else value
-        if self._layout is None:
+        if self._snap is None:
             return None
-        return search_scalar(self._layout, key)
+        keys, values = self._snap.packed_leaves()
+        i = int(np.searchsorted(keys, key))
+        if i < keys.size and int(keys[i]) == key:
+            return int(values[i])
+        return None
 
     def prepare_queries(
         self, queries: Sequence[int], config: Optional[SearchConfig] = None
@@ -303,14 +352,14 @@ class HarmoniaTree:
         """Run the §4 front half: PSA reordering.  The NTG kernel
         configuration resolves lazily (see :class:`PreparedBatch`)."""
         cfg = config or self.search_config
-        layout = self.layout
+        snap = self._require_snapshot()
         q = ensure_key_array(np.asarray(queries), "queries")
 
         if cfg.use_psa:
             # Equation 2's B is the *effective* key-space width: sorting
             # bits above the data's range would order nothing, so the sort
             # window is anchored at the top of the stored key range.
-            space_bits = layout.key_space_bits()
+            space_bits = snap.key_space_bits()
             if cfg.psa_bits is not None:
                 psa = prepare_batch(
                     q, bits=min(cfg.psa_bits, space_bits), key_bits=space_bits
@@ -318,14 +367,14 @@ class HarmoniaTree:
             else:
                 psa = prepare_batch(
                     q,
-                    tree_size=max(layout.n_keys, 1),
+                    tree_size=max(snap.n_keys, 1),
                     keys_per_cacheline=cfg.keys_per_cacheline,
                     key_bits=space_bits,
                 )
         else:
             psa = identity_batch(q)
 
-        prepared = PreparedBatch(psa, layout, cfg)
+        prepared = PreparedBatch(psa, snap, cfg)
         if obs.active.enabled:
             # Recording: resolve the kernel configuration now so the
             # ntg.* gauges land with this batch.
@@ -341,19 +390,17 @@ class HarmoniaTree:
 
         Returns values aligned with the *input* order (PSA permutation is
         undone); absent keys map to :data:`~repro.constants.NOT_FOUND`.
-        This path always runs the per-query broadcast traversal and is
-        kept as the oracle; :meth:`search_many` is the fast engine path.
+        This path always runs the per-query broadcast traversal of the
+        layout (deriving it) and is kept as the oracle;
+        :meth:`search_many` is the fast engine path.
         """
         cfg = config or self.search_config
+        if self._snap is None:
+            return self._no_snapshot(queries)
         q = ensure_key_array(np.asarray(queries), "queries")
-        if self._layout is None:
-            out = np.full(q.size, NOT_FOUND, dtype=np.int64)
-            if self.delta is not None:
-                self.delta.overlay_values(q, out)
-            return out
         with obs.scoped(cfg.trace):
             prepared = self.prepare_queries(q, cfg)
-            results = _search_batch(self._layout, prepared.queries)
+            results = _search_batch(self._snap.layout, prepared.queries)
             out = results[prepared.psa.restore]
             if self.delta is not None:
                 self.delta.overlay_values(q, out)
@@ -362,15 +409,15 @@ class HarmoniaTree:
     def engine(self) -> BatchQueryEngine:
         """The lookup engine bound to the current snapshot.
 
-        Cached: rebuilt only when the layout snapshot is replaced (batch
+        Cached: rebuilt only when the snapshot is replaced (batch
         update), so scratch buffers persist across batches.  The packed
-        leaf block lives on the snapshot itself and is shared by every
-        engine over it.
+        leaf block is the snapshot itself, shared by every engine over
+        it.
         """
-        layout = self.layout  # raises on an empty tree
+        snap = self._require_snapshot()
         eng = self._engine
-        if eng is None or eng.layout is not layout:
-            eng = BatchQueryEngine(layout)
+        if eng is None or eng.snapshot is not snap:
+            eng = BatchQueryEngine(snap)
             self._engine = eng
         return eng
 
@@ -384,7 +431,7 @@ class HarmoniaTree:
         calling thread.  Bit-identical to :meth:`search_batch`, the
         per-query broadcast oracle.
         """
-        if self._layout is None:
+        if self._snap is None:
             return self._no_snapshot(queries)
         cfg = config or self.search_config
         with obs.scoped(cfg.trace):
@@ -398,7 +445,7 @@ class HarmoniaTree:
         return self.delta.overlay_values if self.delta is not None else None
 
     def _no_snapshot(self, queries) -> np.ndarray:
-        """A point read on a tree with no layout: every key misses the
+        """A point read on a tree with no snapshot: every key misses the
         base, then the pinned delta (if any) applies."""
         q = ensure_key_array(np.asarray(queries), "queries")
         out = np.full(q.size, NOT_FOUND, dtype=np.int64)
@@ -435,7 +482,7 @@ class HarmoniaTree:
         delta overlay, when pinned, applies the same way); ascending
         order is validated by the hinted engine.
         """
-        if self._layout is None:
+        if self._snap is None:
             return self._no_snapshot(queries)
         cfg = config or self.search_config
         overlay = self._overlay()
@@ -469,10 +516,10 @@ class HarmoniaTree:
         """
         from repro.core.stream import StreamExecutor
 
-        if self._layout is None:
+        if self._snap is None:
             return self._no_snapshot(queries)
         cfg = config or self.search_config
-        executor = StreamExecutor.from_config(self._layout, cfg)
+        executor = StreamExecutor.from_config(self._snap, cfg)
         with obs.scoped(cfg.trace):
             out = executor.run(queries, overlay=self._overlay())
         self._last_stream_stats = executor.last_stats
@@ -494,80 +541,52 @@ class HarmoniaTree:
         self, los: Sequence[int], his: Sequence[int]
     ) -> RangeBatch:
         """Batch of range scans as one :class:`~repro.core.search.RangeBatch`
-        aligned with the inputs: one vectorized leaf-location pass for all
-        bounds, then one gather of every window's leaf rows.  A pinned
-        delta overlay is merged over the whole batch at once
+        aligned with the inputs: two binary searches of the block for all
+        bounds, then one gather of every window's slice.  A pinned delta
+        overlay is merged over the whole batch at once
         (:meth:`~repro.core.delta.DeltaView.merge_ranges`: last wins,
         tombstones dropped)."""
         lo_arr, hi_arr = range_bounds(los, his)
-        if self._layout is None:
+        if self._snap is None:
             base = RangeBatch.empty(lo_arr.size)
         else:
-            base = _range_search_batch(self._layout, lo_arr, hi_arr)
+            base = _range_search_batch(self._snap, lo_arr, hi_arr)
         if self.delta is None:
             return base
         return self.delta.merge_ranges(base, lo_arr, hi_arr)
 
     def items(self, start: Optional[int] = None):
-        """Lazy cursor over ``(key, value)`` pairs in key order.
+        """Cursor over ``(key, value)`` pairs in key order.
 
         ``start`` positions the cursor at the first key ``>= start``.
-        Iterates leaf row by leaf row over the contiguous leaf block, so a
-        partial scan touches only the rows it crosses.  The snapshot is
-        pinned at call time (later batches do not affect a live cursor).
-        With a pinned delta overlay the merged visible contents are
-        materialized up front (correctness over laziness on that path).
+        Walks the block a slice at a time, so a partial scan touches only
+        what it crosses.  The snapshot is pinned at call time (later
+        batches do not affect a live cursor).  With a pinned delta
+        overlay the merged visible contents are materialized up front
+        (correctness over laziness on that path).
         """
         if self.delta is not None:
             keys, values = self._merged_items()
-            if start is not None:
-                first = int(np.searchsorted(keys, start, side="left"))
-                keys, values = keys[first:], values[first:]
-            for k, v in zip(keys.tolist(), values.tolist()):
-                yield k, v
-            return
-        layout = self._layout
-        if layout is None:
-            return
-        from repro.constants import KEY_MAX
-
-        first_leaf = 0
-        if start is not None:
-            node = 0
-            for _ in range(layout.height - 1):
-                row = layout.key_region[node]
-                i = int(np.searchsorted(row, start, side="right"))
-                node = int(layout.prefix_sum[node]) + i
-            first_leaf = node - layout.leaf_start
-        for leaf in range(first_leaf, layout.n_leaves):
-            row = layout.key_region[layout.leaf_start + leaf]
-            vals = layout.leaf_values[leaf]
-            for slot in range(layout.slots):
-                key = int(row[slot])
-                if key == KEY_MAX:
-                    break
-                if start is not None and key < start:
-                    continue
-                yield key, int(vals[slot])
+        elif self._snap is None:
+            return iter(())
+        else:
+            keys, values = self._snap.packed_leaves()
+        first = 0 if start is None else int(
+            np.searchsorted(keys, start, side="left"))
+        return _iter_pairs(keys, values, first)
 
     def keys(self, start: Optional[int] = None):
-        """Lazy cursor over keys in order (see :meth:`items`)."""
-        for key, _ in self.items(start):
-            yield key
+        """Cursor over keys in order (see :meth:`items`)."""
+        return (key for key, _ in self.items(start))
 
     def _merged_items(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Visible sorted ``(keys, values)`` arrays: base leaf items
-        overlaid with the pinned delta (last wins, tombstones dropped)."""
-        if self._layout is None:
+        """Visible sorted ``(keys, values)`` arrays: the block overlaid
+        with the pinned delta (last wins, tombstones dropped)."""
+        if self._snap is None:
             base_k = np.empty(0, dtype=np.int64)
             base_v = np.empty(0, dtype=np.int64)
         else:
-            pairs = self._layout.iter_leaf_items()
-            if pairs.size:
-                base_k, base_v = pairs[:, 0], pairs[:, 1]
-            else:
-                base_k = np.empty(0, dtype=np.int64)
-                base_v = np.empty(0, dtype=np.int64)
+            base_k, base_v = self._snap.packed_leaves()
         if self.delta is None:
             return base_k, base_v
         return self.delta.merge_items(base_k, base_v)
@@ -579,78 +598,66 @@ class HarmoniaTree:
         ops: Sequence[Operation],
         config: Optional[UpdateConfig] = None,
     ) -> BatchResult:
-        """Apply one update batch (§3.2.2) and run the movement pass.
+        """Apply one update batch (§3.2.2).
 
-        Returns the accounting record; the tree's layout snapshot is
-        replaced atomically at the end (phase semantics — queries issued
-        after this call see the new structure).  No mode ever writes the
-        outgoing snapshot, so its cached packed leaf block and leaf counts
-        stay valid for readers still pinned to it.
+        Returns the accounting record; the tree's snapshot is replaced
+        atomically at the end (phase semantics — queries issued after
+        this call see the new contents).  No mode writes the outgoing
+        snapshot, so readers still pinned to it keep a consistent state.
 
-        ``config.mode`` picks the executor: the gapped in-place absorber
-        (default, :class:`~repro.core.update_plan.GappedBatchUpdater` —
-        movement demoted to a rare compaction epoch; absorbs into a
-        private copy) or the per-op Algorithm 1 reference path, which
-        edits a private copy of the snapshot.  Results are equivalent;
-        the physical layouts differ (see
-        :class:`~repro.core.config.UpdateConfig`).
+        ``config.mode`` picks the executor.  ``"merge"`` (the default)
+        resolves every op against the block — one ``searchsorted``
+        existence probe, then each key's ops in arrival order — and
+        merges the resolved run into the next block (the result's
+        ``apply`` / ``movement`` phases); no layout is built.
+        ``"scalar"`` runs the per-op Algorithm 1 reference on a private
+        copy of the layout, then its movement pass.  Accounting and
+        contents are identical (see
+        :class:`~repro.core.config.UpdateConfig`).  A tree with no
+        snapshot takes its first batch through the merge in either mode.
         """
         cfg = config or UpdateConfig()
         if self.delta is not None:
-            from repro.errors import ConfigError
-
             raise ConfigError(
                 "this tree is a pinned snapshot+delta read view; apply "
                 "updates through its EpochManager, not the view"
             )
-        if self._layout is None:
-            return self._bootstrap_batch(ops)
-
-        if cfg.mode == "gapped":
-            gapped = GappedBatchUpdater(self._layout, fill=self._fill,
-                                        config=cfg)
-            result = gapped.run(ops, n_threads=cfg.n_threads)
-            self._layout = gapped.new_layout
-            return result
+        snap = self._snap
+        if cfg.mode == "merge" or snap is None:
+            return self._merge_batch(ops)
 
         # Algorithm 1 edits leaf rows in place: give it a private copy.
-        scalar = BatchUpdater(self._layout.copy(), fill=self._fill)
+        scalar = BatchUpdater(snap.layout.copy(), fill=self._fill)
         with scalar.result.timer.phase("apply"):
             scalar.apply_batch(ops, n_threads=cfg.n_threads)
         with scalar.result.timer.phase("movement"):
-            self._layout = scalar.movement()
+            new = scalar.movement()
+        self._snap = (None if new is None else
+                      Snapshot.of_layout(new, self._fill, n_bulk=snap.n_bulk))
         return scalar.result
 
-    def _bootstrap_batch(self, ops: Sequence[Operation]) -> BatchResult:
-        """First batch on an empty tree: inserts bulk-build the layout."""
-        result = BatchResult()
-        with result.timer.phase("apply"):
-            pairs = {}
-            for op in ops:
-                if op.kind == "insert":
-                    if op.key in pairs:
-                        result.failed += 1
-                    else:
-                        pairs[op.key] = op.value
-                        result.inserted += 1
-                elif op.kind == "update":
-                    if op.key in pairs:
-                        pairs[op.key] = op.value
-                        result.updated += 1
-                    else:
-                        result.failed += 1
-                else:
-                    if pairs.pop(op.key, None) is not None:
-                        result.deleted += 1
-                    else:
-                        result.failed += 1
+    def _merge_batch(self, ops: Sequence[Operation]) -> BatchResult:
+        """The production write: resolve, then merge into the next block."""
+        t0 = time.perf_counter()
+        base = self._snap
+        run, result = resolve_batch(
+            ops, lambda ukeys: (np.zeros(ukeys.size, dtype=bool)
+                                if base is None
+                                else contains_batch(base, ukeys)))
+        t1 = time.perf_counter()
         with result.timer.phase("movement"):
-            if pairs:
-                keys = np.fromiter(sorted(pairs), dtype=np.int64, count=len(pairs))
-                vals = np.asarray([pairs[int(k)] for k in keys], dtype=np.int64)
-                self._layout = HarmoniaLayout.from_sorted(
-                    keys, vals, fanout=self._empty_fanout, fill=self._fill
-                )
+            self._snap = Snapshot.merge(base, run, self.fanout, self._fill)
+        rec = obs.active
+        if rec.enabled:
+            t2 = time.perf_counter()
+            n = len(ops)
+            rec.counter("update.batches")
+            rec.counter("update.ops", n)
+            rec.span_at("update.resolve", t0, t1, cat="update", ops=n)
+            rec.span_at("update.merge", t1, t2, cat="update", entries=run.n)
+            rec.span_at("update.apply", t0, t2, cat="update", ops=n)
+            if t2 > t0:
+                rec.gauge("update.throughput_ops", n / (t2 - t0))
         return result
 
     # Single-operation conveniences (each is a batch of one, keeping the
@@ -671,16 +678,22 @@ class HarmoniaTree:
     # ------------------------------------------------------------ validation
 
     def check_invariants(self) -> None:
-        if self._layout is not None:
-            self._layout.check_invariants()
+        """Validate the snapshot's layout (deriving it) and that the
+        layout holds exactly the block."""
+        snap = self._snap
+        if snap is None:
+            return
+        layout = snap.layout
+        layout.check_invariants()
+        keys, values = layout.packed_leaves()
+        if not (np.array_equal(keys, snap.keys)
+                and np.array_equal(values, snap.values)):
+            raise InvariantViolation("layout leaves differ from the block")
 
     def __repr__(self) -> str:  # pragma: no cover — debugging aid
-        if self._layout is None:
+        if self._snap is None:
             return f"HarmoniaTree(empty, fanout={self._empty_fanout})"
-        return (
-            f"HarmoniaTree(fanout={self.fanout}, keys={len(self)}, "
-            f"height={self.height})"
-        )
+        return f"HarmoniaTree(fanout={self.fanout}, keys={len(self)})"
 
 
 __all__ = ["HarmoniaTree", "PreparedBatch"]

@@ -56,6 +56,11 @@ UPDATE = "update"
 DELETE = "delete"
 _KINDS = (INSERT, UPDATE, DELETE)
 
+#: Integer op-kind codes of the arrays batch resolution works on
+#: (:func:`repro.core.delta.resolve_batch`) and of the shard wire format.
+K_INSERT, K_UPDATE, K_DELETE = 0, 1, 2
+KIND_CODE = {INSERT: K_INSERT, UPDATE: K_UPDATE, DELETE: K_DELETE}
+
 
 @dataclass(frozen=True)
 class Operation:
@@ -508,8 +513,8 @@ def _assemble_layout(
     Internal levels are derived bottom-up from subtree minima, one
     vectorized scatter per level: child ``c`` of parent ``p`` contributes
     its minimum as separator ``within(c) - 1`` (the first child supplies
-    the parent's own minimum instead).  Shared by the scalar movement
-    pass and the gapped compaction epoch.
+    the parent's own minimum instead) — the scalar movement pass's
+    rebuild.
     """
     slots = fanout - 1
     min_children = (fanout + 1) // 2
@@ -567,6 +572,10 @@ __all__ = [
     "INSERT",
     "UPDATE",
     "DELETE",
+    "K_INSERT",
+    "K_UPDATE",
+    "K_DELETE",
+    "KIND_CODE",
     "Operation",
     "BatchResult",
     "TwoGrainedLocks",

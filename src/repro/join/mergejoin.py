@@ -1,7 +1,7 @@
 """Dual-tree merge-join over Harmonia layouts.
 
 A B+tree's leaf region *is* a sorted stream (§3.1's consecutive leaf
-block, gap-aware since the gapped layout), so joining two Harmonia trees
+block, stored as each snapshot's packed leaves), so joining two Harmonia trees
 never needs to materialize either side into a hash table: ``tree_a``'s
 visible items become an ascending probe batch, and ``tree_b`` resolves
 it with one binary search over its packed leaf block

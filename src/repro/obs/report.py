@@ -114,12 +114,6 @@ def render_report(snapshot: Dict[str, Any]) -> str:
     ups = gauges.get("update.throughput_ops")
     if ups is not None:
         derived.append(f"  batch-update throughput (§3.2.2): {_fmt(ups)} ops/s")
-    moved = counters.get("update.moved_leaves")
-    rebuilt = counters.get("update.rebuilt_leaves")
-    if moved is not None and rebuilt is not None and (moved + rebuilt):
-        derived.append(f"  movement reuse:                 "
-                       f"{moved / (moved + rebuilt):.1%} of leaf rows moved "
-                       f"verbatim ({moved:,} kept / {rebuilt:,} rebuilt)")
     flushes = counters.get("epoch.flushes")
     if flushes:
         drains = counters.get("epoch.drains", 0)

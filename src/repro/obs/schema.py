@@ -209,42 +209,13 @@ CATALOGUE: List[MetricSpec] = [
                "(leaf_scan_tx / descent_tx / naive_tx / tx_speedup)"),
     # ------------------------------------------------------------ update
     MetricSpec("update.batches", "counter", "batches",
-               "batches applied by the gapped update executor"),
+               "batches applied by the merge write "
+               "(HarmoniaTree.apply_batch)"),
     MetricSpec("update.ops", "counter", "ops",
-               "operations fed through the gapped update executor"),
-    MetricSpec("update.inplace_ops", "counter", "ops",
-               "ops resolved in place by one vectorized pass over the "
-               "working leaf rows (no per-op replay)"),
-    MetricSpec("update.replay_ops", "counter", "ops",
-               "ops on leaves whose final content outgrew their rows "
-               "(staged for a compaction epoch)"),
-    MetricSpec("update.split_leaves", "counter", "leaves",
-               "leaves whose content outgrew their rows and was staged "
-               "for re-chunking (§3.2.2 split path)"),
-    MetricSpec("update.dirty_leaves", "counter", "leaves",
-               "leaves the movement pass could not move verbatim"),
-    MetricSpec("update.moved_leaves", "counter", "leaves",
-               "clean leaf rows block-moved verbatim by the movement pass"),
-    MetricSpec("update.rebuilt_leaves", "counter", "leaves",
-               "leaves re-chunked from dirty runs by the movement pass"),
+               "operations fed through the merge write"),
     MetricSpec("update.throughput_ops", "gauge", "ops/s",
-               "end-to-end throughput of the last gapped batch "
-               "(plan + apply + movement, all windows)"),
-    MetricSpec("update.absorbed_ops", "counter", "ops",
-               "ops absorbed in place by gapped leaf slack (no movement)"),
-    MetricSpec("update.windows", "counter", "windows",
-               "plan_window chunks streamed through the gapped planner"),
-    MetricSpec("update.movement_epochs", "counter", "epochs",
-               "compaction epochs the gapped executor actually ran"),
-    MetricSpec("update.gap_absorption", "gauge", "ratio",
-               "absorbed / total ops of the last gapped batch (the "
-               "fraction that dodged the movement rebuild)"),
-    MetricSpec("layout.occupancy", "gauge", "ratio",
-               "keys / leaf slots of the published layout (gapped drift "
-               "observable behind the occupancy_low watermark)"),
-    MetricSpec("layout.compaction_pending", "gauge", "ratio",
-               "fraction of leaves in the gapped compaction set "
-               "(underflowed or packed full) after the last batch"),
+               "end-to-end throughput of the last merge-write batch "
+               "(resolve + merge)"),
     # ------------------------------------------------------- epoch / delta
     MetricSpec("epoch.flushes", "counter", "flushes",
                "concurrent-mode flushes: batches resolved and folded into "
@@ -334,15 +305,14 @@ CATALOGUE: List[MetricSpec] = [
                "ordered delivery of one batch"),
     MetricSpec("psa.prepare", "span", "-",
                "prepare_batch: partial sort + gather to issue order"),
-    MetricSpec("update.plan", "span", "-",
-               "gapped plan stage of one window: leaf routing over the "
-               "cached bounds + stable (leaf, key) bucketing"),
     MetricSpec("update.apply", "span", "-",
-               "gapped apply stage of one window: the per-key fold + "
-               "in-place row writes, overflowing leaves staged"),
-    MetricSpec("update.movement", "span", "-",
-               "gapped movement stage of one window: the epoch check and, "
-               "when due, the compaction epoch (leaf plan + rebuild)"),
+               "one merge-write batch: update.resolve then update.merge"),
+    MetricSpec("update.resolve", "span", "-",
+               "batch resolution: the existence probe of the block + each "
+               "key's ops folded in arrival order into one sorted run"),
+    MetricSpec("update.merge", "span", "-",
+               "the resolved run merged into the packed leaf block — the "
+               "next snapshot (§3.2.2's movement step)"),
     MetricSpec("delta.overlay", "span", "-",
                "snapshot-then-delta overlay pass of one lookup batch"),
     MetricSpec("epoch.publish", "span", "-",

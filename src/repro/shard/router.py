@@ -69,13 +69,18 @@ from repro.constants import DEFAULT_FANOUT, NOT_FOUND, VALUE_DTYPE
 from repro.core.config import SearchConfig, UpdateConfig
 from repro.core.search import RangeBatch, range_bounds, run_index
 from repro.core.merge import concat_sorted_runs
-from repro.core.update import BatchResult, Operation
-from repro.core.update_plan import _KIND_CODE
+from repro.core.update import KIND_CODE, BatchResult, Operation
 from repro.errors import ConfigError
 from repro.shard.partition import Partitioner
 from repro.shard.transport import ShardChannel
 from repro.shard.worker import worker_main
-from repro.utils.validation import ensure_key_array, ensure_scalar_key
+from repro.utils.validation import (
+    ensure_block,
+    ensure_fanout,
+    ensure_fill,
+    ensure_key_array,
+    ensure_scalar_key,
+)
 
 _clock = time.perf_counter
 
@@ -122,7 +127,7 @@ def _encode_ops(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Operation list → wire arrays (the planner's kind codes)."""
     n = len(ops)
-    code = _KIND_CODE
+    code = KIND_CODE
     kinds = np.fromiter((code[op.kind] for op in ops), dtype=np.int8, count=n)
     keys = np.fromiter((op.key for op in ops), dtype=np.int64, count=n)
     values = np.fromiter(
@@ -207,14 +212,13 @@ class ShardedTree:
         concurrent: bool = False,
     ) -> "ShardedTree":
         """Bulk-build: quantile-partition sorted ``keys`` and load one
-        contiguous slice per worker."""
-        karr = ensure_key_array(np.asarray(keys))
-        if values is None:
-            varr = karr.astype(VALUE_DTYPE)
-        else:
-            varr = np.asarray(values, dtype=VALUE_DTYPE)
-            if varr.shape != karr.shape:
-                raise ConfigError("keys and values must align")
+        contiguous slice per worker.  The input is validated here, before
+        any worker starts: unsorted or duplicate keys, the ``KEY_MAX``
+        sentinel, values that overflow the value dtype and a bad fanout
+        or fill are rejected with no process spawned."""
+        karr, varr = ensure_block(keys, values)
+        ensure_fanout(fanout)
+        ensure_fill(fill)
         part = Partitioner.from_keys(karr, n_shards)
         tree = cls(
             part, fanout=fanout, fill=fill, search_config=search_config,

@@ -62,8 +62,7 @@ from repro.constants import VALUE_DTYPE
 from repro.core.config import SearchConfig, UpdateConfig
 from repro.core.epoch import EpochManager
 from repro.core.tree import HarmoniaTree
-from repro.core.update import Operation
-from repro.core.update_plan import K_DELETE, K_INSERT
+from repro.core.update import K_DELETE, K_INSERT, Operation
 from repro.obs.flight import FLIGHT, dump_on_crash
 from repro.obs.trace import (
     TraceContext,
@@ -75,7 +74,7 @@ from repro.shard.transport import ShardChannel
 _clock = time.perf_counter
 
 #: Numeric op codes on the wire (shared with the router's encoder — the
-#: planner's codes from :mod:`repro.core.update_plan`).
+#: codes of :mod:`repro.core.update`).
 _CODE_KIND = {K_INSERT: "insert", K_DELETE: "delete"}
 
 

@@ -11,7 +11,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.constants import KEY_DTYPE, KEY_MAX, MIN_FANOUT
+from repro.constants import KEY_DTYPE, KEY_MAX, MIN_FANOUT, VALUE_DTYPE
 from repro.errors import ConfigError, InvalidKeyError
 
 
@@ -40,6 +40,13 @@ def ensure_fanout(fanout: Any) -> int:
     if f < MIN_FANOUT:
         raise ConfigError(f"fanout must be >= {MIN_FANOUT}, got {f}")
     return f
+
+
+def ensure_fill(fill: Any) -> float:
+    """Validate a leaf fill target in ``(0, 1]``."""
+    if not 0.0 < fill <= 1.0:
+        raise ConfigError(f"fill must be in (0, 1], got {fill}")
+    return float(fill)
 
 
 def ensure_scalar_key(key: Any) -> int:
@@ -82,11 +89,34 @@ def ensure_sorted_unique(keys: np.ndarray, name: str = "keys") -> np.ndarray:
     return arr
 
 
+def ensure_block(keys: Any, values: Any = None):
+    """Validate one sorted block: strictly increasing keys without the
+    sentinel, and values aligned with them that fit the value dtype
+    (``None``: each key is its own value).  Returns ``(keys, values)``
+    as contiguous arrays, either of which may be a view of the input."""
+    karr = ensure_sorted_unique(np.asarray(keys))
+    if values is None:
+        return karr, karr.astype(VALUE_DTYPE)
+    raw = np.asarray(values)
+    info = np.iinfo(VALUE_DTYPE)
+    if raw.dtype.kind == "u" and raw.size and int(raw.max()) > info.max:
+        raise ConfigError(f"values must fit {np.dtype(VALUE_DTYPE)}")
+    try:
+        varr = np.ascontiguousarray(raw, dtype=VALUE_DTYPE)
+    except OverflowError as exc:
+        raise ConfigError(f"values must fit {np.dtype(VALUE_DTYPE)}") from exc
+    if varr.shape != karr.shape:
+        raise ConfigError("values must align with keys")
+    return karr, varr
+
+
 __all__ = [
     "ensure_positive",
     "ensure_power_of_two",
     "ensure_fanout",
+    "ensure_fill",
     "ensure_scalar_key",
     "ensure_key_array",
     "ensure_sorted_unique",
+    "ensure_block",
 ]

@@ -150,9 +150,8 @@ def run_ycsb(
     totals = {"reads": 0, "ranges": 0, "ops": 0,
               "read_s": 0.0, "range_s": 0.0, "update_s": 0.0}
     for _ in range(rounds):
-        stored = tree.layout.all_keys() if hasattr(tree, "layout") else None
-        if stored is None:  # EpochManager
-            stored = tree._tree.layout.all_keys()
+        base = tree._tree if hasattr(tree, "_tree") else tree  # EpochManager
+        stored = base.snapshot.keys
         batch = make_ycsb_round(preset, stored, ops_per_round, rng=gen)
 
         if batch.rmw_reads.size:

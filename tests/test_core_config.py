@@ -59,7 +59,7 @@ class TestUpdateConfig:
     def test_defaults(self):
         cfg = UpdateConfig()
         assert cfg.n_threads == 4
-        assert cfg.mode == "gapped"
+        assert cfg.mode == "merge"
 
     def test_bad_threads(self):
         with pytest.raises(ConfigError):
@@ -69,11 +69,3 @@ class TestUpdateConfig:
         for mode in ("vectorized", "fast", ""):
             with pytest.raises(ConfigError):
                 UpdateConfig(mode=mode)
-
-    def test_bad_gapped_knobs(self):
-        with pytest.raises(ConfigError):
-            UpdateConfig(gap_watermark=0.0)
-        with pytest.raises(ConfigError):
-            UpdateConfig(occupancy_low=1.0)
-        with pytest.raises(ConfigError):
-            UpdateConfig(plan_window=0)

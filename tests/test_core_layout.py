@@ -178,19 +178,10 @@ class TestGappedAccessors:
                               locate_leaves_batch(layout, targets))
 
     def test_min_max_key_skip_emptied_leaves(self):
-        from repro.core import HarmoniaTree, UpdateConfig
-        from repro.core.update import Operation
-
         keys = np.arange(0, 200, 2, dtype=np.int64)
-        tree = HarmoniaTree.from_sorted(keys, fanout=8, fill=0.7)
-        # Empty the first and last leaves in place (lax watermarks keep
-        # the gaps instead of compacting them away).
-        lax = UpdateConfig(mode="gapped", gap_watermark=1.0,
-                           occupancy_low=0.0)
-        ops = [Operation("delete", k) for k in range(0, 12, 2)]
-        ops += [Operation("delete", k) for k in range(188, 200, 2)]
-        tree.apply_batch(ops, lax)
-        layout = tree.layout
+        full = HarmoniaLayout.from_sorted(keys, fanout=8, fill=0.7)
+        # Empty the first and last leaves in place.
+        layout = full.thinned(keys[(keys >= 12) & (keys < 188)])
         counts = layout.leaf_key_counts()
         assert counts[0] == 0 or counts[-1] == 0  # gaps really exist
         assert layout.min_key() == 12

@@ -277,6 +277,36 @@ class TestMergeLastWins:
                 assert got.dtype == exp.dtype
                 assert np.array_equal(got, exp), shape
 
+    def test_fuzz_few_newer_entries_match_reference(self):
+        """A newer run far smaller than the older one takes the
+        segment-copy path; it must match the same reference, including
+        replaced and tombstoned keys at the older run's ends."""
+        from repro.core.merge import _SEGMENT_RATIO, merge_last_wins
+
+        rng = np.random.default_rng(11)
+        for trial in range(120):
+            n_new = int(rng.integers(1, 6))
+            n_old = n_new * _SEGMENT_RATIO + int(rng.integers(0, 3000))
+            old_keys = rng.choice(4 * n_old, size=n_old, replace=False)
+            old = self._side(rng, old_keys)
+            ok = old[0]
+            pick = [ok[0], ok[-1], ok[0] - 1, ok[-1] + 1]
+            new_keys = np.concatenate((
+                rng.integers(-5, 4 * n_old + 5, size=n_new),
+                rng.choice(pick, size=trial % 3),
+            ))
+            new = self._side(rng, new_keys)
+            if new[0].size * _SEGMENT_RATIO > ok.size:
+                continue
+            new_keep = ~new[1][1] if trial % 2 else None
+            got_k, got_cols = merge_last_wins(ok, old[1], new[0], new[1],
+                                              new_keep=new_keep)
+            exp_k, exp_cols = self._reference(old, new, new_keep)
+            assert np.array_equal(got_k, exp_k)
+            for got, exp in zip(got_cols, exp_cols):
+                assert got.dtype == exp.dtype
+                assert np.array_equal(got, exp)
+
     def test_mismatched_columns_rejected(self):
         from repro.core.merge import merge_last_wins
 

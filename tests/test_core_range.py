@@ -185,28 +185,34 @@ class TestRangeBatchEdgeCases:
         width=st.integers(0, 430),
     )
     def test_windows_spanning_gapped_leaves(self, dels, ins, lo, width):
-        """Build a gapped layout (slack + possibly emptied leaves) through
-        the gapped executor, then check windows crossing it: sentinel pads
+        """Windows over a layout whose rows carry slack and possibly
+        emptied leaves (the bulk layout with the deletes cut out in place)
+        and over the tree the same batch was written to: sentinel pads
         and empty rows inside the window must never leak."""
-        from repro.core import HarmoniaTree, UpdateConfig
+        from repro.core import HarmoniaTree
         from repro.core.update import Operation
 
         keys = np.arange(0, 400, 2, dtype=np.int64)
         tree = HarmoniaTree.from_sorted(keys, values=keys * 3,
                                         fanout=8, fill=0.7)
+        lo = max(lo, 0)
+        hi = lo + width
+        survivors = np.setdiff1d(keys, 2 * np.asarray(dels, dtype=np.int64))
+        if survivors.size:
+            thin = tree.layout.thinned(survivors)
+            (k, v), = range_search_batch(thin, [lo], [hi])
+            ref = survivors[(survivors >= lo) & (survivors <= hi)]
+            assert np.array_equal(k, ref)
+            assert np.array_equal(v, ref * 3)
         ops = [Operation("delete", 2 * d) for d in dels]
         ops += [Operation("insert", 2 * i + 1, (2 * i + 1) * 3)
                 for i in ins]
-        lax = UpdateConfig(mode="gapped", gap_watermark=1.0,
-                           occupancy_low=0.0)
-        tree.apply_batch(ops, lax)
-        if tree._layout is None:
+        tree.apply_batch(ops)
+        if tree.snapshot is None:
             return
         stored = np.asarray([k for k, _ in tree.items()], dtype=np.int64)
-        lo = max(lo, 0)
-        hi = lo + width
         (k, v), = range_search_batch(
-            tree._layout, np.asarray([lo]), np.asarray([hi])
+            tree.snapshot, np.asarray([lo]), np.asarray([hi])
         )
         ref = stored[(stored >= lo) & (stored <= hi)]
         assert np.array_equal(k, ref)

@@ -1,18 +1,18 @@
-"""Scalar ≡ gapped result equivalence for the batch-update pipeline.
+"""Scalar ≡ merge result equivalence for the batch-update pipeline.
 
-The contract the production executor
-(:class:`~repro.core.update_plan.GappedBatchUpdater`, the default
-``UpdateConfig``) ships under (docs/update.md): for any batch it produces
-the same :class:`~repro.core.update.BatchResult` accounting
-(inserted/updated/deleted/failed), the same ``items()`` content and the
-same ``search_batch`` answers as the Algorithm 1 reference
-(``UpdateConfig(mode="scalar", n_threads=1)``), and a layout that passes
-``check_invariants`` — the physical layout differs by design (gaps).
-Hypothesis pins the contract over random trees and op mixes; directed
-tests cover the structural extremes (split-heavy, merge-heavy,
-delete-everything) and the executor's own guarantees (non-mutation of the
-input snapshot, thread-count independence, the plan stage's ``(leaf,
-key)`` buckets and the absorb-or-stage verdict).
+The contract the production write (``UpdateConfig(mode="merge")``, the
+default: resolve the batch against the packed leaf block, merge the
+resolved run into the next block) ships under (docs/update.md): for any
+batch it produces the same :class:`~repro.core.update.BatchResult`
+accounting (inserted/updated/deleted/failed), the same ``items()``
+content and the same ``search_batch`` answers as the Algorithm 1
+reference (``UpdateConfig(mode="scalar", n_threads=1)``), and a derived
+layout that passes ``check_invariants`` — only the reference reports
+structural counters.  Hypothesis pins the contract over random trees and
+op mixes; directed tests cover the structural extremes (split-heavy,
+merge-heavy, delete-everything) and the write's own guarantees
+(non-mutation of the input snapshot, thread-count independence, the
+timer phases, the op-kind codes).
 """
 
 import numpy as np
@@ -20,14 +20,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import EpochManager, HarmoniaTree, UpdateConfig
-from repro.core.layout import HarmoniaLayout
-from repro.core.search import locate_leaves_batch
-from repro.core.update import Operation
-from repro.core.update_plan import (
+from repro.core.delta import resolve_batch
+from repro.core.update import (
     K_DELETE,
     K_INSERT,
     K_UPDATE,
-    GappedBatchUpdater,
+    KIND_CODE,
+    Operation,
 )
 
 
@@ -44,15 +43,15 @@ def run_both(n_keys, fanout, fill, ops, n_threads=1):
         ops, UpdateConfig(mode="scalar", n_threads=1)
     )
     gres = gapped_tree.apply_batch(
-        ops, UpdateConfig(mode="gapped", n_threads=n_threads)
+        ops, UpdateConfig(mode="merge", n_threads=n_threads)
     )
     return scalar_tree, sres, gapped_tree, gres
 
 
 def assert_trees_equivalent(stree, gtree, probe_hi=1300):
-    """Same visible state: emptiness, content, point answers; the gapped
-    layout is a valid one."""
-    assert (stree._layout is None) == (gtree._layout is None)
+    """Same visible state: emptiness, content, point answers; the merge
+    tree's derived layout is a valid one."""
+    assert (stree.snapshot is None) == (gtree.snapshot is None)
     assert len(stree) == len(gtree)
     assert list(stree.items()) == list(gtree.items())
     probe = np.arange(-1, probe_hi, dtype=np.int64)
@@ -64,17 +63,6 @@ def assert_trees_equivalent(stree, gtree, probe_hi=1300):
 def assert_results_identical(sres, gres):
     for field in ("inserted", "updated", "deleted", "failed"):
         assert getattr(sres, field) == getattr(gres, field), field
-
-
-def assert_layouts_identical(a, b):
-    if a is None or b is None:
-        assert a is None and b is None
-        return
-    assert np.array_equal(a.key_region, b.key_region)
-    assert np.array_equal(a.prefix_sum, b.prefix_sum)
-    assert np.array_equal(a.leaf_values, b.leaf_values)
-    assert np.array_equal(a.level_starts, b.level_starts)
-    assert a.n_keys == b.n_keys
 
 
 # --------------------------------------------------------------------------
@@ -135,17 +123,18 @@ class TestDirected:
         """fill=1.0 tree: every odd-key insert overflows a full leaf."""
         ops = [Operation("insert", k, k) for k in range(1, 1200, 2)]
         stree, sres, gtree, gres = run_both(600, 8, 1.0, ops)
-        assert sres.split_leaves > 0 and gres.split_leaves > 0
+        # Only the reference splits leaves; the merge has none to split.
+        assert sres.split_leaves > 0 and gres.split_leaves == 0
         assert_results_identical(sres, gres)
         assert_trees_equivalent(stree, gtree)
 
     def test_merge_heavy(self):
-        """Deleting most keys forces underflow and a compaction epoch."""
+        """Deleting most keys underflows the reference's leaves."""
         ops = [Operation("delete", k, 0) for k in range(0, 1800, 2)]
         stree, sres, gtree, gres = run_both(1000, 8, 0.7, ops)
         assert sres.deleted == gres.deleted == 900
-        assert gres.underflow_leaves > 0
-        # The epoch dropped the emptied leaves.
+        assert sres.underflow_leaves > 0
+        # The derived layout holds only the survivors' leaves.
         assert gtree.layout.n_leaves < make_tree(1000, 8, 0.7).layout.n_leaves
         assert_results_identical(sres, gres)
         assert_trees_equivalent(stree, gtree)
@@ -153,27 +142,24 @@ class TestDirected:
     def test_delete_everything(self):
         ops = [Operation("delete", k, 0) for k in range(0, 200, 2)]
         stree, sres, gtree, gres = run_both(100, 8, 0.7, ops)
-        assert stree._layout is None and gtree._layout is None
+        assert stree.snapshot is None and gtree.snapshot is None
         assert_results_identical(sres, gres)
         assert_trees_equivalent(stree, gtree)
 
     def test_update_only_fast_path(self):
-        """A pure-update batch absorbs entirely in place: nothing staged,
-        no compaction epoch."""
+        """A pure-update batch keeps the key set: the next block holds
+        the same keys with the new values."""
         tree = make_tree(500, 16, 0.7)
+        old = tree.snapshot
         ops = ([Operation("update", k, -k) for k in range(0, 400, 2)]
                + [Operation("update", 3, 0)])  # one miss
-        up = GappedBatchUpdater(tree.layout, fill=0.7)
-        res = up.run(ops)
-        assert up.absorbed_ops == len(ops)
-        assert up.overflow_ops == 0 and up.movement_epochs == 0
+        res = tree.apply_batch(ops)
         assert res.updated == 200
         assert res.failed == 1
-        # Absorbed writes land in the new snapshot, not the old one.
-        from repro.core.search import search_batch
-        probe = np.array([4], dtype=np.int64)
-        assert search_batch(up.new_layout, probe)[0] == -4
-        assert search_batch(tree.layout, probe)[0] == 4
+        assert np.array_equal(tree.snapshot.keys, old.keys)
+        # The writes land in the new snapshot, not the old one.
+        assert tree.search(4) == -4
+        assert int(old.values[2]) == 4
         stree, sres, gtree, gres = run_both(500, 16, 0.7, ops)
         assert_results_identical(sres, gres)
         assert_trees_equivalent(stree, gtree)
@@ -201,9 +187,9 @@ class TestDirected:
         assert gtree.search(11) == 3
 
     def test_kept_leaves_with_changed_minima(self):
-        """In-place deletes of leaf minima and inserts just below them:
-        the leaves absorb the edits without any compaction epoch, and
-        routing (unchanged separators) still finds every key."""
+        """Deletes of leaf minima and inserts just below them: the
+        derived layout's separators follow the new minima, so routing
+        still finds every key."""
         tree = make_tree(4_000, 64, 0.7)
         layout = tree.layout
         mins = layout.key_region[layout.leaf_start :, 0]
@@ -213,7 +199,6 @@ class TestDirected:
         for m in mins[2::4]:
             ops.append(Operation("insert", int(m) - 1, -1))  # new, lower key
         stree, sres, gtree, gres = run_both(4_000, 64, 0.7, ops)
-        assert gres.rebuilt_dirty == 0  # absorbed, no epoch
         assert_results_identical(sres, gres)
         assert_trees_equivalent(stree, gtree, probe_hi=8_100)
 
@@ -232,7 +217,7 @@ class TestDirected:
 
     def test_bootstrap_on_empty_tree(self):
         """Both modes share the bootstrap path on an empty tree."""
-        for mode in ("scalar", "gapped"):
+        for mode in ("scalar", "merge"):
             tree = HarmoniaTree.empty(fanout=8)
             res = tree.apply_batch(
                 [Operation("insert", k, k) for k in range(50)],
@@ -249,44 +234,50 @@ class TestDirected:
 class TestPipelineGuarantees:
     def test_input_layout_never_mutated(self):
         tree = make_tree(400, 8, 0.7)
+        snap = tree.snapshot
         layout = tree.layout
         before_keys = layout.key_region.copy()
         before_vals = layout.leaf_values.copy()
         before_prefix = layout.prefix_sum.copy()
         before_counts = layout.leaf_key_counts()
+        before_block = tuple(a.copy() for a in snap.packed_leaves())
         ops = ([Operation("insert", k, k) for k in range(1, 200, 2)]
                + [Operation("update", k, -k) for k in range(0, 200, 4)]
                + [Operation("delete", k, 0) for k in range(200, 300, 2)])
-        up = GappedBatchUpdater(layout, fill=0.7)
-        up.run(ops)
+        tree.apply_batch(ops)
         assert np.array_equal(layout.key_region, before_keys)
         assert np.array_equal(layout.leaf_values, before_vals)
         assert np.array_equal(layout.prefix_sum, before_prefix)
         assert np.array_equal(layout.leaf_key_counts(), before_counts)
-        assert up.new_layout is not layout
+        for arr, saved in zip(snap.packed_leaves(), before_block):
+            assert arr.tobytes() == saved.tobytes()
+        assert tree.snapshot is not snap
 
     def test_thread_count_independence(self):
-        """``n_threads`` does not change the gapped executor's output:
-        same layout bytes, same accounting."""
-        tree = make_tree(2_000, 8, 0.7)
+        """``n_threads`` does not change the merge's output: same block
+        bytes, same accounting."""
         rng = np.random.default_rng(7)
         kinds = rng.choice(["insert", "update", "delete"], size=600)
         keys = rng.integers(0, 4_000, size=600)
         ops = [Operation(str(k), int(key), int(key))
                for k, key in zip(kinds, keys)]
-        serial = GappedBatchUpdater(tree.layout, fill=0.7)
-        serial.run(ops, n_threads=1)
-        threaded = GappedBatchUpdater(tree.layout, fill=0.7)
-        threaded.run(ops, n_threads=4)
-        assert_layouts_identical(serial.new_layout, threaded.new_layout)
-        assert_results_identical(serial.result, threaded.result)
+        serial = make_tree(2_000, 8, 0.7)
+        sres = serial.apply_batch(ops, UpdateConfig(n_threads=1))
+        threaded = make_tree(2_000, 8, 0.7)
+        tres = threaded.apply_batch(ops, UpdateConfig(n_threads=4))
+        for a, b in zip(serial.snapshot.packed_leaves(),
+                        threaded.snapshot.packed_leaves()):
+            assert a.tobytes() == b.tobytes()
+        assert_results_identical(sres, tres)
 
     def test_timer_phases_present(self):
         tree = make_tree(100, 8, 0.7)
         res = tree.apply_batch(
-            [Operation("insert", 1, 1)], UpdateConfig(mode="gapped")
+            [Operation("insert", 1, 1)], UpdateConfig(mode="merge")
         )
-        for phase in ("plan", "apply", "movement"):
+        # Resolution is the apply phase, the merge the movement phase.
+        assert set(res.timer.seconds) == {"apply", "movement"}
+        for phase in ("apply", "movement"):
             assert res.timer.get(phase) >= 0.0
 
     def test_epoch_manager_skips_copy(self):
@@ -298,14 +289,16 @@ class TestPipelineGuarantees:
             update_config=UpdateConfig(),
         )
         pinned = em._snapshot()
-        old_layout = pinned._layout
+        old_snap = pinned.snapshot
+        assert old_snap is em._tree.snapshot
         em.submit(Operation("insert", 1, 1))
         em.submit(Operation("delete", 0, 0))
         em.flush()
         assert em.epoch == 1
         # New epoch is a distinct object; the pinned snapshot is the very
-        # same array-backed layout, untouched.
-        assert em._tree._layout is not old_layout
+        # same array-backed block, untouched.
+        assert em._tree.snapshot is not old_snap
+        assert pinned.snapshot is old_snap
         assert pinned.search(0) == 0
         assert pinned.search(1) is None
         assert em.search(1) == 1
@@ -314,82 +307,61 @@ class TestPipelineGuarantees:
 
 
 # --------------------------------------------------------------------------
-# Plan stage (GappedBatchUpdater._window_plan) and the apply verdicts
+# The resolution stage (core.delta.resolve_batch): the merge's plan
 # --------------------------------------------------------------------------
-
-def window_plan(layout, ops):
-    """Run the plan stage of one window over ``layout``."""
-    up = GappedBatchUpdater(layout, fill=0.7)
-    up._adopt(layout, copy=True)
-    keys = np.asarray([op.key for op in ops], dtype=np.int64)
-    return keys, up._window_plan(keys)
-
 
 class TestPlanStage:
     def test_groups_partition_and_stay_in_arrival_order(self):
-        layout = HarmoniaLayout.from_sorted(
-            np.arange(0, 2_000, 2, dtype=np.int64), fanout=8, fill=0.7
-        )
+        """Resolution groups the ops per key and replays each group in
+        arrival order: every op is counted once, and the run holds each
+        touched key's final state — a per-key dict replay's."""
         rng = np.random.default_rng(3)
-        ops = [Operation("update", int(k), 0)
-               for k in rng.integers(0, 2_000, size=300)]
-        keys, (srt, ustart, uleaf, ukey) = window_plan(layout, ops)
-        bounds = np.concatenate((ustart, [srt.size]))
-        # Routing by the cached bounds agrees with a full traversal.
-        leaves = locate_leaves_batch(layout, keys)
-        seen = set()
-        for b in range(ustart.size):
-            idx = srt[bounds[b]:bounds[b + 1]]
-            # One (leaf, key) bucket, arrival order preserved inside it.
-            assert np.all(leaves[idx] == uleaf[b])
-            assert np.all(keys[idx] == ukey[b])
-            assert np.all(np.diff(idx) > 0)
-            seen.update(int(i) for i in idx)
-        assert seen == set(range(300))
-        # Buckets ascend by (leaf, key).
-        assert np.all(np.diff(uleaf) >= 0)
-        assert np.all(np.diff(ukey) > 0)
-
-    def test_update_only_classification(self):
-        """On full leaves, an update-only leaf is absorbed in place while
-        a leaf an insert pushes past its row is staged for an epoch."""
-        # 196 keys chunk into 28 leaves of exactly 7 (every row full).
-        layout = HarmoniaLayout.from_sorted(
-            np.arange(0, 392, 2, dtype=np.int64), fanout=8, fill=1.0
-        )
-        assert np.all(layout.leaf_key_counts() == layout.slots)
-        ops = [Operation("update", 0, 1),   # leaf A: update-only
-               Operation("update", 2, 1),
-               Operation("update", 388, 1),  # leaf Z: poisoned by insert
-               Operation("insert", 389, 1)]
-        up = GappedBatchUpdater(layout, fill=1.0)
-        res = up.run(ops)
-        assert up.absorbed_ops == 2 and up.overflow_ops == 2
-        assert res.split_leaves == 1 and up.movement_epochs == 1
-        assert (res.updated, res.inserted) == (3, 1)
-        up.new_layout.check_invariants()
+        present = np.arange(0, 2_000, 2, dtype=np.int64)
+        kinds = rng.choice(["insert", "update", "delete"], size=300)
+        keys = rng.integers(0, 200, size=300)  # many repeats per key
+        ops = [Operation(str(k), int(key), i)
+               for i, (k, key) in enumerate(zip(kinds, keys))]
+        run, res = resolve_batch(ops, lambda u: np.isin(u, present))
+        assert res.inserted + res.updated + res.deleted + res.failed == 300
+        state = {int(k): -1 for k in present if k < 200}
+        for op in ops:  # arrival order
+            if op.kind == "insert" and op.key not in state:
+                state[op.key] = op.value
+            elif op.kind == "update" and op.key in state:
+                state[op.key] = op.value
+            elif op.kind == "delete":
+                state.pop(op.key, None)
+        assert np.all(np.diff(run.keys) > 0)
+        for k, v, tomb in zip(run.keys.tolist(), run.values.tolist(),
+                              run.tombstones.tolist()):
+            assert (k not in state) if tomb else state[k] == v
 
     def test_empty_plan(self):
-        """An empty batch plans no window and keeps the snapshot."""
-        layout = HarmoniaLayout.from_sorted(
-            np.arange(10, dtype=np.int64), fanout=4
-        )
-        up = GappedBatchUpdater(layout)
-        res = up.run([])
-        assert up.windows == 0
-        assert up.new_layout is layout
-        assert res.n_effective == 0
+        """An empty batch resolves to an empty run and keeps the
+        snapshot."""
+        run, res = resolve_batch([], lambda u: np.zeros(u.size, bool))
+        assert run.n == 0 and res.n_effective == 0
+        tree = make_tree(10, 4, 1.0)
+        snap = tree.snapshot
+        tree.apply_batch([])
+        assert tree.snapshot is snap
 
     def test_kind_codes(self):
+        """One distinct code per kind, shared by batch resolution and the
+        shard wire; resolution reads each op's outcome by its code."""
         assert len({K_INSERT, K_UPDATE, K_DELETE}) == 3
-        layout = HarmoniaLayout.from_sorted(
-            np.arange(0, 20, 2, dtype=np.int64), fanout=4, fill=1.0
-        )
-        assert layout.leaf_key_counts()[0] == layout.slots
-        # One update on a full leaf absorbs; one insert must be staged.
-        up = GappedBatchUpdater(layout, fill=1.0)
-        up.run([Operation("update", 2, 2)])
-        assert up.movement_epochs == 0 and up.overflow_ops == 0
-        up = GappedBatchUpdater(layout, fill=1.0)
-        up.run([Operation("insert", 1, 2)])
-        assert up.movement_epochs == 1 and up.overflow_ops == 1
+        assert KIND_CODE == {"insert": K_INSERT, "update": K_UPDATE,
+                             "delete": K_DELETE}
+        present = np.array([2], dtype=np.int64)
+
+        def exists(ukeys):
+            return np.isin(ukeys, present)
+
+        run, res = resolve_batch(
+            [Operation("update", 2, 5), Operation("insert", 1, 7),
+             Operation("delete", 2), Operation("update", 9, 1)], exists)
+        assert (res.inserted, res.updated, res.deleted, res.failed) \
+            == (1, 1, 1, 1)
+        assert run.keys.tolist() == [1, 2]
+        assert run.tombstones.tolist() == [False, True]
+        assert int(run.values[0]) == 7

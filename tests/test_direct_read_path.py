@@ -3,9 +3,9 @@ delta overlay, on every read surface.
 
 * Hypothesis: every surface agrees with the naive ``search_batch`` walk
   (and, for epoch surfaces, with a dict oracle).
-* The packed leaf block is cached per snapshot: pins of one snapshot
-  share it, a drain-published snapshot gets its own, and no update
-  builds one.
+* The packed leaf block is the snapshot: pins of one snapshot share it,
+  a drain-published snapshot gets its own, and neither reads, merge
+  writes nor drains derive the layout.
 * Snapshot immutability by construction: no update mode writes any
   array of its input layout.
 * Truthful spans: the lookup and the work-model profile are recorded as
@@ -21,8 +21,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.obs as obs
-from repro.constants import KEY_MAX, NOT_FOUND
-from repro.core import HarmoniaTree, SearchConfig
+from repro.constants import NOT_FOUND
+from repro.core import HarmoniaLayout, HarmoniaTree, SearchConfig
 from repro.core.config import UpdateConfig
 from repro.core.epoch import EpochManager
 from repro.core.search import search_batch
@@ -58,7 +58,7 @@ def _build(n_keys, fanout, fill, gapped, seed):
         doomed = keys[rng.random(keys.size) < 0.5]
         tree.apply_batch(
             [Operation("delete", int(k)) for k in doomed],
-            UpdateConfig(mode="gapped", gap_watermark=1.0, occupancy_low=0.0),
+            UpdateConfig(),
         )
         for k in doomed.tolist():
             del oracle[k]
@@ -144,45 +144,44 @@ def test_pins_share_one_packed_block_and_drain_gets_a_new_one():
                        concurrent=True, drain_threshold=1 << 30)
     q = keys[::7]
     first, second = mgr.pin(), mgr.pin()
-    assert first is not second and first.layout is second.layout
+    assert first is not second and first.snapshot is second.snapshot
     first.search_many(q)
     second.search_many(q)
     assert first.engine() is not second.engine()
-    block = first.layout.packed_leaves()
-    assert second.layout.packed_leaves() is block
-    assert mgr.pin().layout.packed_leaves()[0] is block[0]
+    block = first.snapshot.packed_leaves()
+    assert second.snapshot.packed_leaves()[0] is block[0]
+    assert mgr.pin().snapshot.packed_leaves()[0] is block[0]
+    assert not first.snapshot.derived  # reads never derive the layout
 
     top = int(keys.max())
     mgr.submit_many([Operation("insert", top + 1 + i, i) for i in range(50)])
     mgr.flush()
     mgr.drain(wait=True)
     third = mgr.pin()
-    assert third.layout is not first.layout
-    # The drain publishes its merged arrays as the new snapshot's block:
-    # present before any read, frozen, fresh, and byte-equal to a
-    # ravel+mask rebuild of the new leaf rows.
-    handed = third.layout._packed
-    assert handed is not None
-    lk = third.layout.leaf_keys.ravel()
-    live = lk != KEY_MAX
-    rebuilt = (lk[live], third.layout.leaf_values.ravel()[live])
-    for arr, want, old in zip(handed, rebuilt, block):
+    assert third.snapshot is not first.snapshot
+    # The drain's merged arrays are the new snapshot: frozen, fresh, and
+    # byte-equal to the packed leaves of a bulk build of the contents.
+    handed = third.snapshot.packed_leaves()
+    assert not third.snapshot.derived
+    fresh = HarmoniaLayout.from_sorted(*handed, fanout=16).packed_leaves()
+    for arr, want, old in zip(handed, fresh, block):
         assert not arr.flags.writeable
         assert arr is not old and not np.shares_memory(arr, old)
         assert arr.dtype == want.dtype
         assert arr.tobytes() == want.tobytes()
     assert third.search_many(np.array([top + 5]))[0] == 4
-    assert third.layout.packed_leaves() is handed
-    assert first.layout.packed_leaves() is block  # old pin unaffected
+    assert first.snapshot.packed_leaves()[0] is block[0]  # old pin unaffected
 
 
-def test_updates_never_build_the_packed_block():
+def test_merge_writes_never_derive_the_layout():
     keys = make_key_set(3000, rng=22)
-    for mode in ("scalar", "gapped"):
-        tree = HarmoniaTree.from_sorted(keys, fanout=8, fill=0.7)
-        tree.apply_batch([Operation("insert", int(keys.max()) + 1, 1)],
-                         UpdateConfig(mode=mode))
-        assert tree.layout._packed is None, mode
+    tree = HarmoniaTree.from_sorted(keys, fanout=8, fill=0.7)
+    tree.apply_batch([Operation("insert", int(keys.max()) + 1, 1)])
+    assert not tree.snapshot.derived
+    # The scalar reference runs Algorithm 1 on the layout it derives.
+    tree.apply_batch([Operation("insert", int(keys.max()) + 2, 1)],
+                     UpdateConfig(mode="scalar"))
+    assert tree.snapshot.derived
 
 
 # ------------------------------------------------------ snapshot immutability
@@ -199,7 +198,7 @@ def _layout_arrays(layout):
     }
 
 
-@pytest.mark.parametrize("mode", ["scalar", "gapped"])
+@pytest.mark.parametrize("mode", ["scalar", "merge"])
 def test_update_modes_leave_input_layout_unchanged(mode):
     keys = make_key_set(4000, rng=23)
     tree = HarmoniaTree.from_sorted(keys, keys * 3, fanout=8, fill=1.0)

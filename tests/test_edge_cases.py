@@ -185,3 +185,62 @@ class TestUpdateEdgeCases:
         tree.check_invariants()
         assert tree.height > h0
         assert len(tree) == 2_010
+
+
+#: Bulk input every surface must refuse before any state exists:
+#: (keys, values) — unsorted, duplicate, the KEY_MAX sentinel, and values
+#: that do not fit int64 (a Python int and a uint64 above its range).
+BAD_BULK = {
+    "unsorted": (np.array([4, 2, 6], dtype=np.int64), None),
+    "duplicate": (np.array([2, 4, 4, 6], dtype=np.int64), None),
+    "sentinel": (np.array([1, np.iinfo(np.int64).max], dtype=np.int64),
+                 None),
+    "value_overflow": (np.array([1, 2], dtype=np.int64), [5, 2 ** 64]),
+    "uint_overflow": (np.array([1, 2], dtype=np.int64),
+                      np.array([5, 2 ** 63], dtype=np.uint64)),
+}
+
+
+class TestEagerBulkRejections:
+    """The bulk load only stores a validated block now (the layout is
+    derived later), so every rejection must still happen at construction,
+    on each surface, and leave existing state untouched."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_BULK))
+    def test_tree_rejects_and_leaves_input_unchanged(self, case):
+        keys, values = BAD_BULK[case]
+        saved = keys.copy()
+        with pytest.raises(ValueError):
+            HarmoniaTree.from_sorted(keys, values, fanout=8, fill=0.7)
+        assert keys.tobytes() == saved.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(BAD_BULK))
+    def test_epoch_manager_reload_rejects_and_keeps_state(self, case):
+        from repro.shard.worker import _WorkerState
+
+        # A shard worker's load builds a fresh EpochManager over the bulk
+        # input; a rejected load must keep the manager it had.
+        state = _WorkerState(8, 0.7, None, None)
+        good = np.arange(0, 100, 2, dtype=np.int64)
+        state.load(good, good * 3)
+        mgr = state.manager
+        mgr.submit(Operation("insert", 1, 1))
+        mgr.flush()
+        keys, values = BAD_BULK[case]
+        with pytest.raises(ValueError):
+            state.load(keys, values)
+        assert state.manager is mgr
+        assert mgr.epoch == 1 and len(mgr) == good.size + 1
+        assert mgr.search(1) == 1 and mgr.search(4) == 12
+
+    @pytest.mark.parametrize("case", sorted(BAD_BULK))
+    def test_sharded_tree_rejects_before_spawning(self, case):
+        import multiprocessing as mp
+
+        from repro.shard import ShardedTree
+
+        before = set(mp.active_children())
+        keys, values = BAD_BULK[case]
+        with pytest.raises(ValueError):
+            ShardedTree.from_sorted(keys, values, n_shards=2, fanout=8)
+        assert set(mp.active_children()) == before

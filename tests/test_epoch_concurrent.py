@@ -10,9 +10,9 @@ accounting, *at every point* of the interleaving: before any drain,
 after partial drains, with flushes landing while a drain is held in
 flight, and with the background drain racing the writers.  Hypothesis
 pins the contract; directed tests cover flushes during a drain, pins
-sharing the published entry set, snapshot immutability under gapped
-compaction (a drain must never mutate a layout a reader still pins) and
-the sharded service running the same protocol.
+sharing the published entry set, snapshot immutability across drains (a
+drain must never mutate a snapshot a reader still pins) and the sharded
+service running the same protocol.
 """
 
 import contextlib
@@ -70,8 +70,8 @@ def assert_same_reads(sync, conc, probes, lo, hi):
 class DrainGate:
     """Holds each background drain right after it pins the delta, until
     :meth:`release` — so the flushes that follow land while a drain is in
-    flight.  Both fold paths start with a gated call (the bulk rebuild's
-    merge, the in-place path's existence probe); only the background
+    flight.  The drain's one step, the merge into the base block
+    (:meth:`Snapshot.merge`), is the gated call; only the background
     drain thread waits, ``drain(wait=True)`` on the caller never does."""
 
     def __init__(self):
@@ -90,10 +90,8 @@ class DrainGate:
     @contextlib.contextmanager
     def installed(self):
         with mock.patch.object(
-            epoch_mod, "merge_last_wins",
-            self._gated(epoch_mod.merge_last_wins),
-        ), mock.patch.object(
-            epoch_mod, "contains_batch", self._gated(epoch_mod.contains_batch),
+            epoch_mod.Snapshot, "merge",
+            self._gated(epoch_mod.Snapshot.merge),
         ):
             try:
                 yield self
@@ -130,7 +128,7 @@ class TestEquivalenceProperty:
     @given(
         n_keys=st.integers(0, 150),
         fanout=st.sampled_from([4, 8, 16]),
-        mode=st.sampled_from(["gapped", "scalar"]),
+        mode=st.sampled_from(["merge", "scalar"]),
         drain_threshold=st.sampled_from([1, 16, 10 ** 9]),
         batches=st.lists(
             st.tuples(st.lists(op_strategy, max_size=40), st.booleans()),
@@ -179,7 +177,7 @@ class TestEquivalenceProperty:
               suppress_health_check=[HealthCheck.too_slow])
     @given(
         seed=st.integers(0, 2 ** 31 - 1),
-        mode=st.sampled_from(["gapped", "scalar"]),
+        mode=st.sampled_from(["merge", "scalar"]),
     )
     def test_background_drain_races_writers(self, seed, mode):
         """Tiny drain threshold: the background thread keeps folding runs
@@ -272,7 +270,7 @@ class TestPublishStress:
 
 class TestConcurrentBasics:
     def test_flush_publishes_immediately_drain_later(self):
-        _, conc = make_pair(50, 8, 1.0, "gapped")
+        _, conc = make_pair(50, 8, 1.0, "merge")
         base_version = conc.snapshot_version
         conc.submit(Operation("insert", 1, 11))
         conc.flush()
@@ -295,7 +293,7 @@ class TestConcurrentBasics:
         conc._tree.check_invariants()
 
     def test_pinned_view_survives_flush_and_drain(self):
-        _, conc = make_pair(100, 8, 1.0, "gapped")
+        _, conc = make_pair(100, 8, 1.0, "merge")
         snap = conc._snapshot()
         conc.submit(Operation("delete", 20))
         conc.flush()
@@ -306,7 +304,7 @@ class TestConcurrentBasics:
         assert snap.search(20) == 60
 
     def test_pinned_snapshot_rejects_writes(self):
-        _, conc = make_pair(50, 8, 1.0, "gapped")
+        _, conc = make_pair(50, 8, 1.0, "merge")
         conc.submit(Operation("insert", 1, 1))
         conc.flush()
         snap = conc._snapshot()
@@ -314,7 +312,7 @@ class TestConcurrentBasics:
         with pytest.raises(ConfigError):
             snap.apply_batch([Operation("insert", 3, 3)])
 
-    @pytest.mark.parametrize("mode", ["gapped"])
+    @pytest.mark.parametrize("mode", ["merge"])
     def test_flushes_during_drain(self, mode):
         """drain_threshold=1: the first flush starts a drain, held after
         its pin; the next flushes publish while it is in flight, and its
@@ -351,7 +349,7 @@ class TestConcurrentBasics:
         import repro.obs as obs
         from repro.obs.schema import lookup, validate_snapshot
 
-        _, conc = make_pair(50, 8, 1.0, "gapped")
+        _, conc = make_pair(50, 8, 1.0, "merge")
         with obs.recording() as rec:
             for i in range(3):
                 conc.submit_many([Operation("insert", 1001 + 2 * i, i),
@@ -373,7 +371,7 @@ class TestConcurrentBasics:
     def test_noop_flush_during_drain_leaves_no_snapshot_age(self):
         """A flush that changes nothing while a drain is in flight: once
         the drain publishes, the base is the visible state again."""
-        _, conc = make_pair(50, 8, 1.0, "gapped", drain_threshold=1)
+        _, conc = make_pair(50, 8, 1.0, "merge", drain_threshold=1)
         with DrainGate().installed() as gate:
             conc.submit(Operation("insert", 1001, 1))
             conc.flush()
@@ -387,7 +385,7 @@ class TestConcurrentBasics:
     def test_pins_share_the_published_entries(self):
         """A pin does no collapse work: every pin after a flush carries
         the view the flush published, whose arrays are the index's."""
-        _, conc = make_pair(50, 8, 1.0, "gapped")
+        _, conc = make_pair(50, 8, 1.0, "merge")
         for i in range(4):  # several flushes: one collapsed set
             conc.submit_many([Operation("insert", 1001 + 2 * i, i),
                               Operation("update", 2 * i, -i)])
@@ -405,7 +403,7 @@ class TestConcurrentBasics:
         assert conc.delta_runs == 4 and conc.delta_size == 8
 
     def test_drain_error_surfaces_on_flush(self):
-        _, conc = make_pair(50, 8, 1.0, "gapped")
+        _, conc = make_pair(50, 8, 1.0, "merge")
         conc._drain_error = RuntimeError("boom")
         conc.submit(Operation("insert", 1, 1))
         with pytest.raises(RuntimeError):
@@ -415,7 +413,7 @@ class TestConcurrentBasics:
         assert conc.search(1) == 1
 
     def test_sync_mode_unaffected(self):
-        em, _ = make_pair(100, 8, 1.0, "gapped")
+        em, _ = make_pair(100, 8, 1.0, "merge")
         em.submit(Operation("insert", 1, 1))
         em.flush()
         assert em.delta_size == 0 and em.delta_runs == 0
@@ -425,65 +423,41 @@ class TestConcurrentBasics:
 
 
 class TestGappedCompactionIsolation:
-    """Satellite: occupancy / compaction_pending vs the snapshot swap.
-
-    Gapped-mode compaction must never touch a layout a reader still
-    holds: the drain rebuilds into a shadow and publishes by swap, so a
-    pinned snapshot's arrays are bit-frozen even when the drain's batch
-    triggers a full compaction epoch.
-    """
+    """A drain never touches a snapshot a reader still holds: it merges
+    into a fresh block and publishes by swap, so a pinned snapshot's
+    block — and the layout derived from it — stay bit-frozen."""
 
     @staticmethod
     def gapped_manager():
         keys = np.arange(0, 400, 2, dtype=np.int64)
         tree = HarmoniaTree.from_sorted(keys, keys * 3, fanout=8, fill=0.6)
-        cfg = UpdateConfig(mode="gapped", occupancy_low=0.5,
-                           gap_watermark=0.2)
-        return EpochManager(tree, update_config=cfg, concurrent=True,
+        return EpochManager(tree, concurrent=True,
                             drain_threshold=10 ** 9), keys
 
     def test_pinned_layout_frozen_across_compacting_drain(self):
         conc, keys = self.gapped_manager()
         snap = conc._snapshot()
-        frozen_keys = snap._layout.key_region.copy()
-        frozen_vals = snap._layout.leaf_values.copy()
-        # Delete enough to sink occupancy below the watermark, then some
-        # churn so the drain's gapped batch runs a compaction epoch.
+        frozen_block = tuple(a.copy() for a in snap.snapshot.packed_leaves())
+        frozen_keys = snap.layout.key_region.copy()
+        frozen_vals = snap.layout.leaf_values.copy()
+        # Delete half the keys, then churn, then drain both runs.
         conc.submit_many([Operation("delete", int(k)) for k in keys[::2]])
         conc.flush()
         conc.submit_many(
             [Operation("insert", int(k) + 1, 7) for k in keys[:40]]
         )
         conc.flush()
-        occ_before = conc.occupancy()
+        base_before = conc._tree.snapshot
         conc.drain(wait=True)
-        # The base swap changed what occupancy()/compaction_pending()
-        # observe...
-        assert conc.occupancy() != occ_before or conc.compaction_pending() == 0.0
-        assert 0.0 <= conc.compaction_pending() <= 1.0
-        # ...but the pinned snapshot's arrays never moved.
-        assert np.array_equal(snap._layout.key_region, frozen_keys)
-        assert np.array_equal(snap._layout.leaf_values, frozen_vals)
-        # And the pinned view still answers from its epoch.
+        assert conc._tree.snapshot is not base_before
+        assert len(conc) == keys.size - keys[::2].size + 40
+        # The pinned snapshot's arrays never moved...
+        for arr, saved in zip(snap.snapshot.packed_leaves(), frozen_block):
+            assert arr.tobytes() == saved.tobytes()
+        assert np.array_equal(snap.layout.key_region, frozen_keys)
+        assert np.array_equal(snap.layout.leaf_values, frozen_vals)
+        # ...and the pinned view still answers from its epoch.
         assert snap.search(int(keys[0])) == int(keys[0]) * 3
-
-    def test_occupancy_reads_published_base(self):
-        conc, keys = self.gapped_manager()
-        occ0 = conc.occupancy()
-        conc.submit_many([Operation("delete", int(k)) for k in keys[:100]])
-        conc.flush()
-        # Deletes live in the delta: the base layout — and therefore the
-        # occupancy observable — is untouched until the drain.
-        assert conc.occupancy() == occ0
-        base_before = conc._tree._layout
-        conc.drain(wait=True)
-        # The swap changed which layout the observables read (the drain's
-        # gapped batch may have compacted back to the same fill, so the
-        # *value* is not required to move — the *object* is).
-        assert conc._tree._layout is not base_before
-        assert conc.occupancy() == conc._tree._layout.occupancy()
-        assert 0.0 <= conc.compaction_pending() <= 1.0
-        assert len(conc) == 100
 
     def test_concurrent_readers_during_background_drains(self):
         conc, keys = self.gapped_manager()

@@ -98,7 +98,7 @@ class TestCrashConsistency:
 
     @pytest.mark.parametrize("mode,target", [
         ("scalar", "repro.core.update.BatchUpdater.movement"),
-        ("gapped", "repro.core.update_plan.GappedBatchUpdater._apply"),
+        ("merge", "repro.core.snapshot.Snapshot.merge"),
     ])
     def test_epoch_flush_failure_keeps_old_epoch(self, monkeypatch, mode,
                                                  target):
@@ -114,14 +114,38 @@ class TestCrashConsistency:
             raise RuntimeError("injected executor failure")
 
         monkeypatch.setattr(target, boom)
+        before = em._tree.snapshot
         em.submit(Operation("insert", 1, 1))
         with pytest.raises(RuntimeError):
             em.flush()
         # The failed epoch was never published.
         assert em.epoch == 0
+        assert em._tree.snapshot is before
+        assert len(em) == keys.size
         assert em.search(0) == 0
         assert em.search(1) is None
         em._tree.check_invariants()
+
+    def test_write_failure_in_merge_keeps_snapshot(self, monkeypatch):
+        """A fault in the merge step of a tree write leaves the published
+        snapshot, its block and ``len()`` exactly as they were."""
+        keys = np.arange(0, 1_000, 2, dtype=np.int64)
+        tree = HarmoniaTree.from_sorted(keys, keys * 3, fanout=8, fill=0.8)
+        before = tree.snapshot
+        block = tuple(a.copy() for a in before.packed_leaves())
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("injected merge failure")
+
+        monkeypatch.setattr("repro.core.snapshot.Snapshot.merge", boom)
+        with pytest.raises(RuntimeError):
+            tree.apply_batch([Operation("insert", 1, 1),
+                              Operation("delete", 0)])
+        assert tree.snapshot is before
+        for arr, saved in zip(before.packed_leaves(), block):
+            assert arr.tobytes() == saved.tobytes()
+        assert len(tree) == keys.size
+        assert tree.search(0) == 0 and tree.search(1) is None
 
     def test_worker_exception_does_not_wedge_locks(self):
         """A fine-grained op that raises must not leave the global counter

@@ -58,8 +58,7 @@ def _tree(keys, seed, fanout=16, keep_every=1):
         doomed = keys[np.arange(keys.size) % keep_every != 0]
         tree.apply_batch(
             [Operation("delete", int(k)) for k in doomed],
-            UpdateConfig(mode="gapped", gap_watermark=1.0,
-                         occupancy_low=0.0),
+            UpdateConfig(),
         )
     return tree
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import SearchConfig, UpdateConfig
+from repro.core.config import SearchConfig
 from repro.core.layout import HarmoniaLayout
 from repro.core.ntg import (
     NTGSelection,
@@ -40,14 +40,9 @@ def make_skewed_tree(n_keys=4096, fanout=16, keep_every=8, seed=3):
     """Dense internals over gap-thinned leaves: the occupancy skew the
     per-level degrees exist for."""
     keys = make_key_set(n_keys, rng=seed)
-    tree = HarmoniaTree.from_sorted(keys, fanout=fanout, fill=1.0)
-    doomed = keys[np.arange(keys.size) % keep_every != 0]
-    tree.apply_batch(
-        [Operation("delete", int(k)) for k in doomed],
-        UpdateConfig(mode="gapped", gap_watermark=1.0, occupancy_low=0.0),
-    )
     survivors = keys[np.arange(keys.size) % keep_every == 0]
-    return tree, survivors
+    layout = HarmoniaLayout.from_sorted(keys, fanout=fanout, fill=1.0)
+    return HarmoniaTree(layout.thinned(survivors), fill=1.0), survivors
 
 
 # --------------------------------------------------------------- degree DP
@@ -301,16 +296,11 @@ class TestProfileSample:
 
 def _equiv_trees(n_keys, fanout, keep_every, seed):
     keys = make_key_set(n_keys, rng=seed)
-    tree = HarmoniaTree.from_sorted(keys, fanout=fanout, fill=1.0)
+    layout = HarmoniaLayout.from_sorted(keys, fanout=fanout, fill=1.0)
     if keep_every > 1:
-        doomed = keys[np.arange(keys.size) % keep_every != 0]
-        tree.apply_batch(
-            [Operation("delete", int(k)) for k in doomed],
-            UpdateConfig(mode="gapped", gap_watermark=1.0,
-                         occupancy_low=0.0),
-        )
         keys = keys[np.arange(keys.size) % keep_every == 0]
-    return tree, keys
+        layout = layout.thinned(keys)
+    return HarmoniaTree(layout, fill=1.0), keys
 
 
 CFG_PL = SearchConfig.full()

@@ -28,8 +28,8 @@ from repro.shard.worker import worker_main
 
 FANOUT = 8
 FILL = 0.7
-#: Keeps emptied leaves and slack in place: no compaction epoch runs.
-LAX = UpdateConfig(mode="gapped", gap_watermark=1.0, occupancy_low=0.0)
+#: The production merge write.
+LAX = UpdateConfig()
 
 
 def assert_matches_oracle(res, model, los, his):

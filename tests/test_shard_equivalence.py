@@ -154,7 +154,7 @@ def test_delete_all_on_two_shards(n_keys):
         assert_batch_results_equal(
             sharded.apply_batch(batch), ref.apply_batch(batch)
         )
-        assert ref._layout is None
+        assert ref.snapshot is None
         assert len(sharded) == len(ref) == 0
         q = np.arange(-2, 610, dtype=np.int64)
         assert np.array_equal(sharded.search_many(q), ref.search_many(q))

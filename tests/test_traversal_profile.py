@@ -12,10 +12,8 @@ directly and when read lazily through ``last_engine_stats``.
 import numpy as np
 import pytest
 
-from repro.core import HarmoniaTree, SearchConfig
-from repro.core.config import UpdateConfig
+from repro.core import HarmoniaLayout, HarmoniaTree, SearchConfig
 from repro.core.engine import BatchQueryEngine, traversal_profile
-from repro.core.update import Operation
 from repro.errors import ConfigError
 from repro.workloads.generators import make_key_set, uniform_queries
 
@@ -51,13 +49,9 @@ def _plain(n_keys, fanout, seed):
 
 def _skewed():
     keys = make_key_set(4096, rng=3)
-    tree = HarmoniaTree.from_sorted(keys, fanout=16, fill=1.0)
-    keep = np.arange(keys.size) % 8 == 0
-    tree.apply_batch(
-        [Operation("delete", int(k)) for k in keys[~keep]],
-        UpdateConfig(mode="gapped", gap_watermark=1.0, occupancy_low=0.0),
-    )
-    return tree, keys[keep]
+    survivors = keys[np.arange(keys.size) % 8 == 0]
+    layout = HarmoniaLayout.from_sorted(keys, fanout=16, fill=1.0)
+    return HarmoniaTree(layout.thinned(survivors), fill=1.0), survivors
 
 
 TREES = {
