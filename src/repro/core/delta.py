@@ -16,8 +16,9 @@ base layout and overlay it on every read path:
 * point lookups: one filter lookup plus one ``np.searchsorted``; hit
   positions overwrite the base values, tombstone hits become
   :data:`~repro.constants.NOT_FOUND`;
-* range scans: one merge over the whole batch folds each window's delta
-  slice over its base window, tombstones dropped;
+* range scans: the range kernel splices each window's delta entries
+  into its block slice in the same gather
+  (:func:`~repro.core.search.range_search_batch`), tombstones dropped;
 * full iteration / dumps: one last-wins merge of the base items with
   the delta.
 
@@ -51,11 +52,9 @@ import numpy as np
 import repro.obs as obs
 from repro.constants import NOT_FOUND, VALUE_DTYPE
 from repro.core.merge import merge_last_wins
-from repro.core.search import RangeBatch, run_index
 from repro.core.update import (
     K_DELETE,
     K_INSERT,
-    K_UPDATE,
     KIND_CODE,
     BatchResult,
     Operation,
@@ -217,41 +216,6 @@ class DeltaView:
         )
         return keys, values
 
-    def merge_ranges(
-        self, base: RangeBatch, los: np.ndarray, his: np.ndarray
-    ) -> RangeBatch:
-        """Merge the delta's ``[lo, hi]`` slices over a whole batch of
-        base range windows at once (last wins, tombstones dropped).
-
-        Every entry is tagged with its query index; one stable sort on
-        ``(query, key)`` puts each delta entry right after the base entry
-        it replaces, so keeping the last of each ``(query, key)`` run is
-        the last-wins rule.  ``los``/``his`` are the validated bounds
-        ``base`` was scanned with.
-        """
-        r = self.run
-        n = los.size
-        a = np.searchsorted(r.keys, los, side="left")
-        b = np.searchsorted(r.keys, his, side="right")
-        dcounts = np.maximum(b - a, 0)  # lo > hi: no delta entries
-        didx = run_index(a, dcounts)
-        if not didx.size:
-            return base
-        queries = np.arange(n)
-        qid = np.concatenate([np.repeat(queries, base.counts),
-                              np.repeat(queries, dcounts)])
-        keys = np.concatenate([base.keys, r.keys[didx]])
-        order = np.lexsort((keys, qid))  # stable: base before delta
-        qid, keys = qid[order], keys[order]
-        keep = np.ones(keys.size, dtype=bool)
-        keep[:-1] = (qid[1:] != qid[:-1]) | (keys[1:] != keys[:-1])
-        tombs = np.concatenate([np.zeros(base.keys.size, dtype=bool),
-                                r.tombstones[didx]])
-        keep &= ~tombs[order]
-        values = np.concatenate([base.values, r.values[didx]])[order]
-        return RangeBatch.from_counts(np.bincount(qid[keep], minlength=n),
-                                      keys[keep], values[keep])
-
 
 class DeltaFold(NamedTuple):
     """A run folded into the index state as it stood when read; see
@@ -382,12 +346,20 @@ def resolve_batch(
 
     ``exists_fn(unique_keys)`` must return the visible-existence bits
     (base snapshot overlaid with the already-published delta).  The
-    per-op semantics are the scalar reference's, replayed per key in
+    per-op semantics are the scalar reference's, each key's ops taken in
     arrival order: insert fails when the key is visible, update/delete
     fail when it is not — so the returned :class:`BatchResult` counts
-    match a synchronous flush exactly.  Keys touched by a single op are
-    resolved fully vectorized; multi-op keys (rare in real batches) fall
-    back to a per-key Python replay.
+    match a synchronous flush exactly.
+
+    The replay is vectorized over every op at once.  Whatever its
+    outcome, an insert leaves its key present and a delete leaves it
+    absent, while an update leaves existence alone; so a key exists
+    before an op exactly when the last insert or delete of its key
+    before that op was an insert — or, with none, when it existed at the
+    start.  One ``np.maximum.accumulate`` over the insert/delete
+    positions finds that op for every op of the sorted batch.  A key's
+    final value is the value of its last successful insert or update;
+    tombstones carry 0.
 
     The whole resolution is timed as the result's ``apply`` phase.
     Structural counters (``split_leaves`` …) stay zero: the sorted merge
@@ -412,101 +384,49 @@ def resolve_batch(
         order = np.argsort(keys, kind="stable")
         sk = keys[order]
         skinds = kinds[order]
-        svals = values[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], sk[1:] != sk[:-1]))
-        )
+        first_op = np.empty(n, dtype=bool)  # each key's first op
+        first_op[0] = True
+        np.not_equal(sk[1:], sk[:-1], out=first_op[1:])
+        starts = np.flatnonzero(first_op)
         ukeys = sk[starts]
-        counts = np.diff(np.concatenate((starts, [n])))
         exists0 = np.asarray(exists_fn(ukeys), dtype=bool)
 
-    with result.timer.phase("apply"):
-        final_exists = exists0.copy()
-        # Zero-filled, not empty: tombstone entries never read their value
-        # but the arrays land in published runs — keep them deterministic.
-        final_vals = np.zeros(ukeys.size, dtype=VALUE_DTYPE)
-        changed = np.zeros(ukeys.size, dtype=bool)
+        at = np.arange(n)
+        group = np.cumsum(first_op) - 1
+        ins = skinds == K_INSERT
+        dels = skinds == K_DELETE
+        # The last insert/delete at or before each op, then before it.
+        last_set = np.maximum.accumulate(np.where(ins | dels, at, -1))
+        prev = np.append(-1, last_set[:-1])
+        exists = np.where(prev >= starts[group], ins[prev], exists0[group])
+        ok = ins ^ exists  # an insert needs its key absent, the rest present
+        n_ins = int(np.count_nonzero(ok & ins))
+        n_del = int(np.count_nonzero(ok & dels))
+        n_ok = int(np.count_nonzero(ok))
+        result.inserted += n_ins
+        result.deleted += n_del
+        result.updated += n_ok - n_ins - n_del
+        result.failed += n - n_ok
 
-        single = counts == 1
-        if single.any():
-            si = starts[single]
-            sk1 = skinds[si]
-            sv1 = svals[si]
-            se0 = exists0[single]
-            ins = sk1 == K_INSERT
-            upd = sk1 == K_UPDATE
-            dele = sk1 == K_DELETE
-            eff_ins = ins & ~se0
-            eff_upd = upd & se0
-            eff_del = dele & se0
-            result.inserted += int(np.count_nonzero(eff_ins))
-            result.updated += int(np.count_nonzero(eff_upd))
-            result.deleted += int(np.count_nonzero(eff_del))
-            result.failed += int(
-                np.count_nonzero(ins & se0)
-                + np.count_nonzero(upd & ~se0)
-                + np.count_nonzero(dele & ~se0)
-            )
-            s_changed = eff_ins | eff_upd | eff_del
-            s_final = np.where(eff_ins, True, np.where(eff_del, False, se0))
-            changed[single] = s_changed
-            final_exists[single] = s_final
-            idx_single = np.flatnonzero(single)
-            wrote = eff_ins | eff_upd
-            final_vals[idx_single[wrote]] = sv1[wrote]
-
-        multi_groups = np.flatnonzero(~single)
-        bounds = np.concatenate((starts, [n]))
-        for g in multi_groups.tolist():
-            s, e = int(bounds[g]), int(bounds[g + 1])
-            exists = bool(exists0[g])
-            val = 0
-            group_changed = False
-            for i in range(s, e):
-                k = int(skinds[i])
-                if k == K_INSERT:
-                    if exists:
-                        result.failed += 1
-                    else:
-                        exists = True
-                        val = int(svals[i])
-                        result.inserted += 1
-                        group_changed = True
-                elif k == K_UPDATE:
-                    if exists:
-                        val = int(svals[i])
-                        result.updated += 1
-                        group_changed = True
-                    else:
-                        result.failed += 1
-                else:
-                    if exists:
-                        exists = False
-                        result.deleted += 1
-                        group_changed = True
-                    else:
-                        result.failed += 1
-            changed[g] = group_changed
-            final_exists[g] = exists
-            final_vals[g] = val
-
+        gend = np.append(starts[1:], n) - 1  # each key's last op
+        last = last_set[gend]
+        final_exists = np.where(last >= starts, ins[last], exists0)
+        last_write = np.maximum.accumulate(
+            np.where(ok & ~dels, at, -1))[gend]
         # A key that ends the batch absent *and* started it absent
         # (insert-then-delete within one batch) is a pure no-op on the
         # visible state — publishing a tombstone for it would be harmless
         # but wasteful, so mask it out.
-        changed &= final_exists | exists0
+        changed = (np.logical_or.reduceat(ok, starts)
+                   & (final_exists | exists0))
         if not changed.any():
             return empty, result
-        out_keys = ukeys[changed]
-        out_vals = final_vals[changed]
-        out_tombs = ~final_exists[changed]
-        net = int(
-            np.count_nonzero(final_exists[changed] & ~exists0[changed])
-            - np.count_nonzero(~final_exists[changed] & exists0[changed])
-        )
-        run = DeltaRun(
-            keys=out_keys, values=out_vals, tombstones=out_tombs, net=net
-        )
+        live = final_exists[changed]
+        out_vals = np.where(live, values[order[last_write[changed]]], 0)
+        net = int(np.count_nonzero(live)
+                  - np.count_nonzero(exists0[changed]))
+        run = DeltaRun(keys=ukeys[changed], values=out_vals.astype(
+            VALUE_DTYPE, copy=False), tombstones=~live, net=net)
     return run, result
 
 

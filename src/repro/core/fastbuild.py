@@ -29,6 +29,24 @@ from repro.errors import EmptyTreeError
 from repro.utils.validation import ensure_block, ensure_fanout, ensure_fill
 
 
+def _full_chunks(n: int, target: int, minimum: int) -> int:
+    """Full ``target``-sized chunks the greedy cut of ``n`` items takes
+    before its tail."""
+    return 0 if n < 2 * minimum else max(0, (n - minimum) // target)
+
+
+def _chunk_count(n: int, target: int, minimum: int, maximum: int) -> int:
+    """How many chunks :func:`_chunk_sizes_fast` cuts ``n`` items into:
+    the full chunks plus a tail of one chunk, or of two when it exceeds
+    ``maximum``."""
+    if n <= 0:
+        return 0
+    if n < 2 * minimum:
+        return 1
+    k = _full_chunks(n, target, minimum)
+    return k + 1 if n - k * target <= maximum else k + 2
+
+
 def _chunk_sizes_fast(
     n: int, target: int, minimum: int, maximum: int
 ) -> np.ndarray:
@@ -40,19 +58,44 @@ def _chunk_sizes_fast(
     loop over the (possibly tens of thousands of) chunks.  Byte
     equality with the loop is pinned by tests.
     """
-    if n <= 0:
-        return np.empty(0, dtype=INDEX_DTYPE)
-    if n < 2 * minimum:
-        return np.asarray([n], dtype=INDEX_DTYPE)
-    k = max(0, (n - minimum) // target)
+    count = _chunk_count(n, target, minimum, maximum)
+    if count <= 1:
+        return np.full(count, n, dtype=INDEX_DTYPE)
+    k = _full_chunks(n, target, minimum)
+    sizes = np.full(count, target, dtype=INDEX_DTYPE)
     tail = n - k * target
-    sizes = np.full(k + 2, target, dtype=INDEX_DTYPE)
-    if tail <= maximum:
+    if count == k + 1:
         sizes[k] = tail
-        return sizes[: k + 1]
-    sizes[k] = tail - minimum
-    sizes[k + 1] = minimum
+    else:
+        sizes[k] = tail - minimum
+        sizes[k + 1] = minimum
     return sizes
+
+
+def _node_shape(fanout: int, fill: float):
+    """``(slots, min_leaf, min_children, leaf_target, internal_target)``:
+    the node capacities, minimum occupancies and fill targets a bulk
+    build cuts levels with."""
+    slots = fanout - 1
+    min_leaf = (slots + 1) // 2
+    min_children = (fanout + 1) // 2
+    leaf_target = max(min_leaf, min(slots, round(fill * slots)))
+    internal_target = max(min_children, min(fanout, round(fill * fanout)))
+    return slots, min_leaf, min_children, leaf_target, internal_target
+
+
+def layout_height(n_keys: int, fanout: int, fill: float) -> int:
+    """Height of the layout :func:`build_layout_fast` builds for
+    ``n_keys`` keys at ``fill`` (0 for no keys), from the chunk counts
+    alone — no level is built."""
+    slots, min_leaf, min_children, leaf_t, internal_t = _node_shape(
+        fanout, fill)
+    nodes = _chunk_count(n_keys, leaf_t, min_leaf, slots)
+    height = 1 if nodes else 0
+    while nodes > 1:
+        nodes = _chunk_count(nodes, internal_t, min_children, fanout)
+        height += 1
+    return height
 
 
 def _fill_rows(
@@ -108,11 +151,8 @@ def build_layout_fast(
         raise EmptyTreeError("cannot lay out an empty tree")
     ensure_fill(fill)
 
-    slots = fanout - 1
-    min_leaf = (slots + 1) // 2
-    min_children = (fanout + 1) // 2
-    leaf_target = max(min_leaf, min(slots, round(fill * slots)))
-    internal_target = max(min_children, min(fanout, round(fill * fanout)))
+    slots, min_leaf, min_children, leaf_target, internal_target = (
+        _node_shape(fanout, fill))
 
     leaf_sizes = _chunk_sizes_fast(karr.size, leaf_target, min_leaf, slots)
     leaf_keys = _fill_rows(karr, leaf_sizes, slots, KEY_MAX, KEY_DTYPE)
@@ -163,4 +203,4 @@ def build_layout_fast(
     )
 
 
-__all__ = ["build_layout_fast"]
+__all__ = ["build_layout_fast", "layout_height"]

@@ -35,6 +35,7 @@ from typing import Optional
 import numpy as np
 
 from repro.constants import DEFAULT_FANOUT
+from repro.core.fastbuild import layout_height
 from repro.core.layout import HarmoniaLayout
 from repro.core.merge import merge_last_wins
 from repro.errors import EmptyTreeError
@@ -160,6 +161,16 @@ class Snapshot:
         """Leaf fill the layout is derived at (see the module note)."""
         grown = self.fill * self.n_keys / max(self.n_bulk, 1)
         return min(1.0, max(self.fill, grown))
+
+    @property
+    def height(self) -> int:
+        """The layout's height, counted from :attr:`n_keys`, the fanout
+        and :attr:`derived_fill` without deriving the layout
+        (:func:`~repro.core.fastbuild.layout_height`)."""
+        layout = self._layout
+        if layout is not None:
+            return layout.height
+        return layout_height(self.n_keys, self.fanout, self.derived_fill)
 
     @property
     def derived(self) -> bool:

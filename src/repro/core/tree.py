@@ -50,7 +50,6 @@ from repro.core.psa import PSABatch, identity_batch, prepare_batch
 from repro.core.search import (
     RangeBatch,
     contains_batch,
-    range_bounds,
     range_search_batch as _range_search_batch,
     search_batch as _search_batch,
 )
@@ -319,7 +318,8 @@ class HarmoniaTree:
 
     @property
     def height(self) -> int:
-        return self.layout.height if self._snap is not None else 0
+        """The layout's height, without deriving it (0 when empty)."""
+        return self._snap.height if self._snap is not None else 0
 
     def __len__(self) -> int:
         base = self._snap.n_keys if self._snap is not None else 0
@@ -543,17 +543,12 @@ class HarmoniaTree:
         """Batch of range scans as one :class:`~repro.core.search.RangeBatch`
         aligned with the inputs: two binary searches of the block for all
         bounds, then one gather of every window's slice.  A pinned delta
-        overlay is merged over the whole batch at once
-        (:meth:`~repro.core.delta.DeltaView.merge_ranges`: last wins,
+        is spliced into the windows in the same pass
+        (:func:`~repro.core.search.range_search_batch`: last wins,
         tombstones dropped)."""
-        lo_arr, hi_arr = range_bounds(los, his)
-        if self._snap is None:
-            base = RangeBatch.empty(lo_arr.size)
-        else:
-            base = _range_search_batch(self._snap, lo_arr, hi_arr)
-        if self.delta is None:
-            return base
-        return self.delta.merge_ranges(base, lo_arr, hi_arr)
+        return _range_search_batch(
+            self._snap, los, his,
+            delta=None if self.delta is None else self.delta.run)
 
     def items(self, start: Optional[int] = None):
         """Cursor over ``(key, value)`` pairs in key order.

@@ -66,7 +66,7 @@ import repro.obs as obs
 from repro.obs.flight import FLIGHT
 from repro.obs.trace import TraceContext, shard_prefix
 from repro.constants import DEFAULT_FANOUT, NOT_FOUND, VALUE_DTYPE
-from repro.core.config import SearchConfig, UpdateConfig
+from repro.core.config import SearchConfig
 from repro.core.search import RangeBatch, range_bounds, run_index
 from repro.core.merge import concat_sorted_runs
 from repro.core.update import KIND_CODE, BatchResult, Operation
@@ -90,8 +90,8 @@ _DEAD = (EOFError, OSError)
 #: One shard's part of a request: ``(shard index, *payload)``.
 Job = Tuple[Any, ...]
 
-#: CPU slots of the workers this process spawns: synchronous workers take
-#: the allowed CPUs round robin across every tree, so two trees alive at
+#: CPU slots of the workers this process spawns: workers take the
+#: allowed CPUs round robin across every tree, so two trees alive at
 #: once do not stack their shards on the same CPUs
 #: (:func:`~repro.shard.worker.pin_cpu`).
 _CPU_SLOTS = itertools.count()
@@ -175,22 +175,14 @@ class ShardedTree:
         fanout: int = DEFAULT_FANOUT,
         fill: float = 1.0,
         search_config: Optional[SearchConfig] = None,
-        update_config: Optional[UpdateConfig] = None,
-        concurrent: bool = False,
     ) -> None:
         self.partitioner = partitioner
         self.fanout = fanout
         self.fill = fill
-        #: Workers run their epoch managers in concurrent (snapshot+delta)
-        #: mode: an apply publishes a delta run instead of rebuilding on
-        #: the request path; background drains fold the delta between
-        #: batches.  Results are identical either way (docs/epochs.md).
-        self.concurrent = bool(concurrent)
         # Workers run their own recording (or none): the trace knob is a
         # per-process registry reference that cannot cross the boundary.
         cfg = search_config or SearchConfig()
         self.search_config = cfg.with_(trace=None)
-        self.update_config = update_config or UpdateConfig()
         self._closed = False
         self._shards: List[_Shard] = [
             self._spawn(i, next(_CPU_SLOTS))
@@ -208,8 +200,6 @@ class ShardedTree:
         fanout: int = DEFAULT_FANOUT,
         fill: float = 1.0,
         search_config: Optional[SearchConfig] = None,
-        update_config: Optional[UpdateConfig] = None,
-        concurrent: bool = False,
     ) -> "ShardedTree":
         """Bulk-build: quantile-partition sorted ``keys`` and load one
         contiguous slice per worker.  The input is validated here, before
@@ -222,7 +212,6 @@ class ShardedTree:
         part = Partitioner.from_keys(karr, n_shards)
         tree = cls(
             part, fanout=fanout, fill=fill, search_config=search_config,
-            update_config=update_config, concurrent=concurrent,
         )
         bounds = np.searchsorted(
             part.boundaries, karr, side="left"
@@ -244,8 +233,7 @@ class ShardedTree:
         proc = mp.Process(
             target=worker_main,
             args=(worker_side, self.fanout, self.fill,
-                  self.search_config, self.update_config, self.concurrent,
-                  index, cpu_slot),
+                  self.search_config, index, cpu_slot),
             daemon=True,
             name=f"harmonia-shard-{index}",
         )

@@ -7,7 +7,8 @@ serves the router over a :class:`~repro.shard.transport.ShardChannel`:
 * ``search``  — batch point lookups through the engine
   (:meth:`EpochManager.search_many`);
 * ``apply``   — one §3.2.2 update batch (submit + single flush, so the
-  shard publishes exactly one new epoch per router batch);
+  shard publishes exactly one new epoch per router batch, as a delta
+  run);
 * ``range``   — a batch of range scans over the shard's contiguous leaf
   region (:meth:`EpochManager.range_search_batch`), replied as the
   result's three CSR arrays: per-query counts, keys, values;
@@ -40,10 +41,19 @@ the always-on :data:`~repro.obs.flight.FLIGHT` ring with its latency;
 the deliberate ``crash`` hook and any unexpected worker exception dump
 the ring to ``$HARMONIA_FLIGHT_DIR`` before the process dies.
 
-**CPU binding.**  A synchronous worker binds itself to one CPU of the
-set the router may run on (the router deals them out round robin) and
-runs under ``SCHED_BATCH`` (:func:`pin_cpu`), so the shards of one
-request run side by side rather than queued on one CPU.
+**Writes through the delta.**  Every worker runs one
+``EpochManager(concurrent=True)``: an ``apply`` resolves the batch
+against (base, delta) and folds it into the delta, O(batch + delta)
+instead of a rewrite of the whole block; the worker's background drain
+thread merges the delta into the base once it holds
+:data:`DRAIN_THRESHOLD` entries.  Range scans splice the delta into
+their windows (:func:`~repro.core.search.range_search_batch`).
+
+**CPU binding.**  Every worker binds itself to one CPU of the set the
+router may run on (the router deals them out round robin) and runs
+under ``SCHED_BATCH`` (:func:`pin_cpu`), so the shards of one request
+run side by side rather than queued on one CPU; its drain thread shares
+that CPU and runs while the worker waits for the next request.
 
 The module-level :func:`worker_main` is the process target (top-level so
 it is importable under the ``spawn`` start method too; under the default
@@ -59,7 +69,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.constants import VALUE_DTYPE
-from repro.core.config import SearchConfig, UpdateConfig
+from repro.core.config import SearchConfig
 from repro.core.epoch import EpochManager
 from repro.core.tree import HarmoniaTree
 from repro.core.update import K_DELETE, K_INSERT, Operation
@@ -90,6 +100,14 @@ def _decode_ops(
     ]
 
 
+#: Delta entries at which a worker's flush starts a background drain.
+#: Measured on one shard's share of ``scan_shard`` (a 2^20-key block,
+#: 1024 scans and one 64-insert flush per round; docs/sharding.md):
+#: 2^12 cost less per round than 2^10 (drains too often) and than 2^15
+#: (every scan splices, and every flush folds, a larger delta).
+DRAIN_THRESHOLD = 1 << 12
+
+
 class _WorkerState:
     """The worker loop's mutable state: the epoch manager + configs."""
 
@@ -98,14 +116,10 @@ class _WorkerState:
         fanout: int,
         fill: float,
         search_config: Optional[SearchConfig],
-        update_config: Optional[UpdateConfig],
-        concurrent: bool = False,
     ) -> None:
         self.fanout = fanout
         self.fill = fill
         self.search_config = search_config or SearchConfig()
-        self.update_config = update_config or UpdateConfig()
-        self.concurrent = concurrent
         self.manager = self._manager_for(None, None)
 
     def _manager_for(self, keys, values) -> EpochManager:
@@ -120,13 +134,12 @@ class _WorkerState:
                 search_config=self.search_config,
             )
         # One epoch per router batch: the router flushes explicitly, so
-        # the capacity only needs to stay above any single batch.  In
-        # concurrent mode the flush publishes a delta run instead of
-        # rebuilding; the manager's background drain folds runs into the
-        # base between router batches.
+        # the capacity only needs to stay above any single batch.  A
+        # flush publishes a delta run; the manager's background drain
+        # folds the delta into the base between router batches.
         return EpochManager(
-            tree, batch_capacity=1 << 62, update_config=self.update_config,
-            concurrent=self.concurrent,
+            tree, batch_capacity=1 << 62, concurrent=True,
+            drain_threshold=DRAIN_THRESHOLD,
         )
 
     def load(self, keys: np.ndarray, values: np.ndarray) -> None:
@@ -186,8 +199,6 @@ def worker_main(
     fanout: int,
     fill: float,
     search_config: Optional[SearchConfig] = None,
-    update_config: Optional[UpdateConfig] = None,
-    concurrent: bool = False,
     index: int = -1,
     cpu_slot: int = -1,
 ) -> None:
@@ -195,15 +206,12 @@ def worker_main(
 
     Unexpected exceptions dump the flight ring before propagating, so a
     worker that dies of a bug leaves its last few thousand operations on
-    disk for the post-mortem.  A synchronous worker binds itself to the
-    CPU of its ``cpu_slot`` (:func:`pin_cpu`); a concurrent one stays
-    unbound, so its background drain can run beside its request loop.
+    disk for the post-mortem.  The worker binds itself to the CPU of its
+    ``cpu_slot`` (:func:`pin_cpu`).
     """
-    if not concurrent:
-        pin_cpu(cpu_slot)
+    pin_cpu(cpu_slot)
     try:
-        _serve(channel, fanout, fill, search_config, update_config,
-               concurrent, index)
+        _serve(channel, fanout, fill, search_config, index)
     except BaseException:
         dump_on_crash("worker-exception")
         raise
@@ -214,11 +222,9 @@ def _serve(
     fanout: int,
     fill: float,
     search_config: Optional[SearchConfig],
-    update_config: Optional[UpdateConfig],
-    concurrent: bool,
     index: int,
 ) -> None:
-    state = _WorkerState(fanout, fill, search_config, update_config, concurrent)
+    state = _WorkerState(fanout, fill, search_config)
     conn = channel
 
     while True:
@@ -310,7 +316,7 @@ def _serve(
         elif cmd == "dump":
             mgr = state.manager
             # Merged visible contents: base snapshot plus any undrained
-            # delta (identical to iter_leaf_items in synchronous mode).
+            # delta.
             keys, values = mgr.dump_items()
             FLIGHT.note("dump", {"shard": index, "n": int(keys.size)})
             conn.send("dumped", mgr.epoch)
@@ -330,4 +336,4 @@ def _serve(
             conn.send("error", f"unknown command {cmd!r}")
 
 
-__all__ = ["worker_main"]
+__all__ = ["DRAIN_THRESHOLD", "worker_main"]

@@ -8,8 +8,8 @@ Three layers of contract, each hypothesis-pinned against a dict model:
   behavior, pinned in ``test_shard.py``);
 * :class:`repro.core.delta.DeltaIndex` / :class:`~repro.core.delta.DeltaView`
   — the visible set folded run by run, also while a drain is in flight,
-  and its overlays (point, existence, merge, range): last wins,
-  tombstones mask base entries;
+  and its overlays (point, existence, merge, the range splice): last
+  wins, tombstones mask base entries;
 * :func:`repro.core.delta.resolve_batch` — per-op outcomes and counts
   identical to the scalar replay reference, with the published run equal
   to the batch's net effect.
@@ -31,7 +31,8 @@ from repro.core.delta import (
     resolve_batch,
 )
 from repro.core.merge import concat_sorted_runs, merge_last_wins
-from repro.core.search import RangeBatch
+from repro.core.search import range_search_batch
+from repro.core.snapshot import Snapshot
 from repro.core.update import Operation
 from repro.errors import ConfigError
 
@@ -216,14 +217,10 @@ class TestDeltaView:
         # inverted row between them that must stay empty.
         hi = lo + span
         in_r = [k for k in sorted(model) if lo <= k <= hi]
-        rbk_mask = (bk >= lo) & (bk <= hi)
-        wk, wv = bk[rbk_mask], bv[rbk_mask]
-        c = wk.size
-        base = RangeBatch(np.asarray([0, c, c, 2 * c], dtype=np.int64),
-                          np.concatenate([wk, wk]), np.concatenate([wv, wv]))
         los = np.asarray([lo, hi + 1, lo], dtype=np.int64)
         his = np.asarray([hi, lo, hi], dtype=np.int64)
-        merged = view.merge_ranges(base, los, his)
+        source = Snapshot.from_sorted(bk, bv) if bk.size else None
+        merged = range_search_batch(source, los, his, delta=view.run)
         assert len(merged) == 3 and merged[1][0].size == 0
         for rkeys, rvalues in (merged[0], merged[2]):
             assert rkeys.tolist() == in_r
@@ -422,6 +419,48 @@ class TestResolveBatch:
         for k in set(visible) | set(state):
             if k not in touched:
                 assert visible.get(k) == state.get(k)
+        assert run.net == len(state) - len(visible)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        visible=st.dictionaries(st.integers(0, 5), st.integers(-9, 9),
+                                max_size=6),
+        raw_ops=st.lists(st.tuples(st.sampled_from(["insert", "update",
+                                                    "delete"]),
+                                   st.integers(0, 5), st.integers(-9, 9)),
+                         max_size=80),
+    )
+    def test_repeated_keys_match_per_op_replay(self, visible, raw_ops):
+        """Batches where almost every key repeats: each op's outcome
+        equals a per-op dict replay's, the run holds each touched key's
+        end state, and a tombstone carries 0."""
+        ops = [Operation(kind, key, val) for kind, key, val in raw_ops]
+        run, result = resolve_batch(
+            ops, lambda u: np.asarray([k in visible for k in u.tolist()],
+                                      dtype=bool))
+        state = dict(visible)
+        ok = {"insert": 0, "update": 0, "delete": 0}
+        for op in ops:
+            present = op.key in state
+            if (op.kind == "insert") != present:
+                ok[op.kind] += 1
+                if op.kind == "delete":
+                    del state[op.key]
+                else:
+                    state[op.key] = op.value
+        assert (result.inserted, result.updated, result.deleted,
+                result.failed) == (ok["insert"], ok["update"], ok["delete"],
+                                   len(ops) - sum(ok.values()))
+        got = dict(visible)
+        for k, v, tomb in zip(run.keys.tolist(), run.values.tolist(),
+                              run.tombstones.tolist()):
+            if tomb:
+                assert v == 0
+                del got[k]
+            else:
+                got[k] = v
+        assert got == state
         assert run.net == len(state) - len(visible)
 
     def test_empty_batch(self):

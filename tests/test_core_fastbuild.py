@@ -7,7 +7,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.btree.bulk import _chunk_sizes, bulk_load
-from repro.core.fastbuild import _chunk_sizes_fast, build_layout_fast
+from repro.core.fastbuild import (
+    _chunk_sizes_fast,
+    build_layout_fast,
+    layout_height,
+)
 from repro.core.layout import HarmoniaLayout
 from repro.errors import ConfigError, EmptyTreeError
 
@@ -98,3 +102,40 @@ class TestValidationAndScale:
         a = HarmoniaLayout.from_sorted(keys, fanout=8, fill=0.7)
         b = build_layout_fast(keys, fanout=8, fill=0.7)
         assert np.array_equal(a.key_region, b.key_region)
+
+
+class TestLayoutHeight:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n=st.integers(1, 40_000),
+        fanout=st.sampled_from([3, 4, 8, 16, 64]),
+        fill=st.floats(0.05, 1.0),
+    )
+    def test_matches_the_built_layout(self, n, fanout, fill):
+        keys = np.arange(n, dtype=np.int64) * 3
+        assert layout_height(n, fanout, fill) == build_layout_fast(
+            keys, fanout=fanout, fill=fill).height
+
+    @pytest.mark.parametrize("fill", [0.5, 0.7, 1.0])
+    @pytest.mark.parametrize("n", [1, 7, 63, 64, 4_095, 65_536, 300_001])
+    def test_tree_height_derives_nothing(self, n, fill):
+        """Reading the height of a fresh tree, or of one whose writes
+        moved its derived fill, builds no layout."""
+        from repro.core.tree import HarmoniaTree
+        from repro.core.update import Operation
+
+        tree = HarmoniaTree.from_sorted(np.arange(n, dtype=np.int64) * 4,
+                                        fanout=64, fill=fill)
+        tree.apply_batch([Operation("insert", 4 * k + 1, k)
+                          for k in range(0, n, 3)])
+        height = tree.height
+        assert not tree.snapshot.derived
+        assert height == tree.layout.height
+        assert tree.snapshot.derived and tree.height == height
+
+    def test_empty_is_zero(self):
+        from repro.core.tree import HarmoniaTree
+
+        assert layout_height(0, 8, 0.7) == 0
+        assert HarmoniaTree.empty(fanout=8).height == 0

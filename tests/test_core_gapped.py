@@ -376,12 +376,14 @@ class TestHandedOverArrays:
             + [Operation("delete", k) for k in range(1, 300, 7)],
         ]
         # The worker's own state: one epoch manager per shard.
-        state = _WorkerState(8, 0.7, None, None)
+        state = _WorkerState(8, 0.7, None)
         state.load(keys, keys * 5)
         for ops in batches:
             state.manager.submit_many(ops)
             state.manager.flush()
             apply_to_oracle(oracle, ops)
+        # Writes land in the delta; the drain merges it into the block.
+        state.manager.drain()
         snap = state.manager._tree.snapshot
         assert not snap.derived
         assert_snapshot_state(snap, oracle)
@@ -399,6 +401,8 @@ class TestHandedOverArrays:
 
 class TestShardedMerge:
     def test_sharded_tree_inherits_merge_mode(self):
+        """Shard workers write through the delta; their accounting and
+        reads equal the scalar reference's."""
         pytest.importorskip("multiprocessing")
         from repro.shard import ShardedTree
 
@@ -412,7 +416,6 @@ class TestShardedMerge:
 
         with ShardedTree.from_sorted(
             keys, n_shards=2, fanout=16, fill=0.7,
-            update_config=UpdateConfig(mode="merge"),
         ) as sharded:
             mres = sharded.apply_batch(ops)
             for field in ("inserted", "updated", "deleted", "failed"):

@@ -220,7 +220,7 @@ class TestEagerBulkRejections:
 
         # A shard worker's load builds a fresh EpochManager over the bulk
         # input; a rejected load must keep the manager it had.
-        state = _WorkerState(8, 0.7, None, None)
+        state = _WorkerState(8, 0.7, None)
         good = np.arange(0, 100, 2, dtype=np.int64)
         state.load(good, good * 3)
         mgr = state.manager

@@ -500,9 +500,8 @@ class TestShardedConcurrent:
               suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(0, 2 ** 31 - 1))
     def test_sharded_tree_matches_reference(self, seed):
-        """ShardedTree(concurrent=True): worker flushes publish delta
-        runs, checkpoint dumps merge them — results identical to one
-        local tree."""
+        """Shard workers' flushes publish delta runs, checkpoint dumps
+        merge them — results identical to one local tree."""
         from repro.shard.router import ShardedTree
 
         rng = np.random.default_rng(seed)
@@ -510,8 +509,8 @@ class TestShardedConcurrent:
             rng.choice(20000, size=800, replace=False)
         ).astype(np.int64)
         ref = HarmoniaTree.from_sorted(keys, keys * 2, fanout=16)
-        with ShardedTree.from_sorted(keys, keys * 2, n_shards=2, fanout=16,
-                                     concurrent=True) as st_tree:
+        with ShardedTree.from_sorted(keys, keys * 2, n_shards=2,
+                                     fanout=16) as st_tree:
             for r in range(3):
                 raw = rng.choice(25000, size=120, replace=False)
                 kinds = rng.choice(["insert", "update", "delete"], size=120)

@@ -135,8 +135,7 @@ class TestEverySurfaceMatchesOracle:
         keys = np.asarray(sorted(base), dtype=np.int64)
         values = np.asarray([base[k] for k in keys.tolist()], dtype=np.int64)
         with ShardedTree.from_sorted(keys, values, n_shards=2,
-                                     fanout=FANOUT, fill=FILL,
-                                     update_config=LAX) as sh:
+                                     fanout=FANOUT, fill=FILL) as sh:
             cut = int(sh.partitioner.boundaries[0])
             if empty_upper:  # delete the upper shard's every key
                 upper = set(keys[keys > cut].tolist())
@@ -204,8 +203,7 @@ def test_range_batch_indexing():
 def test_worker_range_reply_is_three_arrays():
     router_side, worker_side = ShardChannel.pair()
     proc = mp.Process(target=worker_main, daemon=True,
-                      args=(worker_side, FANOUT, 1.0, SearchConfig(),
-                            UpdateConfig(), False, 0))
+                      args=(worker_side, FANOUT, 1.0, SearchConfig(), 0))
     proc.start()
     worker_side.conn.close()
     ch = router_side

@@ -24,6 +24,7 @@ from repro.errors import ConfigError
 from repro.obs.schema import validate_snapshot
 from repro.shard import Partitioner, ShardChannel, ShardedTree
 from repro.shard import router as router_mod
+from repro.shard import worker as worker_mod
 
 
 # --------------------------------------------------------------------------
@@ -344,15 +345,20 @@ class TestCpuBinding:
         assert sharded.health_check() == [1]
         assert os.sched_getaffinity(sharded._shards[1].proc.pid) == before
 
-    def test_concurrent_workers_stay_unbound(self):
-        with ShardedTree.from_sorted(KEYS, n_shards=2, fanout=16,
-                                     concurrent=True) as st:
-            assert st.search(4) == 4
-            for s in st._shards:
-                assert os.sched_getaffinity(s.proc.pid) == \
-                    os.sched_getaffinity(0)
-                assert os.sched_getscheduler(s.proc.pid) == \
-                    os.sched_getscheduler(0)
+    def test_workers_stay_bound_through_drains(self, monkeypatch):
+        """Every worker writes through its delta and drains it on a
+        thread of its own process: drains leave the worker on its CPU."""
+        monkeypatch.setattr(worker_mod, "DRAIN_THRESHOLD", 4)
+        with ShardedTree.from_sorted(KEYS, n_shards=2, fanout=16) as st:
+            pids = [s.proc.pid for s in st._shards]
+            before = [os.sched_getaffinity(pid) for pid in pids]
+            res = st.apply_batch([Operation("insert", k, k)
+                                  for k in range(1, 4000, 50)])
+            assert res.inserted == 80
+            assert st.search(51) == 51 and st.search(4) == 4
+            assert [os.sched_getaffinity(pid) for pid in pids] == before
+            assert all(len(cpus) == 1 for cpus in before)
+            assert before[0] != before[1]
 
 
 def _oracle_check(st, oracle):
