@@ -86,7 +86,7 @@ def test_engine_bare_baseline(benchmark, bench_tree, bench_queries):
 def test_engine_compacted(benchmark, bench_tree, bench_queries):
     issued = _psa_sorted(bench_tree, bench_queries)
     eng = BatchQueryEngine(bench_tree.layout)
-    eng.execute(issued)  # warm scratch + packed leaf block
+    eng.execute(issued)  # warm the packed leaf block
     out = benchmark(eng.execute, issued)
     assert np.array_equal(out, search_batch(bench_tree.layout, issued))
     benchmark.extra_info["unique_nodes_per_level"] = (

@@ -52,41 +52,6 @@ def test_ext_fast_build(benchmark, bench_keys):
     benchmark.extra_info["nodes"] = layout.n_nodes
 
 
-def test_ext_merge(benchmark, bench_keys):
-    import numpy as np
-
-    from repro.core.layout import HarmoniaLayout
-    from repro.core.merge import merge_layouts
-
-    half = bench_keys.size // 2
-    a = HarmoniaLayout.from_sorted(bench_keys[:half], fanout=64, fill=0.7)
-    b = HarmoniaLayout.from_sorted(bench_keys[half:], fanout=64, fill=0.7)
-    merged = benchmark(merge_layouts, a, b)
-    assert merged.n_keys == bench_keys.size
-
-
-def test_ext_compact(benchmark, bench_keys):
-    from repro.core.layout import HarmoniaLayout
-    from repro.core.merge import compact
-
-    sparse = HarmoniaLayout.from_sorted(bench_keys, fanout=64, fill=0.5)
-    dense = benchmark(compact, sparse, 1.0)
-    assert dense.n_leaves < sparse.n_leaves
-
-
-def test_ext_record_store(benchmark):
-    from repro.core.heap import RecordStore
-
-    items = [(k, f"payload-{k}".encode()) for k in range(0, 20_000, 2)]
-
-    def build_and_probe():
-        store = RecordStore.from_items(items, fanout=64)
-        return store.get_batch(list(range(0, 2_000)))
-
-    got = benchmark.pedantic(build_and_probe, rounds=2, iterations=1)
-    assert got[0] == b"payload-0" and got[1] is None
-
-
 @pytest.mark.parametrize("order", ["random", "sorted"])
 def test_ext_sort_kernel(benchmark, bench_queries, order):
     import numpy as np

@@ -1,4 +1,4 @@
-"""Join bench — hinted dual-tree merge-join and bounded-memory tiling.
+"""Join bench — the hinted dual-tree merge-join.
 
 Two entry points:
 
@@ -7,20 +7,14 @@ Two entry points:
   the shared bench fixtures;
 * a standalone emitter (``python benchmarks/bench_join.py [--smoke]
   [--out PATH]``) that writes ``BENCH_join.json`` at the repo root with
-  two acceptance gates:
-
-  - the join's probe lookup (``search_sorted_many`` over the build
-    tree) costs at most 1.15x the fair baseline — one bare NumPy
-    ``searchsorted`` of the same sorted probe stream over the build
-    tree's packed leaf block — at the acceptance point;
-  - the tiled scheduler's *measured* peak resident footprint stays
-    <= 0.25x of the untiled engine scratch while holding throughput
-    within 10%.
-
-  Both gates re-measure best-of on a breach (like the engine bench's
-  overhead gate), so scheduler jitter cannot fail the record.  The whole
-  join is recorded next to the NumPy sort-merge reference on the same
-  items, as context.
+  one acceptance gate: the join's probe lookup (``search_sorted_many``
+  over the build tree) costs at most 1.15x the fair baseline — one bare
+  NumPy ``searchsorted`` of the same sorted probe stream over the build
+  tree's packed leaf block — at the acceptance point.  The gate
+  re-measures best-of on a breach (like the engine bench's overhead
+  gate), so scheduler jitter cannot fail the record.  The whole join is
+  recorded next to the NumPy sort-merge reference on the same items, as
+  context.
 """
 
 from __future__ import annotations
@@ -34,10 +28,8 @@ import numpy as np
 
 from repro.constants import KEY_MAX, NOT_FOUND
 from repro.core import HarmoniaTree
-from repro.core.engine import BatchQueryEngine
-from repro.join import TileConfig, TileScheduler, merge_join, \
-    sort_merge_reference
-from repro.workloads.generators import make_key_set, uniform_queries
+from repro.join import merge_join, sort_merge_reference
+from repro.workloads.generators import make_key_set
 
 #: Acceptance: the probe lookup may cost at most this many times the
 #: bare NumPy leaf search of the same sorted probes.
@@ -67,16 +59,6 @@ def test_join_naive_probe(benchmark, bench_tree, bench_keys):
     probes = tree_a._merged_items()[0]
     out = benchmark(bench_tree.search_many, probes)
     assert out.size == probes.size
-
-
-def test_join_tiled(benchmark, bench_tree, bench_queries):
-    issued = np.sort(bench_queries)
-    sched = TileScheduler(
-        BatchQueryEngine(bench_tree.layout), TileConfig(tile_size=1 << 12)
-    )
-    out = benchmark(sched.run, issued)
-    assert np.array_equal(out, BatchQueryEngine(bench_tree.layout).execute(issued))
-    benchmark.extra_info["peak_bytes"] = sched.last_peak_bytes
 
 
 # ------------------------------------------------------------ JSON emitter
@@ -150,40 +132,8 @@ def _join_point(tree_log2: int, overlap: float, seed: int = 1234) -> dict:
     }
 
 
-def _tile_point(tree_log2: int, batch_log2: int, tile_log2: int,
-                seed: int = 1234) -> dict:
-    """Tiled vs untiled on one sorted batch: measured peak footprint
-    (staging ring + recycled engine scratch) and throughput ratio."""
-    keys = make_key_set(1 << tree_log2, rng=seed)
-    tree = HarmoniaTree.from_sorted(keys, fanout=64, fill=0.7)
-    issued = np.sort(uniform_queries(keys, 1 << batch_log2, rng=seed + 1))
-
-    engine = BatchQueryEngine(tree.layout)
-    baseline = engine.execute(issued)
-    untiled_s = _best_of(lambda: engine.execute(issued))
-    untiled_bytes = engine.scratch_nbytes
-
-    sched = TileScheduler(
-        BatchQueryEngine(tree.layout), TileConfig(tile_size=1 << tile_log2)
-    )
-    assert np.array_equal(sched.run(issued), baseline)
-    tiled_s = _best_of(lambda: sched.run(issued))
-    return {
-        "tree_log2": tree_log2,
-        "batch_log2": batch_log2,
-        "tile_log2": tile_log2,
-        "tiles": sched.last_tiles,
-        "untiled_s": round(untiled_s, 6),
-        "tiled_s": round(tiled_s, 6),
-        "untiled_bytes": untiled_bytes,
-        "peak_bytes": sched.last_peak_bytes,
-        "peak_ratio": round(sched.last_peak_bytes / untiled_bytes, 4),
-        "throughput_ratio": round(untiled_s / tiled_s, 3),
-    }
-
-
-def _capture_metrics(join_acc: dict, tile_acc: dict, seed: int = 1234) -> dict:
-    """One *recorded* join + tiled run at the acceptance points, outside
+def _capture_metrics(join_acc: dict, seed: int = 1234) -> dict:
+    """One *recorded* join at the acceptance point, outside
     the timed loops (recording adds bookkeeping; the timings must stay
     the disabled-path numbers).  Carries the emitter's headline numbers
     as ``bench.*`` gauges for ``repro obs diff``."""
@@ -195,23 +145,11 @@ def _capture_metrics(join_acc: dict, tile_acc: dict, seed: int = 1234) -> dict:
     rng = np.random.default_rng(seed + 1)
     keys_a = keys_b[rng.random(keys_b.size) < 0.5]
     tree_a = HarmoniaTree.from_sorted(keys_a, keys_a % 1009 + 1, fanout=64)
-    issued = np.sort(uniform_queries(
-        keys_b, 1 << tile_acc["batch_log2"], rng=seed + 2
-    ))
-    sched = TileScheduler(
-        BatchQueryEngine(tree_b.layout),
-        TileConfig(tile_size=1 << tile_acc["tile_log2"]),
-    )
     with obs.recording() as rec:
         merge_join(tree_a, tree_b, mode="inner")
-        sched.run(issued)
         for name in ("bare_s", "probe_s", "join_s", "reference_s",
                      "probe_vs_bare", "join_vs_reference"):
             rec.gauge(f"bench.join.{name}", join_acc[name])
-        rec.gauge("bench.join.tile_peak_ratio", tile_acc["peak_ratio"])
-        rec.gauge(
-            "bench.join.tile_throughput_ratio", tile_acc["throughput_ratio"]
-        )
     snapshot = rec.snapshot()
     problems = validate_snapshot(snapshot)
     if problems:
@@ -221,8 +159,6 @@ def _capture_metrics(join_acc: dict, tile_acc: dict, seed: int = 1234) -> dict:
 
 def main(out_path: str = None, smoke: bool = False) -> dict:
     tree_log2 = 16 if smoke else 20
-    batch_log2 = 16 if smoke else 18
-    tile_log2 = 12 if smoke else 14
 
     join_rows = [
         _join_point(tree_log2, overlap) for overlap in (0.1, 0.5, 0.9)
@@ -238,23 +174,11 @@ def main(out_path: str = None, smoke: bool = False) -> dict:
         if again["probe_vs_bare"] < join_acc["probe_vs_bare"]:
             join_rows[1] = join_acc = again
 
-    tile_rows = [
-        _tile_point(tree_log2, batch_log2, t)
-        for t in (tile_log2, tile_log2 + 2)
-    ]
-    tile_acc = tile_rows[0]
-    attempts = 0
-    while tile_acc["throughput_ratio"] < 0.9 and attempts < 3:
-        attempts += 1
-        again = _tile_point(tree_log2, batch_log2, tile_log2)
-        if again["throughput_ratio"] > tile_acc["throughput_ratio"]:
-            tile_rows[0] = tile_acc = again
-
     record = {
         "bench": "join",
         "workload": (
-            "dual-tree inner joins at 10/50/90% key overlap + tiled "
-            "sorted batch search, fanout 64, fill 0.7"
+            "dual-tree inner joins at 10/50/90% key overlap, fanout 64, "
+            "fill 0.7"
         ),
         "acceptance": {
             "criterion": (
@@ -265,21 +189,8 @@ def main(out_path: str = None, smoke: bool = False) -> dict:
             "probe_vs_bare": join_acc["probe_vs_bare"],
             "ok": join_acc["probe_vs_bare"] <= MAX_OVERHEAD,
         },
-        "tiling": {
-            "criterion": (
-                "measured tiled peak footprint <= 0.25x untiled engine "
-                "scratch with throughput within 10% of untiled"
-            ),
-            "peak_ratio": tile_acc["peak_ratio"],
-            "throughput_ratio": tile_acc["throughput_ratio"],
-            "ok": (
-                tile_acc["peak_ratio"] <= 0.25
-                and tile_acc["throughput_ratio"] >= 0.9
-            ),
-        },
         "join_rows": join_rows,
-        "tile_rows": tile_rows,
-        "metrics": _capture_metrics(join_acc, tile_acc),
+        "metrics": _capture_metrics(join_acc),
     }
     path = pathlib.Path(
         out_path or pathlib.Path(__file__).parent.parent / "BENCH_join.json"
@@ -287,7 +198,6 @@ def main(out_path: str = None, smoke: bool = False) -> dict:
     path.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {path}")
     print(json.dumps(record["acceptance"], indent=2))
-    print(json.dumps(record["tiling"], indent=2))
     return record
 
 

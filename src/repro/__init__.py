@@ -26,18 +26,11 @@ from repro.core import (
     EpochManager,
     HarmoniaLayout,
     HarmoniaTree,
-    RecordStore,
     SearchConfig,
-    StreamExecutor,
-    StreamStats,
     UpdateConfig,
-    ValueHeap,
-    compact,
     layout_stats,
     load_layout,
     load_tree,
-    merge_layouts,
-    recommend_fanout,
     save_layout,
     save_tree,
 )
@@ -54,8 +47,6 @@ __all__ = [
     "HarmoniaLayout",
     "BatchQueryEngine",
     "EngineStats",
-    "StreamExecutor",
-    "StreamStats",
     "SearchConfig",
     "UpdateConfig",
     "MetricsRegistry",
@@ -67,11 +58,6 @@ __all__ = [
     "save_tree",
     "load_tree",
     "layout_stats",
-    "RecordStore",
-    "ValueHeap",
-    "merge_layouts",
-    "compact",
-    "recommend_fanout",
     "RegularBPlusTree",
     "ImplicitBPlusTree",
     "bulk_load",

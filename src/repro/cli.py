@@ -216,7 +216,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
     import time
 
     import repro.obs as obs
-    from repro.join import TileConfig, merge_join
+    from repro.join import merge_join
     from repro.obs.export import write_chrome_trace, write_snapshot
     from repro.obs.schema import validate_snapshot
 
@@ -224,21 +224,15 @@ def _cmd_join(args: argparse.Namespace) -> int:
     keys_b = np.unique(_read_keys(args.keys_b))
     tree_a = HarmoniaTree.from_sorted(keys_a, None, fanout=args.fanout)
     tree_b = HarmoniaTree.from_sorted(keys_b, None, fanout=args.fanout)
-    tile = None if args.tile is None else TileConfig(tile_size=args.tile)
 
     recording = obs.recording() if args.trace_out else contextlib.nullcontext()
     with recording as rec:
         t0 = time.perf_counter()
-        result = merge_join(
-            tree_a, tree_b, mode=args.mode, tile=tile,
-            hinted=not args.no_hint,
-        )
+        result = merge_join(tree_a, tree_b, mode=args.mode)
         wall = time.perf_counter() - t0
         print(f"{args.mode} join: {keys_a.size} probe keys x "
               f"{keys_b.size} build keys -> {result.keys.size} rows "
-              f"in {wall:.3f}s (selectivity {result.selectivity:.1%}, "
-              f"{'hinted' if not args.no_hint else 'unhinted'}"
-              + (f", tile {args.tile}" if args.tile else "") + ")")
+              f"in {wall:.3f}s (selectivity {result.selectivity:.1%})")
         shown = min(result.keys.size, args.limit)
         for i in range(shown):
             row = f"{result.keys[i]}\t{result.values_a[i]}"
@@ -265,14 +259,19 @@ def _cmd_join(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Batches ``obs record`` splits its queries into.
+OBS_RECORD_BATCHES = 8
+
+
 def _cmd_obs_record(args: argparse.Namespace) -> int:
-    """One instrumented end-to-end run: a stream + simulated
-    kernel under a single recording, exported as snapshot + Chrome trace.
+    """One instrumented end-to-end run: the queries as
+    :data:`OBS_RECORD_BATCHES` ``search_many`` batches, then the simulated
+    kernel, under a single recording, exported as snapshot + Chrome trace.
 
     This is the acceptance run for the observability layer: the trace
-    shows each stream batch's sort, traverse and scatter stages, and
-    the snapshot carries both ``engine.unique_nodes.l*`` and
-    ``gpusim.transactions_per_warp`` for ``obs report``.
+    shows each batch's ``psa.prepare`` (sort) then ``engine.lookup``
+    (traverse), and the snapshot carries both ``engine.unique_nodes.l*``
+    and ``gpusim.transactions_per_warp`` for ``obs report``.
     """
     import os
 
@@ -288,10 +287,10 @@ def _cmd_obs_record(args: argparse.Namespace) -> int:
     keys = make_key_set(args.keys, rng=args.seed)
     tree = HarmoniaTree.from_sorted(keys, fanout=args.fanout)
     queries = uniform_queries(tree.layout.all_keys(), args.queries, rng=rng)
-    cfg = SearchConfig(stream_batch=max(args.queries // 8, 1))
 
     with obs.recording() as rec:
-        tree.search_stream(queries, cfg)
+        for batch in np.array_split(queries, OBS_RECORD_BATCHES):
+            tree.search_many(batch)
         sim_n = min(args.queries, 1 << 12)
         prep = tree.prepare_queries(queries[:sim_n], SearchConfig.full())
         device = miniaturized_device(len(tree), sim_n)
@@ -484,11 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     j.add_argument("--mode", choices=["inner", "semi", "anti"],
                    default="inner")
     j.add_argument("--fanout", type=int, default=64)
-    j.add_argument("--tile", type=int, default=None,
-                   help="bounded-memory tile size (queries per tile)")
-    j.add_argument("--no-hint", action="store_true",
-                   help="probe per tile through the plain engine instead "
-                        "of the hinted dual walk")
     j.add_argument("--limit", type=int, default=10,
                    help="result rows to print (default 10)")
     j.add_argument("--trace-out", default=None,
@@ -503,8 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     orec = osub.add_parser(
         "record",
-        help="run an instrumented stream + simulation, write snapshot "
-             "and Chrome trace",
+        help="run instrumented point-read batches + simulation, write "
+             "snapshot and Chrome trace",
     )
     orec.add_argument("--out", default="obs-run",
                       help="output directory (default: obs-run)")

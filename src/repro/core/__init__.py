@@ -7,9 +7,6 @@
   block (§3.2.1 + §4.1's PSA order), and the per-level GPU work model
   (:func:`~repro.core.engine.traversal_profile`).
 * :mod:`repro.core.psa` — partially-sorted aggregation (§4.1).
-* :mod:`repro.core.stream` — streaming executor: fixed-size batches, each
-  sorted, traversed and scattered on the calling thread, with per-stage
-  traces that decide §4.1.3's hiding condition.
 * :mod:`repro.core.ntg` — narrowed thread-group traversal model (§4.2).
 * :mod:`repro.core.snapshot` — one tree state: the packed leaf block it
   stores, and the layout derived from it on demand.
@@ -22,39 +19,26 @@
 """
 
 from repro.core.config import SearchConfig, UpdateConfig
-from repro.core.engine import BatchQueryEngine, EngineScratch, EngineStats
+from repro.core.engine import BatchQueryEngine, EngineStats
 from repro.core.epoch import EpochManager
-from repro.core.heap import RecordStore, ValueHeap
 from repro.core.io import load_layout, load_tree, save_layout, save_tree
 from repro.core.layout import HarmoniaLayout
-from repro.core.merge import compact, merge_layouts
 from repro.core.snapshot import Snapshot
 from repro.core.stats import layout_stats
-from repro.core.stream import BatchTrace, StreamExecutor, StreamStats
 from repro.core.tree import HarmoniaTree
-from repro.core.tuning import recommend_fanout
 
 __all__ = [
     "HarmoniaLayout",
     "HarmoniaTree",
     "Snapshot",
     "BatchQueryEngine",
-    "EngineScratch",
     "EngineStats",
-    "StreamExecutor",
-    "StreamStats",
-    "BatchTrace",
     "SearchConfig",
     "UpdateConfig",
     "EpochManager",
-    "RecordStore",
-    "ValueHeap",
     "save_layout",
     "load_layout",
     "save_tree",
     "load_tree",
     "layout_stats",
-    "merge_layouts",
-    "compact",
-    "recommend_fanout",
 ]

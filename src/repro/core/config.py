@@ -26,9 +26,6 @@ class SearchConfig:
       :class:`~repro.gpusim.device.DeviceSpec` used for simulation; the
       simulator cross-checks).
     * ``profile_sample``: static-profiling sample size (paper: ~1000).
-    * ``stream_batch``: queries per batch of the §4.1.3 streaming
-      executor behind :meth:`~repro.core.tree.HarmoniaTree.search_stream`
-      (sort → traverse → scatter per batch, on the calling thread).
     * ``trace``: per-call observability scope
       (:class:`~repro.obs.registry.TraceConfig`).  ``None`` (the default)
       inherits the ambient recorder — the no-op singleton unless inside
@@ -53,7 +50,6 @@ class SearchConfig:
     #: hypothesis suite pins byte-identical results against.
     ntg_per_level: bool = True
     seed: int = 0x5EED
-    stream_batch: int = 1 << 14
     trace: Optional[TraceConfig] = None
 
     def __post_init__(self) -> None:
@@ -78,7 +74,6 @@ class SearchConfig:
                 )
         if self.ntg_profile_levels is not None:
             ensure_positive("ntg_profile_levels", self.ntg_profile_levels)
-        ensure_positive("stream_batch", self.stream_batch)
 
     # Convenience presets matching the paper's ablation (Figure 13).
     @classmethod

@@ -42,7 +42,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -197,41 +198,28 @@ def traversal_profile(
     )
 
 
-class EngineScratch:
-    """Shape-sticky named buffer pool.
+class _BatchProfile:
+    """One lookup batch's work-model inputs: its issue-order queries,
+    ``hinted``, ``issue_sorted`` and ``scan_widths`` (a zero-argument
+    callable or None).  :attr:`stats` profiles the batch on first read.
+    Every lookup makes its own, so concurrent batches on one engine never
+    profile each other's queries."""
 
-    ``array(name, shape)`` returns the cached buffer when the shape and
-    dtype match the previous request under that name, else allocates a
-    replacement — so repeated batches of the same shape allocate nothing.
-    Each engine owns its own scratch; buffers are never shared.
-    """
+    def __init__(self, snapshot: Snapshot, q: np.ndarray, hinted: bool,
+                 issue_sorted: Optional[bool], widths) -> None:
+        self.snapshot = snapshot
+        self.q = q
+        self.hinted = hinted
+        self.issue_sorted = issue_sorted
+        self.widths = widths
 
-    __slots__ = ("_buffers",)
-
-    def __init__(self) -> None:
-        self._buffers: Dict[str, np.ndarray] = {}
-
-    def array(
-        self,
-        name: str,
-        shape: Union[int, Tuple[int, ...]],
-        dtype=np.int64,
-    ) -> np.ndarray:
-        if isinstance(shape, int):
-            shape = (shape,)
-        shape = tuple(int(s) for s in shape)
-        buf = self._buffers.get(name)
-        if buf is None or buf.shape != shape or buf.dtype != np.dtype(dtype):
-            buf = np.empty(shape, dtype=dtype)
-            self._buffers[name] = buf
-        return buf
-
-    @property
-    def nbytes(self) -> int:
-        return sum(int(b.nbytes) for b in self._buffers.values())
-
-    def clear(self) -> None:
-        self._buffers.clear()
+    @cached_property
+    def stats(self) -> EngineStats:
+        return traversal_profile(
+            self.snapshot.layout, self.q, hinted=self.hinted,
+            scan_widths=self.widths() if self.widths is not None else None,
+            issue_sorted=self.issue_sorted,
+        )
 
 
 class BatchQueryEngine:
@@ -239,10 +227,11 @@ class BatchQueryEngine:
 
     Drop-in replacement for :func:`repro.core.search.search_batch`
     (bit-identical results on any query order); fastest when the batch
-    went through PSA first.  Runs on the calling thread.  Binds to a
-    :class:`~repro.core.snapshot.Snapshot` (a bare layout is wrapped in
-    one); the lookup reads only the block, so it never derives the
-    snapshot's layout — :attr:`last_stats` does.
+    went through PSA first.  Runs on the calling thread and holds no
+    per-batch buffer, so any number of threads may share one engine.
+    Binds to a :class:`~repro.core.snapshot.Snapshot` (a bare layout is
+    wrapped in one); the lookup reads only the block, so it never derives
+    the snapshot's layout — :attr:`last_stats` does.
     """
 
     def __init__(self, snapshot) -> None:
@@ -253,12 +242,7 @@ class BatchQueryEngine:
                 "BatchQueryEngine needs a Snapshot or a HarmoniaLayout"
             )
         self.snapshot = snapshot
-        self._scratch = EngineScratch()
-        self._stats: Optional[EngineStats] = None
-        #: What the next :attr:`last_stats` read profiles: ``(queries,
-        #: hinted, issue_sorted, scan_widths)``, where
-        #: ``scan_widths`` is a zero-argument callable or None.
-        self._unprofiled: Optional[tuple] = None
+        self._last: Optional[_BatchProfile] = None
 
     @property
     def layout(self) -> HarmoniaLayout:
@@ -267,31 +251,17 @@ class BatchQueryEngine:
         return self.snapshot.layout
 
     @property
-    def scratch_nbytes(self) -> int:
-        """Bytes held by the shape-sticky scratch pool — the per-batch
-        working set the tile scheduler budgets against (the packed leaf
-        block belongs to the snapshot, not to the batch)."""
-        return self._scratch.nbytes
-
-    @property
     def last_stats(self) -> Optional[EngineStats]:
         """GPU work model of the most recent batch (None before the
         first), computed by :func:`traversal_profile` on first access.
 
-        The engine keeps a reference to that batch's queries until then,
-        so a caller that reuses its query buffer must read this before
-        overwriting it.
+        The engine keeps a reference to that batch's queries until the
+        next batch, so a caller that reuses its query buffer must read
+        this before overwriting it.  With several threads on one engine,
+        "most recent" is whichever batch finished last.
         """
-        pending = self._unprofiled
-        if pending is not None:
-            q, hinted, issue_sorted, widths = pending
-            self._stats = traversal_profile(
-                self.layout, q, hinted=hinted,
-                scan_widths=widths() if widths is not None else None,
-                issue_sorted=issue_sorted,
-            )
-            self._unprofiled = None
-        return self._stats
+        last = self._last
+        return None if last is None else last.stats
 
     # ------------------------------------------------------------- execution
 
@@ -299,31 +269,22 @@ class BatchQueryEngine:
         self,
         queries,
         issue_sorted: Optional[bool] = None,
-        out: Optional[np.ndarray] = None,
         overlay=None,
     ) -> np.ndarray:
         """Batch point lookup; values aligned with ``queries`` as given
         (no PSA restore — use :meth:`execute_prepared` for that).
 
-        ``issue_sorted`` is PSA metadata carried into the stats.  ``out``
-        lets callers supply the result buffer (the streaming executor's
-        per-slot scratch); it must match the batch size and is
-        overwritten in full.  ``overlay`` is an optional
-        ``fn(keys, values)`` post-pass applied to the finished batch in
-        place — the snapshot-epoch read path passes
-        :meth:`repro.core.delta.DeltaView.overlay_values` here, and since
-        the overlay is elementwise by key it commutes with the PSA
+        ``issue_sorted`` is PSA metadata carried into the stats.
+        ``overlay`` is an optional ``fn(keys, values)`` post-pass applied
+        to the finished batch in place — the snapshot-epoch read path
+        passes :meth:`repro.core.delta.DeltaView.overlay_values` here, and
+        since the overlay is elementwise by key it commutes with the PSA
         permutation.
         """
         q = ensure_key_array(np.asarray(queries), "queries")
-        return self._lookup(q, out, overlay, (False, issue_sorted, None))
+        return self._lookup(q, overlay, False, issue_sorted)
 
-    def execute_hinted(
-        self,
-        queries,
-        out: Optional[np.ndarray] = None,
-        overlay=None,
-    ) -> np.ndarray:
+    def execute_hinted(self, queries, overlay=None) -> np.ndarray:
         """Lookup of an **ascending** batch — the merge-join probe path.
 
         Values come from the same packed-leaf search as :meth:`execute`
@@ -337,7 +298,7 @@ class BatchQueryEngine:
         """
         q = ensure_key_array(np.asarray(queries), "queries")
         ensure_ascending(q)
-        return self._lookup(q, out, overlay, (True, True, None))
+        return self._lookup(q, overlay, True, True)
 
     def execute_prepared(self, prepared, overlay=None) -> np.ndarray:
         """Run a :class:`~repro.core.tree.PreparedBatch` and restore the
@@ -350,76 +311,63 @@ class BatchQueryEngine:
         """
         psa = prepared.psa
         issue = self._lookup(
-            psa.queries, None, overlay,
-            (False, psa.issue_sorted, lambda: prepared.scan_widths or None),
+            psa.queries, overlay, False, psa.issue_sorted,
+            lambda: prepared.scan_widths or None,
         )
         return psa.scatter_restore(issue)
 
     # -------------------------------------------------------------- internals
 
-    def _lookup(self, q: np.ndarray, out, overlay, model) -> np.ndarray:
-        """The one host lookup kernel behind every ``execute*`` entry
-        and every tile of :class:`~repro.join.tiles.TileScheduler`.
+    def _lookup(self, q: np.ndarray, overlay, hinted: bool,
+                issue_sorted: Optional[bool], widths=None) -> np.ndarray:
+        """The one host lookup kernel behind every ``execute*`` entry.
 
         ``q`` must already be validated (``ensure_key_array``, plus
-        :func:`ensure_ascending` for a hinted batch).  ``model`` is
-        ``(hinted, issue_sorted, scan_widths)`` — what :attr:`last_stats`
-        needs to profile this batch later.
+        :func:`ensure_ascending` for a hinted batch).  ``hinted``,
+        ``issue_sorted`` and ``widths`` are what the work model needs to
+        profile this batch (see :class:`_BatchProfile`).
         """
         rec = obs.active
         t_start = _clock() if rec.enabled else 0.0
         nq = q.size
-        if out is None:
-            values = np.empty(nq, dtype=VALUE_DTYPE)
-        elif out.shape != (nq,) or out.dtype != np.dtype(VALUE_DTYPE):
-            raise ConfigError(
-                f"out must be shape ({nq},) dtype {np.dtype(VALUE_DTYPE)}, "
-                f"got shape {out.shape} dtype {out.dtype}"
-            )
-        else:
-            values = out
+        values = np.empty(nq, dtype=VALUE_DTYPE)
         if nq:
             keys, vals = self.snapshot.packed_leaves()
-            _search_packed(keys, vals, q, values, self._scratch)
+            _search_packed(keys, vals, q, values)
             if overlay is not None:
                 overlay(q, values)
-        hinted, issue_sorted, widths = model
-        self._unprofiled = (q, hinted, issue_sorted, widths)
+        self._last = batch = _BatchProfile(
+            self.snapshot, q, hinted, issue_sorted, widths)
         if rec.enabled:
             t_lookup = _clock()
             rec.span_at("engine.lookup", t_start, t_lookup, cat="engine",
                         nq=nq, issue_sorted=issue_sorted)
-            self.last_stats.record_to(rec)
+            batch.stats.record_to(rec)
             rec.span_at("engine.profile", t_lookup, _clock(), cat="engine",
                         nq=nq, hinted=hinted)
         return values
 
 
 def _search_packed(
-    keys: np.ndarray,
-    vals: np.ndarray,
-    q: np.ndarray,
-    out: np.ndarray,
-    scratch: EngineScratch,
+    keys: np.ndarray, vals: np.ndarray, q: np.ndarray, out: np.ndarray
 ) -> None:
     """Resolve ``q`` against the packed leaf block into ``out``; misses
-    get ``NOT_FOUND``."""
+    get ``NOT_FOUND``.  The miss mask is this call's own, so concurrent
+    lookups share nothing writable."""
     if keys.size == 0:
         out.fill(NOT_FOUND)
         return
     pos = np.searchsorted(keys, q, side="left")
-    miss = scratch.array("miss", q.size, np.bool_)
     # mode="clip" writes straight into ``out`` (mode="raise" buffers it)
     # and maps a query past the last key onto that key, a miss.
     np.take(keys, pos, out=out, mode="clip")  # the key each query hit
-    np.not_equal(out, q, out=miss)
+    miss = out != q
     np.take(vals, pos, out=out, mode="clip")
     np.putmask(out, miss, NOT_FOUND)
 
 
 __all__ = [
     "BatchQueryEngine",
-    "EngineScratch",
     "EngineStats",
     "GROUP_THRESHOLD",
     "ensure_ascending",

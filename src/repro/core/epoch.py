@@ -174,13 +174,6 @@ class EpochManager:
         """Engine-path batched lookup against the pinned snapshot."""
         return self._snapshot().search_many(queries, config)
 
-    def search_stream(
-        self, queries: Sequence[int], config: Optional[SearchConfig] = None
-    ) -> np.ndarray:
-        """Streaming-executor lookup against the pinned snapshot (the
-        delta overlay, when present, streams batch by batch too)."""
-        return self._snapshot().search_stream(queries, config)
-
     def range_search(self, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
         return self._snapshot().range_search(lo, hi)
 

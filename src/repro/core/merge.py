@@ -1,10 +1,11 @@
-"""Merging Harmonia layouts.
+"""Merging sorted ``(keys, values)`` runs.
 
-Batch-oriented systems routinely consolidate indexes — nightly partition
-merges, compaction after heavy deletes, unioning a delta index into the
-base.  Because Harmonia layouts expose their contents as sorted arrays,
-merging is a vectorized sorted-union plus one fast rebuild, never a
-key-at-a-time insertion loop.
+A packed leaf block is one sorted array, so every consolidation in this
+repo is a vectorized merge of sorted runs, never a key-at-a-time
+insertion loop: :func:`merge_last_wins` folds a newer run into an older
+one (a write's next block, an epoch drain, a delta publish), and
+:func:`concat_sorted_runs` stitches disjoint ascending runs end to end
+(shard dumps and range scans).
 """
 
 from __future__ import annotations
@@ -14,61 +15,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.constants import VALUE_DTYPE
-from repro.core.fastbuild import build_layout_fast
-from repro.core.layout import HarmoniaLayout
 from repro.errors import ConfigError
-
-
-def merged_items(
-    a: HarmoniaLayout, b: HarmoniaLayout, prefer: str = "b"
-) -> tuple:
-    """Sorted union of two layouts' pairs; ``prefer`` names the side whose
-    value wins on key collisions ("a" or "b" — "b" suits base ∪ delta)."""
-    if prefer not in ("a", "b"):
-        raise ConfigError(f"prefer must be 'a' or 'b', got {prefer!r}")
-    ka = a.all_keys()
-    kb = b.all_keys()
-    va = a.iter_leaf_items()[:, 1] if ka.size else np.empty(0, dtype=np.int64)
-    vb = b.iter_leaf_items()[:, 1] if kb.size else np.empty(0, dtype=np.int64)
-
-    # Loser side first so the stable "last occurrence wins" pass below
-    # keeps the preferred side's value.
-    if prefer == "b":
-        keys = np.concatenate([ka, kb])
-        values = np.concatenate([va, vb])
-    else:
-        keys = np.concatenate([kb, ka])
-        values = np.concatenate([vb, va])
-
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    values = values[order]
-    # Among equal keys keep the last (the preferred side, by construction).
-    if keys.size:
-        keep = np.empty(keys.size, dtype=bool)
-        keep[:-1] = keys[1:] != keys[:-1]
-        keep[-1] = True
-        keys = keys[keep]
-        values = values[keep]
-    return keys, values
-
-
-def merge_layouts(
-    a: HarmoniaLayout,
-    b: HarmoniaLayout,
-    prefer: str = "b",
-    fanout: Optional[int] = None,
-    fill: float = 1.0,
-) -> HarmoniaLayout:
-    """Merge two layouts into a fresh one.
-
-    ``fanout`` defaults to ``a``'s; the result is freshly packed at
-    ``fill`` (merges are natural re-compaction points).
-    """
-    keys, values = merged_items(a, b, prefer)
-    return build_layout_fast(
-        keys, values, fanout=fanout or a.fanout, fill=fill
-    )
 
 
 def concat_sorted_runs(
@@ -231,19 +178,7 @@ def _place_masked(keys, cols, move_keys, move_cols, idx, insert):
     return outs[0], outs[1:]
 
 
-def compact(layout: HarmoniaLayout, fill: float = 1.0) -> HarmoniaLayout:
-    """Repack a layout at the target ``fill`` (e.g. after heavy deletes
-    left leaves near minimum occupancy)."""
-    items = layout.iter_leaf_items()
-    return build_layout_fast(
-        items[:, 0], items[:, 1], fanout=layout.fanout, fill=fill
-    )
-
-
 __all__ = [
-    "merged_items",
-    "merge_layouts",
     "concat_sorted_runs",
     "merge_last_wins",
-    "compact",
 ]

@@ -143,8 +143,7 @@ class PSABatch:
 
         ``out[order] = results`` is a single fancy-index store — it never
         builds the inverse permutation, unlike the gather
-        ``results[restore]``, so it is the restore path the engine and the
-        streaming executor use.  ``out`` (when given) must be a distinct
+        ``results[restore]``, so it is the restore path the engine uses.  ``out`` (when given) must be a distinct
         buffer of the batch size; it is written in full and returned.
         """
         if results.shape != self.order.shape:

@@ -410,9 +410,9 @@ class HarmoniaTree:
         """The lookup engine bound to the current snapshot.
 
         Cached: rebuilt only when the snapshot is replaced (batch
-        update), so scratch buffers persist across batches.  The packed
-        leaf block is the snapshot itself, shared by every engine over
-        it.
+        update), so :attr:`last_engine_stats` reads the latest batch.
+        The packed leaf block is the snapshot itself, shared by every
+        engine over it.
         """
         snap = self._require_snapshot()
         eng = self._engine
@@ -430,6 +430,12 @@ class HarmoniaTree:
         reorder → packed-leaf search → restore → delta overlay), on the
         calling thread.  Bit-identical to :meth:`search_batch`, the
         per-query broadcast oracle.
+
+        Thread-safe: any number of threads may call it on one tree (or
+        one pinned view); each call owns its buffers and shares only the
+        snapshot's immutable packed leaf block.  The whole batch runs as
+        one lookup — PSA's permutation and the output are batch-sized
+        either way.
         """
         if self._snap is None:
             return self._no_snapshot(queries)
@@ -464,74 +470,24 @@ class HarmoniaTree:
         self,
         queries: Sequence[int],
         config: Optional[SearchConfig] = None,
-        tile=None,
-        hinted: bool = True,
     ) -> np.ndarray:
         """Batched lookup for an **ascending** query batch — the dual-walk
         probe path :func:`repro.join.merge_join` drives.
 
         Sorted input makes PSA a no-op, so this skips ``prepare_queries``
-        entirely and runs the engine directly: with ``hinted=True`` (the
-        default) through :meth:`~repro.core.engine.BatchQueryEngine.
-        execute_hinted`, whose work model is the dual walk that prunes
-        subtrees no probe lands in; with ``hinted=False`` through the
-        plain ``execute``.  ``tile`` (a
-        :class:`~repro.join.tiles.TileConfig`) bounds peak lookup scratch
-        to O(tile) via the tile scheduler.  Values are
-        bit-identical to :meth:`search_many` on the same batch (the
-        delta overlay, when pinned, applies the same way); ascending
-        order is validated by the hinted engine.
+        entirely and runs
+        :meth:`~repro.core.engine.BatchQueryEngine.execute_hinted`, whose
+        work model is the dual walk that prunes subtrees no probe lands
+        in.  Values are bit-identical to :meth:`search_many` on the same
+        batch (the delta overlay, when pinned, applies the same way);
+        ascending order is validated by the hinted engine.
         """
         if self._snap is None:
             return self._no_snapshot(queries)
         cfg = config or self.search_config
-        overlay = self._overlay()
         with obs.scoped(cfg.trace):
-            eng = self.engine()
-            if tile is not None:
-                from repro.join.tiles import TileScheduler
-
-                return TileScheduler(eng, tile).run(
-                    queries, overlay=overlay, hinted=hinted
-                )
-            if hinted:
-                return eng.execute_hinted(queries, overlay=overlay)
-            return eng.execute(queries, issue_sorted=True, overlay=overlay)
-
-    def search_stream(
-        self,
-        queries: Sequence[int],
-        config: Optional[SearchConfig] = None,
-    ) -> np.ndarray:
-        """Batched lookup through the §4.1.3 streaming executor: traffic is
-        cut into ``config.stream_batch``-query batches, each sorted,
-        traversed and scattered back on the calling thread, with per-stage
-        traces.  Bit-identical to :meth:`search_batch` /
-        :meth:`search_many` on the same queries.
-
-        Thread-safe: each call builds its own
-        :class:`~repro.core.stream.StreamExecutor` (slot buffers and engine
-        scratch are per-call), sharing only the snapshot's immutable packed
-        leaf block.  Per-call stats land in :attr:`last_stream_stats`.
-        """
-        from repro.core.stream import StreamExecutor
-
-        if self._snap is None:
-            return self._no_snapshot(queries)
-        cfg = config or self.search_config
-        executor = StreamExecutor.from_config(self._snap, cfg)
-        with obs.scoped(cfg.trace):
-            out = executor.run(queries, overlay=self._overlay())
-        self._last_stream_stats = executor.last_stats
-        return out
-
-    #: Stats of the most recent :meth:`search_stream` call (or None).
-    _last_stream_stats = None
-
-    @property
-    def last_stream_stats(self):
-        """Stats of the most recent :meth:`search_stream` call (or None)."""
-        return self._last_stream_stats
+            return self.engine().execute_hinted(
+                queries, overlay=self._overlay())
 
     def range_search(self, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
         """All pairs with ``lo <= key <= hi`` (keys ascending)."""

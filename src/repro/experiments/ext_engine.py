@@ -69,7 +69,7 @@ def run(scale="default", seed: int = 0) -> ExperimentResult:
                               key_bits=layout.key_space_bits())),
     ):
         issued = psa.queries
-        engine.execute(issued, issue_sorted=psa.issue_sorted)  # warm scratch
+        engine.execute(issued, issue_sorted=psa.issue_sorted)  # warm-up
         t_naive = _best_of(lambda: search_batch(layout, issued))
         t_comp = _best_of(
             lambda: engine.execute(issued, issue_sorted=psa.issue_sorted)

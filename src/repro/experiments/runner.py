@@ -35,9 +35,7 @@ EXPERIMENTS: Dict[str, str] = {
     "ext_fanout": "repro.experiments.ext_fanout",
     "ext_mixed": "repro.experiments.ext_mixed",
     "ext_engine": "repro.experiments.ext_engine",
-    "ext_overlap": "repro.experiments.ext_overlap",
     "ext_join": "repro.experiments.ext_join",
-    "ext_tiled": "repro.experiments.ext_tiled",
 }
 
 

@@ -11,8 +11,6 @@ each level's search starts from the previous frontier and whole
 ``tree_b`` subtrees that no probe lands in are pruned before they are
 visited, the JZ-tree dual-walk recursion flattened into level order
 (:func:`~repro.core.engine.traversal_profile` with ``hinted=True``).
-Probe streams of any size run in O(tile) lookup memory through the
-:class:`~repro.join.tiles.TileScheduler`.
 
 Composition rules:
 
@@ -50,7 +48,6 @@ from repro.core.epoch import EpochManager
 from repro.core.merge import concat_sorted_runs
 from repro.core.tree import HarmoniaTree
 from repro.errors import ConfigError
-from repro.join.tiles import TileConfig
 
 _clock = time.perf_counter
 
@@ -158,8 +155,6 @@ def merge_join(
     tree_a,
     tree_b,
     mode: str = "inner",
-    tile: Optional[TileConfig] = None,
-    hinted: bool = True,
     config: Optional[SearchConfig] = None,
 ) -> JoinResult:
     """Join two trees on their keys by streaming ``tree_a``'s leaf
@@ -170,11 +165,9 @@ def merge_join(
     ``tree_a``'s values only, ``"anti"`` the unmatched probe keys.
     Either side may be a :class:`~repro.core.tree.HarmoniaTree`, an
     :class:`~repro.core.epoch.EpochManager` (pinned once for the whole
-    join) or a :class:`~repro.shard.ShardedTree`.  ``tile`` bounds peak
-    traversal scratch (docs/join.md's tiling discipline);
-    ``hinted=False`` profiles the probes as a plain (non-hinted) batch;
-    the values are the same either way.  Results are byte-identical to
-    :func:`sort_merge_reference` on both sides' visible items.
+    join) or a :class:`~repro.shard.ShardedTree`.  Results are
+    byte-identical to :func:`sort_merge_reference` on both sides'
+    visible items.
     """
     if mode not in JOIN_MODES:
         raise ConfigError(f"mode must be one of {JOIN_MODES}, got {mode!r}")
@@ -182,7 +175,7 @@ def merge_join(
     t_start = _clock() if rec.enabled else 0.0
     ka, va = _probe_items(tree_a)
     keys, vals_a, vals_b, n_matches = _dispatch_build(
-        tree_b, ka, va, mode, tile, hinted, config
+        tree_b, ka, va, mode, config
     )
     result = JoinResult(
         mode, keys, vals_a, vals_b, int(ka.size), n_matches
@@ -195,7 +188,6 @@ def merge_join(
         rec.span_at(
             "join.run", t_start, _clock(), cat="join", mode=mode,
             n_probes=result.n_probes, n_out=int(keys.size),
-            hinted=hinted, tiled=tile is not None,
         )
     return result
 
@@ -205,18 +197,12 @@ def _dispatch_build(
     ka: np.ndarray,
     va: np.ndarray,
     mode: str,
-    tile: Optional[TileConfig],
-    hinted: bool,
     config: Optional[SearchConfig],
 ):
     if isinstance(tree_b, EpochManager):
-        return _dispatch_build(
-            tree_b.pin(), ka, va, mode, tile, hinted, config
-        )
+        return _dispatch_build(tree_b.pin(), ka, va, mode, config)
     if isinstance(tree_b, HarmoniaTree):
-        vb = tree_b.search_sorted_many(
-            ka, config=config, tile=tile, hinted=hinted
-        )
+        vb = tree_b.search_sorted_many(ka, config=config)
         return _classify(ka, va, vb, mode)
     if hasattr(tree_b, "partitioner"):
         return _join_sharded(tree_b, ka, va, mode)

@@ -13,7 +13,7 @@ Usage from instrumented code (the hot-path pattern)::
 Usage from callers::
 
     with obs.recording() as rec:
-        tree.search_stream(batches)
+        tree.search_many(queries)
     snapshot = rec.snapshot()
 
 ``obs.active`` is the ambient recorder: the :data:`NULL_RECORDER`
@@ -23,8 +23,7 @@ the previous recorder is restored on exit, even on exception), so two
 *concurrent* activations of different registries race — but that is not
 the concurrency the layer targets: many threads recording into one
 active registry is fully supported (every registry mutation is locked),
-which is what concurrent ``search_stream`` calls and the stream
-executor's sort workers do.  For strict per-call isolation without any
+which is what concurrent ``search_many`` calls on one tree do.  For strict per-call isolation without any
 global, pass ``SearchConfig(trace=TraceConfig(registry=...))`` — the
 tree entry points scope the swap to the call via :func:`scoped`.
 """
@@ -66,8 +65,8 @@ def recording(
     kwargs go to the :class:`MetricsRegistry` constructor).  Nestable —
     an inner ``recording()`` shadows the outer one and restores it on
     exit.  The swap is process-global: code that starts threads inside
-    the block (e.g. the stream executor) records into this registry from
-    all of them.
+    the block (e.g. an epoch's drain thread) records into this registry
+    from all of them.
     """
     global active
     if registry is None:

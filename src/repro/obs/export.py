@@ -4,9 +4,9 @@ The Chrome trace targets ``chrome://tracing`` and Perfetto
 (https://ui.perfetto.dev): a ``{"traceEvents": [...]}`` object of
 complete ("X") events with microsecond timestamps relative to the
 registry's ``t0_s``.  Thread tracks come from the registry's per-thread
-track ids: spans recorded on the calling thread (a stream batch's sort,
-traverse and scatter, back to back; a shard request's scatter, dispatch
-and gather) sit on track 0, spans from other threads (an epoch drain)
+track ids: spans recorded on the calling thread (a point read's
+``psa.prepare`` then ``engine.lookup``, back to back; a shard request's
+scatter, dispatch and gather) sit on track 0, spans from other threads (an epoch drain)
 on worker tracks.
 
 Registries that merged remote payloads

@@ -8,8 +8,8 @@ The recording model is two-state by design:
   else, so shipping instrumentation costs nothing measurable;
 * **on** — ``with obs.recording() as rec:`` swaps a
   :class:`MetricsRegistry` in.  Every mutation takes the registry lock,
-  so concurrent ``search_stream`` calls (and the stream executor's sort
-  worker threads) record into one registry safely.
+  so concurrent ``search_many`` calls (and an epoch's drain thread)
+  record into one registry safely.
 
 Instrumentation sites record at *stats boundaries* — after a batch
 execution, per pipeline stage — never inside per-element loops, so the
@@ -24,7 +24,7 @@ catalogue): bucket ``0`` is ``(-inf, edges[0])``, bucket ``i`` is
 Spans are nestable wall-clock timers (per-thread depth tracking) that
 export to Chrome ``trace_event`` timelines via
 :func:`repro.obs.export.chrome_trace`; bounded by ``max_spans`` so a
-long stream cannot grow memory without limit (drops are counted, never
+long recording cannot grow memory without limit (drops are counted, never
 silent).
 """
 
@@ -278,7 +278,7 @@ class MetricsRegistry:
 
     All mutation methods take the registry lock; reads for export
     (:meth:`snapshot`, the exporters in :mod:`repro.obs.export`) do too,
-    so snapshots taken while a stream is running are consistent.
+    so snapshots taken while reads are running are consistent.
 
     ``record_spans=False`` keeps counters/gauges/histograms but drops
     span capture — for long recordings where only the aggregates matter.
@@ -342,9 +342,8 @@ class MetricsRegistry:
         """Record an already-measured interval (``perf_counter`` seconds).
 
         ``tid`` is the OS thread ident the work ran on (defaults to the
-        calling thread) — the stream executor uses it to place sort-stage
-        spans on their worker thread's track even though the record is
-        written from the consuming thread.
+        calling thread), for a record written by another thread than the
+        one that did the work.
         """
         self._add_span(name, cat, start_s, end_s, tid, 0, args)
 

@@ -103,14 +103,6 @@ def render_report(snapshot: Dict[str, Any]) -> str:
     util = gauges.get("gpusim.utilization")
     if util is not None:
         derived.append(f"  lane utilization (Fig 9):       {_fmt(util)}")
-    hidden = gauges.get("stream.sort_hidden_ratio")
-    if hidden is not None:
-        status = "hidden" if hidden <= 1.0 else "NOT hidden"
-        derived.append(f"  sort/traverse ratio (§4.1.3):   {_fmt(hidden)}  "
-                       f"[sort {status}]")
-    qps = gauges.get("stream.throughput_qps")
-    if qps is not None:
-        derived.append(f"  stream throughput:              {_fmt(qps)} q/s")
     ups = gauges.get("update.throughput_ops")
     if ups is not None:
         derived.append(f"  batch-update throughput (§3.2.2): {_fmt(ups)} ops/s")
@@ -134,12 +126,6 @@ def render_report(snapshot: Dict[str, Any]) -> str:
         derived.append(f"  dual-tree joins:                {_fmt(njoins)} "
                        f"joins over {_fmt(probes)} probes "
                        f"(last selectivity {sel_txt})")
-    peak_b = gauges.get("stream.tile_peak_bytes")
-    if peak_b is not None:
-        tiles = counters.get("stream.tiles", 0)
-        derived.append(f"  tiled peak footprint:           "
-                       f"{peak_b / 1024:.1f} KiB across {_fmt(tiles)} tiles "
-                       f"(O(tile) bound, docs/join.md)")
     dsize = gauges.get("delta.size")
     if dsize is not None:
         druns = gauges.get("delta.runs", 0)

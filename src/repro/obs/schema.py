@@ -106,34 +106,6 @@ CATALOGUE: List[MetricSpec] = [
                "work model: mean frontier run length per level (batch size "
                "/ runs); the PSA locality a GPU warp exploits",
                edges=COUNT_EDGES),
-    # ------------------------------------------------------------ stream
-    MetricSpec("stream.batches", "counter", "batches",
-               "batches consumed by the streaming executor"),
-    MetricSpec("stream.queries", "counter", "queries",
-               "queries streamed end to end"),
-    MetricSpec("stream.sort_passes", "counter", "passes",
-               "radix counting passes executed by the stream's sort stage"),
-    MetricSpec("stream.sort_s", "histogram", "s",
-               "per-batch sort-stage latency", edges=TIME_EDGES_S),
-    MetricSpec("stream.traverse_s", "histogram", "s",
-               "per-batch traverse-stage latency", edges=TIME_EDGES_S),
-    MetricSpec("stream.scatter_s", "histogram", "s",
-               "per-batch ordered-delivery (scatter) latency",
-               edges=TIME_EDGES_S),
-    MetricSpec("stream.wall_s", "gauge", "s",
-               "wall clock of the last stream run"),
-    MetricSpec("stream.throughput_qps", "gauge", "queries/s",
-               "end-to-end throughput of the last stream run"),
-    MetricSpec("stream.sort_hidden_ratio", "gauge", "ratio",
-               "steady-state sort / traverse time; <= 1.0 means §4.1.3's "
-               "hiding condition holds"),
-    MetricSpec("stream.tiles", "counter", "tiles",
-               "fixed-size tiles driven through the bounded-memory tile "
-               "scheduler (join probes or tiled stream batches)"),
-    MetricSpec("stream.tile_peak_bytes", "gauge", "bytes",
-               "measured peak resident traversal footprint of the last "
-               "tiled run (staging ring + engine scratch) — the O(tile) "
-               "bound the FPGA level-wise discipline promises"),
     # -------------------------------------------------------------- join
     MetricSpec("join.joins", "counter", "joins",
                "merge_join invocations (dual-tree merge-joins)"),
@@ -290,19 +262,9 @@ CATALOGUE: List[MetricSpec] = [
     MetricSpec("engine.profile", "span", "-",
                "traversal_profile of one batch, computed while recording "
                "(never part of engine.lookup)"),
-    MetricSpec("stream.run", "span", "-",
-               "one full stream run (all batches)"),
-    MetricSpec("stream.tile_run", "span", "-",
-               "one tile-scheduled batch (all tiles of one run)"),
     MetricSpec("join.run", "span", "-",
                "one dual-tree merge-join (probe extraction through "
                "classification)"),
-    MetricSpec("stream.sort", "span", "-",
-               "sort stage of one batch"),
-    MetricSpec("stream.traverse", "span", "-",
-               "traverse stage of one batch"),
-    MetricSpec("stream.scatter", "span", "-",
-               "ordered delivery of one batch"),
     MetricSpec("psa.prepare", "span", "-",
                "prepare_batch: partial sort + gather to issue order"),
     MetricSpec("update.apply", "span", "-",

@@ -2,7 +2,7 @@
 
 Three layers of assurance:
 
-* unit behaviour — scratch reuse, stats, sharding, config wiring;
+* unit behaviour — stats, sharding, config wiring;
 * property-based equivalence — :class:`BatchQueryEngine` vs
   :func:`search_batch` vs :func:`search_scalar` on random trees (fanout,
   fill, duplicate-at-separator edge cases) and on PSA-sorted vs unsorted
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.constants import NOT_FOUND
 from repro.core import BatchQueryEngine, HarmoniaTree, SearchConfig
-from repro.core.engine import GROUP_THRESHOLD, EngineScratch, traversal_profile
+from repro.core.engine import GROUP_THRESHOLD, traversal_profile
 from repro.core.layout import HarmoniaLayout
 from repro.core.psa import fully_sorted_batch, identity_batch, prepare_batch
 from repro.core.search import search_batch, search_scalar
@@ -39,33 +39,6 @@ common_settings = settings(
 
 
 # ------------------------------------------------------------------ units
-
-
-class TestEngineScratch:
-    def test_same_shape_reuses_buffer(self):
-        s = EngineScratch()
-        a = s.array("node", 128)
-        b = s.array("node", 128)
-        assert a is b
-
-    def test_shape_change_reallocates(self):
-        s = EngineScratch()
-        a = s.array("node", 128)
-        b = s.array("node", 256)
-        assert a is not b and b.size == 256
-
-    def test_dtype_change_reallocates(self):
-        s = EngineScratch()
-        a = s.array("x", 16, np.int64)
-        b = s.array("x", 16, np.bool_)
-        assert b.dtype == np.bool_ and a.dtype == np.int64
-
-    def test_nbytes_and_clear(self):
-        s = EngineScratch()
-        s.array("a", 100)
-        assert s.nbytes >= 800
-        s.clear()
-        assert s.nbytes == 0
 
 
 class TestEngineUnits:
@@ -122,17 +95,6 @@ class TestEngineUnits:
         assert st_.compaction_ratio > 1.0
         assert st_.grouped_levels + st_.broadcast_levels == (
             medium_layout.height - 1
-        )
-
-    def test_scratch_reused_across_same_shape_batches(self, medium_layout, rng):
-        eng = BatchQueryEngine(medium_layout)
-        q1 = np.sort(rng.integers(0, 1 << 34, 4_096).astype(np.int64))
-        q2 = np.sort(rng.integers(0, 1 << 34, 4_096).astype(np.int64))
-        eng.execute(q1)
-        buffers_before = dict(eng._scratch._buffers)
-        eng.execute(q2)
-        assert all(
-            eng._scratch._buffers[k] is v for k, v in buffers_before.items()
         )
 
     def test_single_key_tree(self):
@@ -283,24 +245,7 @@ def test_engine_smoke_counter_monotone(medium_layout, medium_keys, rng):
     assert counter[0] == 1 and counter[-1] <= q.size
 
 
-# ----------------------------------------------- out= and the packed block
-
-
-def test_execute_out_buffer(medium_layout, medium_keys, rng):
-    """Caller-supplied output buffers are filled exactly like a fresh
-    allocation, including the NOT_FOUND prefill for misses."""
-    q = rng.choice(medium_keys, 1_000).astype(np.int64)
-    q[::5] += 1  # force some misses
-    eng = BatchQueryEngine(medium_layout)
-    ref = eng.execute(q)
-    out = np.full(q.size, 123, dtype=np.int64)
-    got = eng.execute(q, out=out)
-    assert got is out
-    assert np.array_equal(out, ref)
-    with pytest.raises(ConfigError):
-        eng.execute(q, out=np.empty(q.size + 1, dtype=np.int64))
-    with pytest.raises(ConfigError):
-        eng.execute(q, out=np.empty(q.size, dtype=np.float32))
+# ------------------------------------------------------- the packed block
 
 
 def test_share_packed_leaves(medium_layout, medium_keys, rng):
@@ -331,9 +276,9 @@ def test_last_stats_lazy_equals_profile(medium_layout, medium_keys, rng):
     q = rng.choice(medium_keys, 3_000).astype(np.int64)
     eng = BatchQueryEngine(medium_layout)
     eng.execute(q)
-    assert eng._unprofiled is not None  # nothing profiled yet
+    assert "stats" not in vars(eng._last)  # nothing profiled yet
     stats = eng.last_stats
-    assert eng._unprofiled is None
+    assert "stats" in vars(eng._last)
     ref = traversal_profile(medium_layout, q)
     assert np.array_equal(stats.unique_nodes_per_level,
                           ref.unique_nodes_per_level)

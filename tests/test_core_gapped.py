@@ -336,7 +336,6 @@ class TestHandedOverArrays:
         tree.search(6)
         tree.search_many(q)
         tree.search_sorted_many(np.sort(q))
-        tree.search_stream(q)
         tree.range_search_batch(q[:50], q[:50] + 40)
         list(tree.items(start=100))
         merge_join(tree, other)

@@ -3,10 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.core.io import FORMAT_VERSION, load_layout, load_tree, save_layout, save_tree
+from repro.constants import NOT_FOUND
+from repro.core.epoch import EpochManager
+from repro.core.io import (
+    FORMAT_VERSION,
+    LAYOUT_FORMAT_VERSION,
+    load_layout,
+    load_tree,
+    save_layout,
+    save_tree,
+)
 from repro.core.layout import HarmoniaLayout
 from repro.core.tree import HarmoniaTree
-from repro.errors import ConfigError, InvariantViolation
+from repro.core.update import Operation
+from repro.errors import ConfigError, InvalidKeyError, InvariantViolation
 
 
 @pytest.fixture
@@ -46,6 +56,64 @@ class TestRoundtrip:
         # Loaded trees accept updates (fill policy threaded through).
         assert loaded.insert(int(small_keys[-1]) + 10, 1)
         loaded.check_invariants()
+
+
+class TestTreeFormat:
+    def test_pinned_view_roundtrips_its_delta(self, tmp_path):
+        keys = np.arange(0, 4000, 2, dtype=np.int64)
+        mgr = EpochManager(
+            HarmoniaTree.from_sorted(keys, keys * 3, fanout=16, fill=0.7),
+            concurrent=True, drain_threshold=1 << 30)
+        oracle = dict(zip(keys.tolist(), (keys * 3).tolist()))
+        ops = [Operation("insert", 1, 11), Operation("delete", 0)]
+        ops += [Operation("insert", k, -k) for k in range(5001, 5100, 7)]
+        ops += [Operation("update", k, 9) for k in range(10, 400, 10)]
+        ops += [Operation("delete", k) for k in range(600, 900, 6)]
+        for op in ops:
+            if op.kind == "delete":
+                oracle.pop(op.key, None)
+            else:
+                oracle[op.key] = op.value
+        mgr.submit_many(ops)
+        mgr.flush()
+        view = mgr.pin()
+        assert view.delta is not None
+
+        path = tmp_path / "view.npz"
+        save_tree(view, path)
+        assert not view.snapshot.derived  # saving builds no layout
+        loaded = load_tree(path)
+        assert loaded.delta is None
+        assert not loaded.snapshot.derived
+        assert loaded.snapshot.fill == 0.7 and loaded.fanout == 16
+        assert loaded.search(1) == 11 and loaded.search(0) is None
+        assert dict(loaded.items()) == oracle
+        q = np.arange(-1, 5200, dtype=np.int64)
+        want = np.array([oracle.get(k, NOT_FOUND) for k in q.tolist()])
+        assert np.array_equal(loaded.search_many(q), want)
+        loaded.check_invariants()
+
+    def test_format_one_tree_file_still_loads(self, small_keys, tmp_path):
+        # Trees used to be saved as their layout (format 1).
+        tree = HarmoniaTree.from_sorted(small_keys, small_keys * 2,
+                                        fanout=8, fill=0.8)
+        path = tmp_path / "old.npz"
+        save_layout(tree.layout, path)
+        with np.load(path) as data:
+            assert int(data["format_version"]) == LAYOUT_FORMAT_VERSION
+        loaded = load_tree(path, fill=0.8)
+        assert np.array_equal(loaded.search_many(small_keys), small_keys * 2)
+        assert loaded.snapshot.derived  # the file held the layout
+
+    def test_stored_block_is_validated(self, small_keys, tmp_path):
+        path = tmp_path / "t.npz"
+        save_tree(HarmoniaTree.from_sorted(small_keys, fanout=8), path)
+        data = dict(np.load(path))
+        assert int(data["format_version"]) == FORMAT_VERSION
+        data["keys"] = data["keys"][::-1].copy()
+        np.savez(path, **data)
+        with pytest.raises(InvalidKeyError):
+            load_tree(path)
 
 
 class TestValidationAndErrors:

@@ -1,15 +1,11 @@
-"""Tests for layout merging, compaction, the value heap, cursors and
-fanout tuning."""
+"""Tests for tree cursors and the sorted-run merges (last-wins and
+k-way)."""
 
 import numpy as np
 import pytest
 
-from repro.constants import KEY_MAX
 from repro.core import HarmoniaTree
-from repro.core.heap import RecordStore, ValueHeap
 from repro.core.layout import HarmoniaLayout
-from repro.core.merge import compact, merge_layouts, merged_items
-from repro.core.search import search_batch
 from repro.errors import ConfigError
 
 
@@ -17,140 +13,6 @@ def lay(keys, values=None, fanout=8, fill=0.8):
     return HarmoniaLayout.from_sorted(
         np.asarray(keys, dtype=np.int64), values, fanout=fanout, fill=fill
     )
-
-
-class TestMerge:
-    def test_disjoint_union(self):
-        a = lay(range(0, 100, 2))
-        b = lay(range(1, 100, 2))
-        merged = merge_layouts(a, b)
-        merged.check_invariants()
-        assert merged.n_keys == 100
-        assert np.array_equal(merged.all_keys(), np.arange(100))
-
-    def test_collision_prefers_b(self):
-        a = lay([1, 2, 3], values=[10, 20, 30])
-        b = lay([2, 4], values=[-2, -4])
-        merged = merge_layouts(a, b, prefer="b")
-        out = search_batch(merged, np.array([1, 2, 3, 4]))
-        assert out.tolist() == [10, -2, 30, -4]
-
-    def test_collision_prefers_a(self):
-        a = lay([1, 2], values=[10, 20])
-        b = lay([2, 3], values=[-2, -3])
-        merged = merge_layouts(a, b, prefer="a")
-        out = search_batch(merged, np.array([1, 2, 3]))
-        assert out.tolist() == [10, 20, -3]
-
-    def test_bad_prefer(self):
-        a = lay([1])
-        with pytest.raises(ConfigError):
-            merged_items(a, a, prefer="c")
-
-    def test_fanout_override(self):
-        a = lay(range(100), fanout=8)
-        b = lay(range(100, 200), fanout=8)
-        merged = merge_layouts(a, b, fanout=16)
-        assert merged.fanout == 16
-        merged.check_invariants()
-
-    def test_merge_is_commutative_for_disjoint(self):
-        a = lay(range(0, 50, 2))
-        b = lay(range(1, 50, 2))
-        ab = merge_layouts(a, b)
-        ba = merge_layouts(b, a)
-        assert np.array_equal(ab.all_keys(), ba.all_keys())
-
-
-class TestCompact:
-    def test_repacks_to_fill(self):
-        sparse = lay(range(2_000), fanout=16, fill=0.5)
-        dense = compact(sparse, fill=1.0)
-        dense.check_invariants()
-        assert dense.n_keys == sparse.n_keys
-        assert dense.n_leaves < sparse.n_leaves
-        assert np.array_equal(dense.all_keys(), sparse.all_keys())
-
-    def test_values_preserved(self):
-        src = lay(range(100), values=np.arange(100) * 9, fanout=8, fill=0.5)
-        out = compact(src)
-        got = search_batch(out, np.arange(100))
-        assert np.array_equal(got, np.arange(100) * 9)
-
-
-class TestValueHeap:
-    def test_roundtrip(self):
-        h = ValueHeap(capacity=8)  # forces growth
-        offsets = [h.append(f"record-{i}".encode()) for i in range(100)]
-        for i, off in enumerate(offsets):
-            assert h.get(off) == f"record-{i}".encode()
-
-    def test_empty_record(self):
-        h = ValueHeap()
-        off = h.append(b"")
-        assert h.get(off) == b""
-
-    def test_bad_offset(self):
-        h = ValueHeap()
-        h.append(b"x")
-        with pytest.raises(ConfigError):
-            h.get(999)
-
-    def test_type_checked(self):
-        with pytest.raises(ConfigError):
-            ValueHeap().append("not bytes")
-
-
-class TestRecordStore:
-    def test_from_items_and_get(self):
-        store = RecordStore.from_items(
-            [(5, b"five"), (1, b"one"), (9, b"nine")], fanout=4
-        )
-        assert len(store) == 3
-        assert store.get(5) == b"five"
-        assert store.get(2) is None
-        assert store.get_batch([1, 2, 9]) == [b"one", None, b"nine"]
-
-    def test_put_overwrites(self):
-        store = RecordStore.from_items([(1, b"a")], fanout=4)
-        store.put(1, b"updated")
-        store.put(2, b"new")
-        assert store.get(1) == b"updated"
-        assert store.get(2) == b"new"
-
-    def test_put_batch_upserts(self):
-        store = RecordStore.from_items([(1, b"a"), (2, b"b")], fanout=4)
-        store.put_batch([(2, b"B"), (3, b"C")])
-        assert store.get(2) == b"B"
-        assert store.get(3) == b"C"
-        assert len(store) == 3
-
-    def test_range(self):
-        store = RecordStore.from_items(
-            [(i, str(i).encode()) for i in range(0, 50, 5)], fanout=4
-        )
-        got = store.range(10, 26)
-        assert got == [(10, b"10"), (15, b"15"), (20, b"20"), (25, b"25")]
-
-    def test_delete_and_vacuum(self):
-        store = RecordStore.from_items(
-            [(i, bytes(50)) for i in range(40)], fanout=8
-        )
-        used_before = store.heap.bytes_used()
-        for k in range(0, 40, 2):
-            assert store.delete(k)
-        reclaimed = store.vacuum()
-        assert reclaimed > 0
-        assert store.heap.bytes_used() < used_before
-        assert store.get(1) == bytes(50)
-        assert store.get(0) is None
-        store.tree.check_invariants()
-
-    def test_vacuum_empty(self):
-        store = RecordStore.from_items([(1, b"x")], fanout=4)
-        store.delete(1)
-        assert store.vacuum() > 0
-        assert len(store) == 0
 
 
 class TestCursors:
@@ -188,26 +50,6 @@ class TestCursors:
     def test_lazy(self, tree):
         gen = tree.items()
         assert next(gen) == (0, 0)  # no materialization required
-
-
-class TestTuning:
-    def test_recommendation(self):
-        from repro.core.tuning import recommend_fanout
-
-        rec = recommend_fanout(
-            1 << 20, candidates=(16, 64), sample_keys=1 << 12,
-            sample_queries=1 << 10, rng=3,
-        )
-        assert rec.fanout in (16, 64)
-        assert set(rec.modeled_gqs_by_fanout) == {16, 64}
-        assert all(v > 0 for v in rec.modeled_gqs_by_fanout.values())
-        assert rec.row()["recommended_fanout"] == rec.fanout
-
-    def test_empty_candidates(self):
-        from repro.core.tuning import recommend_fanout
-
-        with pytest.raises(ConfigError):
-            recommend_fanout(100, candidates=())
 
 
 class TestMergeLastWins:

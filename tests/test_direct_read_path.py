@@ -27,7 +27,6 @@ from repro.core.config import UpdateConfig
 from repro.core.epoch import EpochManager
 from repro.core.search import search_batch
 from repro.core.update import Operation
-from repro.join import TileConfig
 from repro.obs.schema import validate_snapshot
 from repro.workloads.generators import make_key_set
 
@@ -84,17 +83,9 @@ def test_tree_surfaces_equal_oracle(case):
     want_sorted = search_batch(tree.layout, ordered)
     for cfg in (SearchConfig(), SearchConfig(use_psa=False)):
         assert np.array_equal(tree.search_many(q, cfg), want)
-    for batch in (64, 128):
-        stream = SearchConfig(stream_batch=batch)
-        assert np.array_equal(tree.search_stream(q, stream), want)
+    for batch in (1, 64, 128):
+        assert np.array_equal(tree.search_many(q[:batch]), want[:batch])
     assert np.array_equal(tree.search_sorted_many(ordered), want_sorted)
-    assert np.array_equal(
-        tree.search_sorted_many(ordered, hinted=False), want_sorted
-    )
-    assert np.array_equal(
-        tree.search_sorted_many(ordered, tile=TileConfig(tile_size=50)),
-        want_sorted,
-    )
 
 
 @surface_settings
@@ -124,9 +115,7 @@ def test_epoch_surfaces_equal_oracle(case, concurrent):
     want = _expect(oracle, q)
     assert np.array_equal(mgr.search_many(q), want)
     assert np.array_equal(mgr.search_batch(q), want)
-    assert np.array_equal(
-        mgr.search_stream(q, SearchConfig(stream_batch=100)), want
-    )
+    assert np.array_equal(mgr.search_many(q[:100]), want[:100])
     ordered = np.sort(q)
     pinned = mgr.pin()
     assert np.array_equal(pinned.search_sorted_many(ordered),
@@ -252,9 +241,10 @@ def test_lookup_and_profile_are_separate_spans():
 
 
 def test_point_reads_start_no_thread(monkeypatch):
-    """search_many, search_sorted_many and search_stream start no thread,
-    on a plain tree and on a pinned concurrent-epoch snapshot with a
-    delta, and return what search_batch returns."""
+    """search_many and search_sorted_many start no thread, on a plain
+    tree and on a pinned concurrent-epoch snapshot with a delta, and
+    return what search_batch returns — here on one batch of 2^15 + 200
+    queries."""
     keys = make_key_set(40_000, rng=26)
     tree = HarmoniaTree.from_sorted(keys, fanout=16, fill=0.7)
     mgr = EpochManager(HarmoniaTree.from_sorted(keys, fanout=16, fill=0.7),
@@ -271,7 +261,6 @@ def test_point_reads_start_no_thread(monkeypatch):
     q = np.concatenate([rng.choice(keys, 1 << 15),
                         np.arange(top - 50, top + 150)]).astype(np.int64)
     ordered = np.sort(q)
-    stream = SearchConfig(stream_batch=1 << 12)
 
     started = []
     real_start = threading.Thread.start
@@ -286,5 +275,4 @@ def test_point_reads_start_no_thread(monkeypatch):
         want_sorted = reader.search_batch(ordered)
         assert np.array_equal(reader.search_many(q), want)
         assert np.array_equal(reader.search_sorted_many(ordered), want_sorted)
-        assert np.array_equal(reader.search_stream(q, stream), want)
     assert started == []

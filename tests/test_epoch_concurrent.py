@@ -2,7 +2,7 @@
 
 The contract the concurrent mode ships under (docs/epochs.md): for any
 sequence of update batches, every read path — point (``search`` /
-``search_batch`` / ``search_many`` / ``search_stream``), range
+``search_batch`` / ``search_many`` / ``search_sorted_many``), range
 (``range_search_batch``), full iteration (``dump_items``), ``len`` —
 through a concurrent :class:`EpochManager` is byte-identical to the same
 reads through a synchronously-flushed one, with identical per-op
@@ -57,8 +57,9 @@ def assert_same_reads(sync, conc, probes, lo, hi):
                           conc.search_batch(probes))
     assert np.array_equal(sync.search_many(probes),
                           conc.search_many(probes))
-    assert np.array_equal(sync.search_stream(probes),
-                          conc.search_stream(probes))
+    ordered = np.sort(probes)
+    assert np.array_equal(sync.pin().search_sorted_many(ordered),
+                          conc.pin().search_sorted_many(ordered))
     (ka, va), (kb, vb) = sync.range_search(lo, hi), conc.range_search(lo, hi)
     assert np.array_equal(ka, kb) and np.array_equal(va, vb)
     ka, va = sync.dump_items()

@@ -1,61 +1,14 @@
-"""Integration tests across the operational features: merge, compaction,
-persistence, epochs and the record store composing into real workflows."""
-
-import numpy as np
-import pytest
+"""Integration tests across the operational features: persistence,
+epochs and the experiment registry composing into real workflows."""
 
 from repro import (
     EpochManager,
     HarmoniaTree,
     Operation,
-    RecordStore,
-    compact,
-    layout_stats,
     load_tree,
-    merge_layouts,
     save_tree,
 )
 from repro.workloads.generators import make_key_set
-
-
-class TestDeltaMergeWorkflow:
-    """Base index + delta index → merged index, the nightly-compaction
-    pattern the merge API exists for."""
-
-    def test_base_plus_delta(self, rng):
-        base_keys = make_key_set(10_000, rng=rng)
-        base = HarmoniaTree.from_sorted(base_keys, base_keys * 2,
-                                        fanout=32, fill=0.7)
-        # The delta overrides some base keys and adds fresh ones.
-        overlap = base_keys[:500]
-        fresh = np.setdiff1d(
-            make_key_set(2_000, rng=rng), base_keys
-        )[:1_000]
-        delta_keys = np.sort(np.concatenate([overlap, fresh]))
-        delta = HarmoniaTree.from_sorted(delta_keys, -delta_keys,
-                                         fanout=32, fill=0.9)
-
-        merged = merge_layouts(base.layout, delta.layout, prefer="b")
-        merged.check_invariants()
-        assert merged.n_keys == base_keys.size + fresh.size
-
-        tree = HarmoniaTree(merged, fill=0.7)
-        # Delta wins on overlap, base survives elsewhere, fresh present.
-        assert tree.search(int(overlap[0])) == -int(overlap[0])
-        assert tree.search(int(base_keys[-1])) == int(base_keys[-1]) * 2
-        assert tree.search(int(fresh[0])) == -int(fresh[0])
-
-    def test_delete_heavy_then_compact(self, rng):
-        keys = make_key_set(8_000, rng=rng)
-        tree = HarmoniaTree.from_sorted(keys, fanout=16, fill=0.9)
-        ops = [Operation("delete", int(k)) for k in keys[::2]]
-        tree.apply_batch(ops)
-        before = layout_stats(tree.layout)
-        dense = compact(tree.layout, fill=1.0)
-        after = layout_stats(dense)
-        assert after.n_keys == before.n_keys
-        assert after.mean_leaf_occupancy > before.mean_leaf_occupancy
-        assert after.n_leaves < before.n_leaves
 
 
 class TestPersistenceThroughEpochs:
@@ -74,33 +27,6 @@ class TestPersistenceThroughEpochs:
         resumed.flush()
         assert resumed.search(int(keys[-1]) + 7) == 1
         resumed._tree.check_invariants()
-
-
-class TestRecordStoreWorkflow:
-    def test_document_store_lifecycle(self, rng):
-        docs = {
-            int(k): f"doc body {int(k)}".encode()
-            for k in make_key_set(500, rng=rng)
-        }
-        store = RecordStore.from_items(list(docs.items()), fanout=16)
-
-        # Point + range reads.
-        some = sorted(docs)[:50]
-        assert store.get_batch(some) == [docs[k] for k in some]
-        lo, hi = sorted(docs)[10], sorted(docs)[20]
-        for key, body in store.range(lo, hi):
-            assert docs[key] == body
-
-        # Rewrites grow the heap; vacuum reclaims it.
-        for k in some:
-            store.put(k, b"rewritten")
-        grown = store.heap.bytes_used()
-        reclaimed = store.vacuum()
-        assert reclaimed > 0
-        assert store.heap.bytes_used() < grown
-        assert store.get(some[0]) == b"rewritten"
-        assert store.get(sorted(docs)[-1]) == docs[sorted(docs)[-1]]
-        store.tree.check_invariants()
 
 
 class TestExperimentRegistry:

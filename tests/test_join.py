@@ -1,13 +1,12 @@
-"""Dual-tree merge-join + tiled batch search: equivalence and bounds.
+"""Dual-tree merge-join: equivalence with a sort-merge reference.
 
 The join subsystem's contract is *byte-identity*: whatever combination
-of hinting, tiling, gapped layouts, concurrent-epoch overlays, and
-sharding carries the probe stream, ``merge_join`` must return exactly
-the numpy sort-merge join of the two trees' visible items.  The
-hypothesis suites here pin that contract on every surface (mirroring
+of gapped layouts, concurrent-epoch overlays, and sharding carries the
+probe stream, ``merge_join`` must return exactly the numpy sort-merge
+join of the two trees' visible items.  The hypothesis suites here pin
+that contract on every surface (mirroring
 ``tests/test_ntg_perlevel.py``'s equivalence style); the directed
-classes pin the hinted engine walk and the tile scheduler's measured
-memory bound.
+classes pin the hinted engine walk.
 
 Values are drawn >= 1 throughout: a stored value equal to the
 ``NOT_FOUND`` sentinel is indistinguishable from a miss by design
@@ -29,8 +28,6 @@ from repro.errors import ConfigError
 from repro.join import (
     JOIN_MODES,
     JoinResult,
-    TileConfig,
-    TileScheduler,
     merge_join,
     sort_merge_reference,
 )
@@ -106,20 +103,6 @@ class TestMergeJoinEquivalence:
         _assert_matches_reference(
             tree_a, tree_b, tree_a._merged_items(), tree_b._merged_items()
         )
-
-    @join_settings
-    @given(two_key_sets())
-    def test_tiled_and_unhinted_identical(self, sets):
-        keys_a, keys_b, seed = sets
-        tree_a = _tree(keys_a, seed)
-        tree_b = _tree(keys_b, seed + 1)
-        base = merge_join(tree_a, tree_b, mode="inner")
-        tiled = merge_join(tree_a, tree_b, mode="inner",
-                           tile=TileConfig(tile_size=64))
-        plain = merge_join(tree_a, tree_b, mode="inner", hinted=False)
-        for other in (tiled, plain):
-            assert np.array_equal(base.keys, other.keys)
-            assert np.array_equal(base.values_b, other.values_b)
 
     def test_empty_probe_side(self):
         tree_a = _tree(np.empty(0, dtype=np.int64), 1)
@@ -273,51 +256,6 @@ class TestSearchSortedMany:
                                     2048, rng=72))
         expect = tree.search_many(q)
         assert np.array_equal(tree.search_sorted_many(q), expect)
-        assert np.array_equal(
-            tree.search_sorted_many(q, tile=TileConfig(tile_size=256)),
-            expect,
-        )
-        assert np.array_equal(
-            tree.search_sorted_many(q, hinted=False), expect
-        )
-
-
-# ------------------------------------------------------- tile scheduler
-
-
-class TestTileScheduler:
-    def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            TileConfig(tile_size=0)
-        with pytest.raises(ConfigError):
-            TileConfig(tile_size=-64)
-
-    def test_bounded_peak_and_identity(self):
-        keys = make_key_set(1 << 14, rng=81)
-        tree = _tree(keys, 82, fanout=64)
-        q = np.sort(uniform_queries(keys, 1 << 14, rng=83))
-        untiled = BatchQueryEngine(tree.layout)
-        baseline = untiled.execute(q, issue_sorted=True)
-        sched = TileScheduler(
-            BatchQueryEngine(tree.layout), TileConfig(tile_size=1 << 10)
-        )
-        assert np.array_equal(sched.run(q), baseline)
-        assert sched.last_tiles == 16
-        assert sched.last_peak_bytes < untiled.scratch_nbytes
-        # re-running must not grow the footprint (ring + scratch recycled)
-        peak = sched.last_peak_bytes
-        sched.run(q)
-        assert sched.last_peak_bytes == peak
-
-    def test_hinted_tiles_identical(self):
-        keys = make_key_set(4096, rng=84)
-        tree = _tree(keys, 85)
-        q = np.sort(uniform_queries(keys, 4096, rng=86))
-        baseline = BatchQueryEngine(tree.layout).execute(q, issue_sorted=True)
-        sched = TileScheduler(
-            BatchQueryEngine(tree.layout), TileConfig(tile_size=512)
-        )
-        assert np.array_equal(sched.run(q, hinted=True), baseline)
 
 
 # ------------------------------------------------------------ observability
@@ -332,14 +270,11 @@ class TestJoinObservability:
         tree_a = _tree(np.arange(0, 2000, 3, dtype=np.int64), 91)
         tree_b = _tree(np.arange(0, 2000, 2, dtype=np.int64), 92)
         with obs.recording() as rec:
-            merge_join(tree_a, tree_b, mode="inner",
-                       tile=TileConfig(tile_size=128))
+            merge_join(tree_a, tree_b, mode="inner")
         snap = rec.snapshot()
         assert validate_snapshot(snap) == []
         assert snap["counters"]["join.joins"] == 1
         assert snap["counters"]["join.probes"] == tree_a._merged_items()[0].size
-        assert snap["counters"]["stream.tiles"] > 1
-        assert snap["gauges"]["stream.tile_peak_bytes"] > 0
+        assert snap["counters"]["engine.hinted_batches"] == 1
         report = render_report(snap)
         assert "dual-tree joins" in report
-        assert "tiled peak footprint" in report

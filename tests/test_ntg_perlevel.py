@@ -353,15 +353,13 @@ class TestPerLevelEquivalence:
 
     @equiv_settings
     @given(tree_and_queries())
-    def test_stream_byte_identical(self, params):
+    def test_large_batch_byte_identical(self, params):
+        # One search_many batch of 2^15 + nq queries, whole.
         n_keys, fanout, keep_every, seed, nq = params
         tree, keys = _equiv_trees(n_keys, fanout, keep_every, seed)
-        q = uniform_queries(keys, nq, rng=seed + 3)
-        stream_pl = CFG_PL.with_(stream_batch=256)
-        stream_gl = CFG_GL.with_(stream_batch=256)
+        q = uniform_queries(keys, (1 << 15) + nq, rng=seed + 3)
         assert np.array_equal(
-            tree.search_stream(q, stream_pl),
-            tree.search_stream(q, stream_gl),
+            tree.search_many(q, CFG_PL), tree.search_many(q, CFG_GL)
         )
 
     def test_epoch_manager_byte_identical(self):
@@ -383,8 +381,8 @@ class TestPerLevelEquivalence:
             mgr_pl.search_many(q, CFG_PL), mgr_gl.search_many(q, CFG_GL)
         )
         assert np.array_equal(
-            mgr_pl.search_stream(q, CFG_PL.with_(stream_batch=512)),
-            mgr_gl.search_stream(q, CFG_GL.with_(stream_batch=512)),
+            mgr_pl.search_many(q[:512], CFG_PL),
+            mgr_gl.search_many(q[:512], CFG_GL),
         )
 
     def test_sharded_tree_byte_identical(self):

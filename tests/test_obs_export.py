@@ -6,7 +6,7 @@ import json
 import pytest
 
 import repro.obs as obs
-from repro.cli import main as cli_main
+from repro.cli import OBS_RECORD_BATCHES, main as cli_main
 from repro.errors import ConfigError
 from repro.obs.export import (
     chrome_trace,
@@ -25,12 +25,12 @@ def _sample_registry():
     reg.counter("engine.unique_nodes.l0", 1)
     reg.counter("engine.unique_nodes.l1", 30)
     reg.gauge("gpusim.transactions_per_warp", 3.25)
-    reg.gauge("stream.sort_hidden_ratio", 0.4)
-    reg.histogram("stream.sort_s", 1e-3)
-    reg.span_at("stream.sort", reg.t0_s + 0.001, reg.t0_s + 0.003,
-                cat="stream", tid=999, batch=0)
-    reg.span_at("stream.traverse", reg.t0_s + 0.002, reg.t0_s + 0.005,
-                cat="stream", batch=0)
+    reg.gauge("join.selectivity", 0.4)
+    reg.histogram("epoch.publish_wait_s", 1e-3)
+    reg.span_at("epoch.drain", reg.t0_s + 0.001, reg.t0_s + 0.003,
+                cat="epoch", tid=999, batch=0)
+    reg.span_at("psa.prepare", reg.t0_s + 0.002, reg.t0_s + 0.005,
+                cat="psa", batch=0)
     return reg
 
 
@@ -48,7 +48,7 @@ class TestChromeTrace:
     def test_microsecond_timestamps_relative_to_t0(self):
         reg = _sample_registry()
         events = [e for e in chrome_trace(reg)["traceEvents"] if e["ph"] == "X"]
-        sort = next(e for e in events if e["name"] == "stream.sort")
+        sort = next(e for e in events if e["name"] == "epoch.drain")
         assert sort["ts"] == pytest.approx(1000.0, rel=1e-6)
         assert sort["dur"] == pytest.approx(2000.0, rel=1e-6)
 
@@ -58,14 +58,14 @@ class TestChromeTrace:
             if e["ph"] == "X"
         ]
         tids = {e["name"]: e["tid"] for e in events}
-        assert tids["stream.sort"] != tids["stream.traverse"]
-        assert tids["stream.traverse"] == 0
+        assert tids["epoch.drain"] != tids["psa.prepare"]
+        assert tids["psa.prepare"] == 0
 
     def test_args_jsonable(self, tmp_path):
         import numpy as np
 
         reg = MetricsRegistry()
-        reg.span_at("stream.sort", reg.t0_s, reg.t0_s + 1e-3,
+        reg.span_at("epoch.drain", reg.t0_s, reg.t0_s + 1e-3,
                     batch=np.int64(3), ratio=np.float64(0.5))
         path = write_chrome_trace(reg, tmp_path / "t.json")
         loaded = json.loads(path.read_text())  # must round-trip as JSON
@@ -105,7 +105,6 @@ class TestReport:
         assert "transactions/warp (Fig 2)" in text
         assert "3.25" in text
         assert "unique nodes per level" in text
-        assert "sort/traverse ratio" in text and "hidden" in text
         assert "[batches]" in text  # catalogue units
 
     def test_handles_foreign_version(self):
@@ -119,9 +118,9 @@ class TestDiff:
         a = _sample_registry().snapshot()
         reg_b = _sample_registry()
         reg_b.counter("engine.batches", 2)  # 2 -> 4
-        reg_b.counter("stream.batches", 9)  # added
+        reg_b.counter("join.joins", 9)  # added
         b = reg_b.snapshot()
-        del b["gauges"]["stream.sort_hidden_ratio"]  # removed
+        del b["gauges"]["join.selectivity"]  # removed
         text = render_diff(a, b)
         assert "engine.batches" in text and "+2" in text
         assert "(added) 9" in text
@@ -148,24 +147,18 @@ class TestObsCLI:
         assert snap_path.exists() and trace_path.exists()
 
         trace = json.loads(trace_path.read_text())
-        ev = [e for e in trace["traceEvents"] if e.get("ph") == "X"]
-        (run,) = [e for e in ev if e["name"] == "stream.run"]
-        sorts = [e for e in ev if e["name"] == "stream.sort"]
-        travs = [e for e in ev if e["name"] == "stream.traverse"]
-        # One sort and one traverse span per batch ...
-        n = run["args"]["batches"]
-        assert n > 1
-        assert sorted(e["args"]["batch"] for e in sorts) == list(range(n))
-        assert sorted(e["args"]["batch"] for e in travs) == list(range(n))
-        # ... each batch's sort ends before its traverse starts, and all
-        # of them lie inside stream.run (eps: float rounding in µs).
+        ev = sorted((e for e in trace["traceEvents"] if e.get("ph") == "X"
+                     and e["name"] in ("psa.prepare", "engine.lookup")),
+                    key=lambda e: e["ts"])
+        # One search_many per batch: a sort (psa.prepare) that ends before
+        # its traverse (engine.lookup) starts (eps: float rounding in µs).
+        n = OBS_RECORD_BATCHES
+        assert sum(e["name"] == "engine.lookup" for e in ev) == n
+        assert [e["name"] for e in ev[:2 * n]] == \
+            ["psa.prepare", "engine.lookup"] * n
         eps = 1e-3
-        trav = {e["args"]["batch"]: e for e in travs}
-        for e in sorts:
-            assert e["ts"] + e["dur"] <= trav[e["args"]["batch"]]["ts"] + eps
-        lo, hi = run["ts"] - eps, run["ts"] + run["dur"] + eps
-        assert all(lo <= e["ts"] and e["ts"] + e["dur"] <= hi
-                   for e in sorts + travs)
+        for prep, look in zip(ev[:2 * n:2], ev[1:2 * n:2]):
+            assert prep["ts"] + prep["dur"] <= look["ts"] + eps
 
         assert cli_main(["obs", "validate", str(snap_path)]) == 0
         assert cli_main(["obs", "report", str(snap_path)]) == 0

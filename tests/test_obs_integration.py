@@ -1,6 +1,7 @@
 """Integration tests: instrumented hot paths record correct metrics, and
 recording never changes search results (the zero-interference property)."""
 
+import sys
 import threading
 
 import numpy as np
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 import repro.obs as obs
 from repro.core.config import SearchConfig
+from repro.core.epoch import EpochManager
 from repro.core.tree import HarmoniaTree
+from repro.core.update import Operation
 from repro.obs.registry import MetricsRegistry, TraceConfig
 from repro.obs.schema import validate_snapshot
 from repro.workloads.generators import make_key_set, uniform_queries
@@ -32,6 +35,27 @@ def obs_tree():
 
 
 @pytest.fixture(scope="module")
+def shared_reader():
+    """One tree and one pinned concurrent-epoch view (with inserts,
+    updates and deletes in its delta) that many threads read at once."""
+    keys = make_key_set(1 << 18, key_space_bits=34, rng=79)
+    tree = HarmoniaTree.from_sorted(keys, keys * 3, fanout=64, fill=0.7)
+    mgr = EpochManager(
+        HarmoniaTree.from_sorted(keys, keys * 3, fanout=64, fill=0.7),
+        concurrent=True, drain_threshold=1 << 30)
+    top = int(keys.max())
+    mgr.submit_many(
+        [Operation("insert", top + 1 + i, i) for i in range(500)]
+        + [Operation("update", int(k), 7) for k in keys[1::89]]
+        + [Operation("delete", int(k)) for k in keys[::97]]
+    )
+    mgr.flush()
+    view = mgr.pin()
+    assert view.delta is not None
+    return {"tree": (tree, keys), "pinned_epoch_view": (view, keys)}
+
+
+@pytest.fixture(scope="module")
 def obs_queries(obs_tree):
     keys = np.fromiter(obs_tree.keys(), dtype=np.int64)
     return uniform_queries(keys, 6_000, rng=78)
@@ -41,21 +65,22 @@ class TestRecordingNeverChangesResults:
     @given(
         n=st.integers(min_value=0, max_value=400),
         seed=st.integers(min_value=0, max_value=2**20),
-        path=st.sampled_from(["batch", "many", "stream"]),
+        path=st.sampled_from(["batch", "many", "sorted"]),
     )
     @common_settings
     def test_on_off_equivalence(self, obs_tree, n, seed, path):
         rng = np.random.default_rng(seed)
         q = rng.integers(0, 1 << 34, size=n, dtype=np.int64)
-        cfg = SearchConfig(stream_batch=128)
         fn = {
             "batch": obs_tree.search_batch,
             "many": obs_tree.search_many,
-            "stream": obs_tree.search_stream,
+            "sorted": obs_tree.search_sorted_many,
         }[path]
-        off = fn(q, cfg)
+        if path == "sorted":
+            q = np.sort(q)
+        off = fn(q)
         with obs.recording():
-            on = fn(q, cfg)
+            on = fn(q)
         assert np.array_equal(off, on)
         assert obs.active is obs.NULL_RECORDER
 
@@ -91,25 +116,24 @@ class TestCountersMatchStats:
                 stats.unique_nodes_per_level[lvl]
             )
 
-    def test_stream_metrics_match_stream_stats(self, obs_tree, obs_queries):
-        cfg = SearchConfig(stream_batch=1024)
+    def test_one_prepare_then_lookup_span_per_batch(
+        self, obs_tree, obs_queries
+    ):
+        """Each search_many batch records one psa.prepare (the sort) that
+        ends before its engine.lookup (the traversal) starts."""
+        batches = np.array_split(obs_queries, 8)
         with obs.recording() as rec:
-            obs_tree.search_stream(obs_queries, cfg)
-        st_ = obs_tree.last_stream_stats
+            for q in batches:
+                obs_tree.search_many(q)
         snap = rec.snapshot()
         assert validate_snapshot(snap) == []
-        assert snap["counters"]["stream.batches"] == st_.n_batches
-        assert snap["counters"]["stream.queries"] == st_.n_queries
-        assert snap["gauges"]["stream.wall_s"] == pytest.approx(st_.wall_s)
-        assert snap["gauges"]["stream.throughput_qps"] == pytest.approx(
-            st_.throughput()
-        )
-        hist = snap["histograms"]["stream.traverse_s"]
-        assert hist["count"] == st_.n_batches
-        # one stream.run + per-batch sort/traverse/scatter spans
-        names = snap["spans"]["names"]
-        assert names["stream.run"] == 1
-        assert names["stream.traverse"] == st_.n_batches
+        assert snap["counters"]["engine.batches"] == len(batches)
+        spans = [s for s in rec.spans()
+                 if s[0] in ("psa.prepare", "engine.lookup")]
+        names = [s[0] for s in spans]
+        assert names == ["psa.prepare", "engine.lookup"] * len(batches)
+        for prep, look in zip(spans[::2], spans[1::2]):
+            assert prep[3] <= look[2]
 
     def test_gpusim_counters_match_kernel_metrics(self, obs_tree, obs_queries):
         from repro.gpusim import simulate_harmonia_search
@@ -149,42 +173,57 @@ class TestCountersMatchStats:
 
 
 class TestConcurrentRecording:
-    def test_concurrent_search_stream_into_one_registry(
-        self, obs_tree, obs_queries
+    @pytest.mark.parametrize("surface", ["tree", "pinned_epoch_view"])
+    def test_concurrent_search_many_into_one_registry(
+        self, shared_reader, surface
     ):
-        """Many threads stream under one ambient recording: totals must be
-        exact (registry mutations are locked) and results unchanged."""
-        cfg = SearchConfig(stream_batch=512)
-        expected = obs_tree.search_many(obs_queries)
-        n_threads = 4
-        results = [None] * n_threads
+        """Four threads call search_many on one shared reader under one
+        ambient recording, two batch sizes between them: every result
+        equals search_batch, and the engine totals are exact (each batch
+        owns its buffers and profiles its own queries; registry mutations
+        are locked)."""
+        reader, keys = shared_reader[surface]
+        n_threads, calls = 4, 12
+        rng = np.random.default_rng(5)
+        batches = [
+            np.concatenate([rng.choice(keys, (1 << 15) + 997 * (i % 2)),
+                            rng.integers(0, 1 << 34, 64)]).astype(np.int64)
+            for i in range(n_threads)
+        ]
+        expected = [reader.search_batch(q) for q in batches]
+        wrong = [0] * n_threads
         errors = []
 
         def work(i):
             try:
-                results[i] = obs_tree.search_stream(obs_queries, cfg)
+                for _ in range(calls):
+                    got = reader.search_many(batches[i])
+                    wrong[i] += int(np.count_nonzero(got != expected[i]))
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
-        with obs.recording() as rec:
-            threads = [
-                threading.Thread(target=work, args=(i,))
-                for i in range(n_threads)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often
+        try:
+            with obs.recording() as rec:
+                threads = [
+                    threading.Thread(target=work, args=(i,))
+                    for i in range(n_threads)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
-        for r in results:
-            assert np.array_equal(r, expected)
+        assert wrong == [0] * n_threads
         snap = rec.snapshot()
         assert validate_snapshot(snap) == []
-        per_run = -(-obs_queries.size // cfg.stream_batch)
-        assert snap["counters"]["stream.batches"] == n_threads * per_run
-        assert snap["counters"]["stream.queries"] == (
-            n_threads * obs_queries.size
-        )
+        assert snap["counters"]["engine.batches"] == n_threads * calls
+        assert snap["counters"]["engine.queries"] == calls * sum(
+            q.size for q in batches)
 
 
 class TestTraceConfigRouting:
@@ -205,14 +244,13 @@ class TestTraceConfigRouting:
         assert ambient.counter_value("engine.batches") == 0
         assert ambient.snapshot()["spans"]["count"] == 0
 
-    def test_stream_with_private_registry(self, obs_tree, obs_queries):
+    def test_sorted_many_with_private_registry(self, obs_tree, obs_queries):
         reg = MetricsRegistry()
-        cfg = SearchConfig(
-            stream_batch=1024, trace=TraceConfig(registry=reg)
-        )
-        out = obs_tree.search_stream(obs_queries, cfg)
-        assert np.array_equal(out, obs_tree.search_many(obs_queries))
-        assert reg.counter_value("stream.batches") > 0
+        cfg = SearchConfig(trace=TraceConfig(registry=reg))
+        ordered = np.sort(obs_queries)
+        out = obs_tree.search_sorted_many(ordered, cfg)
+        assert np.array_equal(out, obs_tree.search_many(ordered))
+        assert reg.counter_value("engine.hinted_batches") == 1
         assert obs.active is obs.NULL_RECORDER
 
 

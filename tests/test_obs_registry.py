@@ -56,9 +56,9 @@ class TestCounters:
 class TestGauges:
     def test_last_write_wins(self):
         reg = MetricsRegistry()
-        reg.gauge("stream.wall_s", 1.0)
-        reg.gauge("stream.wall_s", 2.5)
-        assert reg.gauge_value("stream.wall_s") == 2.5
+        reg.gauge("join.selectivity", 1.0)
+        reg.gauge("join.selectivity", 2.5)
+        assert reg.gauge_value("join.selectivity") == 2.5
         assert reg.gauge_value("missing", default=-1.0) == -1.0
 
 
@@ -125,29 +125,29 @@ class TestSpans:
 
     def test_nesting_depth(self):
         reg = MetricsRegistry()
-        with reg.span("stream.run"):
-            with reg.span("stream.traverse"):
+        with reg.span("join.run"):
+            with reg.span("psa.prepare"):
                 with reg.span("engine.lookup"):
                     pass
         by_name = {s[0]: s for s in reg.spans()}
-        assert by_name["stream.run"][5] == 0
-        assert by_name["stream.traverse"][5] == 1
+        assert by_name["join.run"][5] == 0
+        assert by_name["psa.prepare"][5] == 1
         assert by_name["engine.lookup"][5] == 2
 
     def test_span_records_on_exception(self):
         reg = MetricsRegistry()
         with pytest.raises(RuntimeError):
-            with reg.span("stream.run"):
+            with reg.span("join.run"):
                 raise RuntimeError("boom")
         assert len(reg.spans()) == 1
         # depth bookkeeping recovered: a new span is top-level again
-        with reg.span("stream.run"):
+        with reg.span("join.run"):
             pass
         assert reg.spans()[1][5] == 0
 
     def test_span_at_absolute_timestamps(self):
         reg = MetricsRegistry()
-        reg.span_at("stream.sort", reg.t0_s + 0.5, reg.t0_s + 0.7,
+        reg.span_at("epoch.drain", reg.t0_s + 0.5, reg.t0_s + 0.7,
                     tid=12345, batch=3)
         (name, _, start, end, track, _, args) = reg.spans()[0]
         assert end - start == pytest.approx(0.2)
@@ -157,7 +157,7 @@ class TestSpans:
     def test_max_spans_drops_and_counts(self):
         reg = MetricsRegistry(max_spans=2)
         for _ in range(5):
-            with reg.span("stream.scatter"):
+            with reg.span("update.merge"):
                 pass
         assert len(reg.spans()) == 2
         assert reg.dropped_spans == 3
@@ -165,7 +165,7 @@ class TestSpans:
 
     def test_record_spans_false(self):
         reg = MetricsRegistry(record_spans=False)
-        with reg.span("stream.run"):
+        with reg.span("join.run"):
             pass
         assert reg.spans() == []
         assert reg.dropped_spans == 1
@@ -192,9 +192,9 @@ class TestSnapshot:
 
     def test_validation_catches_kind_mismatch(self):
         reg = MetricsRegistry()
-        reg.counter("stream.wall_s")  # catalogued as a gauge
+        reg.counter("join.selectivity")  # catalogued as a gauge
         problems = validate_snapshot(reg.snapshot())
-        assert any("stream.wall_s" in p for p in problems)
+        assert any("join.selectivity" in p for p in problems)
 
     def test_validation_catches_version_and_structure(self):
         assert validate_snapshot(None)
@@ -234,9 +234,9 @@ class TestThreadSafety:
 
         def work():
             for _ in range(n_iter):
-                reg.counter("stream.queries", 2)
-                reg.histogram("stream.sort_s", 1e-3)
-                reg.span_at("stream.sort", reg.t0_s, reg.t0_s + 1e-6)
+                reg.counter("engine.queries", 2)
+                reg.histogram("epoch.publish_wait_s", 1e-3)
+                reg.span_at("epoch.drain", reg.t0_s, reg.t0_s + 1e-6)
 
         threads = [threading.Thread(target=work) for _ in range(n_threads)]
         for t in threads:
@@ -244,9 +244,9 @@ class TestThreadSafety:
         for t in threads:
             t.join()
         total = n_threads * n_iter
-        assert reg.counter_value("stream.queries") == 2 * total
+        assert reg.counter_value("engine.queries") == 2 * total
         snap = reg.snapshot()
-        assert snap["histograms"]["stream.sort_s"]["count"] == total
+        assert snap["histograms"]["epoch.publish_wait_s"]["count"] == total
         assert snap["spans"]["count"] + snap["spans"]["dropped"] == total
 
     def test_worker_tracks_are_stable_and_distinct(self):
@@ -256,7 +256,7 @@ class TestThreadSafety:
         barrier = threading.Barrier(4)
 
         def work():
-            reg.span_at("stream.sort", reg.t0_s, reg.t0_s + 1e-6)
+            reg.span_at("epoch.drain", reg.t0_s, reg.t0_s + 1e-6)
             barrier.wait()
 
         threads = [threading.Thread(target=work) for _ in range(3)]

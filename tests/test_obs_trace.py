@@ -136,7 +136,7 @@ class TestTraceContext:
 def _remote_payload(pid_label="w0", spans=2):
     reg = MetricsRegistry()
     reg.counter("engine.batches", 5)
-    reg.gauge("stream.sort_hidden_ratio", 0.25)
+    reg.gauge("join.selectivity", 0.25)
     reg.histogram("epoch.publish_wait_s", 0.002)
     for i in range(spans):
         reg.span_at("worker.execute", reg.t0_s + i * 1e-3,
@@ -230,7 +230,7 @@ class TestExportMerge:
         def record(tid):
             for i in range(per_thread):
                 host.counter("engine.batches", 1)
-                host.span_at("stream.traverse", host.t0_s + i * 1e-6,
+                host.span_at("psa.prepare", host.t0_s + i * 1e-6,
                              host.t0_s + i * 1e-6 + 1e-7)
             stop.set()
 
@@ -248,7 +248,7 @@ class TestExportMerge:
         assert snap["counters"]["engine.batches"] == n_threads * per_thread
         assert snap["counters"]["shard[0].engine.batches"] == 5 * merges
         assert merged == 2 * merges
-        assert snap["spans"]["names"]["stream.traverse"] == \
+        assert snap["spans"]["names"]["psa.prepare"] == \
             n_threads * per_thread
         assert snap["spans"]["names"]["shard[0].worker.execute"] == merged
         assert validate_snapshot(snap) == []
