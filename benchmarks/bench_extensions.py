@@ -72,11 +72,17 @@ def test_ext_sort_kernel(benchmark, bench_queries, order):
 def test_ext_epoch_flush(benchmark, bench_keys):
     ops = [Operation("update", int(k), 1) for k in bench_keys[:2_000]]
 
-    def flush_once():
+    def setup():
         tree = HarmoniaTree.from_sorted(bench_keys, fanout=64, fill=0.7)
         em = EpochManager(tree)
         em.submit_many(ops)
-        return em.flush()
+        return (em,), {}
 
-    res = benchmark.pedantic(flush_once, rounds=3, iterations=1)
+    def flush_and_drain(em):
+        res = em.flush()
+        em.sync()
+        return res
+
+    res = benchmark.pedantic(flush_and_drain, setup=setup, rounds=3,
+                             iterations=1)
     assert res.updated == 2_000

@@ -9,7 +9,8 @@ into the next packed leaf block.
 import pytest
 
 from repro.baselines.hbtree import HBTree
-from repro.core import HarmoniaTree, UpdateConfig
+from repro.core import HarmoniaTree
+from repro.core.update import scalar_apply
 from repro.workloads.generators import make_key_set
 from repro.workloads.mixes import PAPER_UPDATE_MIX, make_update_batch
 from benchmarks.conftest import BENCH_SCALE, N_KEYS
@@ -37,7 +38,7 @@ def test_fig14_harmonia_batch_update(benchmark, update_world):
 
     def run():
         tree = HarmoniaTree.from_sorted(keys, fanout=64, fill=0.7)
-        return tree.apply_batch(ops, UpdateConfig(n_threads=4))
+        return tree.apply_batch(ops)
 
     res = benchmark.pedantic(run, rounds=3, iterations=1)
     benchmark.extra_info["ops"] = len(ops)
@@ -52,9 +53,7 @@ def test_fig14_harmonia_batch_update_scalar(benchmark, update_world):
 
     def run():
         tree = HarmoniaTree.from_sorted(keys, fanout=64, fill=0.7)
-        return tree.apply_batch(
-            ops, UpdateConfig(mode="scalar", n_threads=4)
-        )
+        return scalar_apply(tree, ops, n_threads=4)
 
     res = benchmark.pedantic(run, rounds=3, iterations=1)
     benchmark.extra_info["ops"] = len(ops)

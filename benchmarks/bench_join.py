@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from repro.constants import KEY_MAX, NOT_FOUND
+from repro.constants import NOT_FOUND
 from repro.core import HarmoniaTree
 from repro.join import merge_join, sort_merge_reference
 from repro.workloads.generators import make_key_set
@@ -106,10 +106,7 @@ def _join_point(tree_log2: int, overlap: float, seed: int = 1234) -> dict:
     assert np.array_equal(res.values_b, ref.values_b)
 
     probes = items_a[0]
-    leaf_keys = tree_b.layout.leaf_keys.ravel()
-    real = leaf_keys != KEY_MAX
-    bare_keys = leaf_keys[real]
-    bare_values = tree_b.layout.leaf_values.ravel()[real]
+    bare_keys, bare_values = tree_b.snapshot.packed_leaves()
     assert np.array_equal(_bare_probe(bare_keys, bare_values, probes),
                           tree_b.search_sorted_many(probes))
     bare_s = _best_of(lambda: _bare_probe(bare_keys, bare_values, probes))

@@ -38,8 +38,8 @@ import time
 
 import numpy as np
 
-from repro.core import EpochManager, HarmoniaTree, UpdateConfig
-from repro.core.update import BatchUpdater
+from repro.core import EpochManager, HarmoniaTree
+from repro.core.update import BatchUpdater, scalar_apply
 from repro.workloads.generators import make_key_set
 from repro.workloads.mixes import PAPER_UPDATE_MIX, UpdateMix, make_update_batch
 from benchmarks.conftest import BENCH_SCALE
@@ -86,7 +86,7 @@ def test_update_scalar(benchmark, bench_keys, bench_tree):
         return (HarmoniaTree(base.copy(), fill=0.7),), {}
 
     def run(tree):
-        return tree.apply_batch(ops, UpdateConfig(mode="scalar"))
+        return scalar_apply(tree, ops)
 
     res = benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
     benchmark.extra_info["ops"] = len(ops)
@@ -99,9 +99,7 @@ def test_update_merge(benchmark, bench_keys, bench_tree):
 
     def run():
         # Non-mutating: the merge writes a fresh block.
-        return HarmoniaTree(base, fill=0.7).apply_batch(
-            ops, UpdateConfig(mode="merge")
-        )
+        return HarmoniaTree(base, fill=0.7).apply_batch(ops)
 
     res = benchmark.pedantic(run, rounds=3, iterations=1)
     benchmark.extra_info["ops"] = len(ops)
@@ -194,18 +192,18 @@ def measure(tree_log2: int, batch_log2: int, mix: str = "mixed",
 
 def measure_concurrent(tree_log2: int, batch_log2: int, rounds: int = 8,
                        seed: int = 1234, reps: int = 2) -> dict:
-    """Mixed read/write rounds: synchronous flush vs snapshot+delta.
+    """Mixed read/write rounds: a tree merged per batch vs snapshot+delta.
 
-    Each round submits one mixed batch, flushes, then serves a read batch
-    — the service-loop shape the EpochManager exists for.  Read latency
-    is measured from the *round start*, so the synchronous mode pays the
-    merge into the base before its reads return while the concurrent mode
-    pays only batch resolution (the base merge runs in the drain); the
-    final
-    ``sync()`` is inside the concurrent wall, so deferred work is not
-    dropped from the throughput comparison.  Equivalence of every read
-    batch (and the final contents) is asserted before any timing is
-    reported.
+    Each round writes one mixed batch, then serves a read batch — the
+    service-loop shape the EpochManager exists for.  The baseline is a
+    plain :class:`HarmoniaTree` that runs ``apply_batch`` then
+    ``search_many`` per round, paying the merge into the base before its
+    reads return; the EpochManager submits and flushes, paying only batch
+    resolution (the base merge runs in the drain).  Read latency is
+    measured from the *round start*; the final ``sync()`` is inside the
+    EpochManager's wall, so deferred work is not dropped from the
+    throughput comparison.  Equivalence of every read batch (and the
+    final contents) is asserted before any timing is reported.
     """
     keys = make_key_set(1 << tree_log2, rng=seed)
     n_batch = 1 << batch_log2
@@ -222,38 +220,41 @@ def measure_concurrent(tree_log2: int, batch_log2: int, rounds: int = 8,
         for _ in range(rounds)
     ]
 
-    def run_mode(concurrent: bool):
+    def run_mode(use_epoch: bool):
         tree = HarmoniaTree.from_sorted(keys, fanout=64, fill=0.7)
-        mgr = EpochManager(
-            tree, update_config=UpdateConfig(),
-            concurrent=concurrent, drain_threshold=3 * n_batch,
-        )
+        mgr = (EpochManager(tree, drain_threshold=3 * n_batch)
+               if use_epoch else None)
         lat, outs = [], []
         t0 = time.perf_counter()
         for ops, q in zip(batches, reads):
             r0 = time.perf_counter()
-            mgr.submit_many(ops)
-            mgr.flush()
-            outs.append(mgr.search_many(q))
+            if mgr is None:
+                tree.apply_batch(ops)
+                outs.append(tree.search_many(q))
+            else:
+                mgr.submit_many(ops)
+                mgr.flush()
+                outs.append(mgr.search_many(q))
             lat.append(time.perf_counter() - r0)
-        mgr.sync()
+        if mgr is not None:
+            mgr.sync()
         wall = time.perf_counter() - t0
-        return wall, lat, outs, mgr
+        return wall, lat, outs, (tree if mgr is None else mgr)
 
-    sync_wall, sync_lat, sync_outs, sync_mgr = run_mode(False)
+    tree_wall, tree_lat, tree_outs, tree = run_mode(False)
     conc_wall, conc_lat, conc_outs, conc_mgr = run_mode(True)
     for rep in range(reps - 1):  # keep the best wall per mode
         w, l, _, _ = run_mode(False)
-        if w < sync_wall:
-            sync_wall, sync_lat = w, l
+        if w < tree_wall:
+            tree_wall, tree_lat = w, l
         w, l, _, _ = run_mode(True)
         if w < conc_wall:
             conc_wall, conc_lat = w, l
 
     # Equivalence gate: never report a speedup for wrong answers.
-    for a, b in zip(sync_outs, conc_outs):
-        assert np.array_equal(a, b), "concurrent reads diverged"
-    ka, va = sync_mgr.dump_items()
+    for a, b in zip(tree_outs, conc_outs):
+        assert np.array_equal(a, b), "epoch reads diverged"
+    ka, va = tree.snapshot.packed_leaves()
     kb, vb = conc_mgr.dump_items()
     assert np.array_equal(ka, kb) and np.array_equal(va, vb)
 
@@ -267,13 +268,12 @@ def measure_concurrent(tree_log2: int, batch_log2: int, rounds: int = 8,
     # after the same three batches were published into another manager
     # (the same write traffic through the caches).
     plain = HarmoniaTree.from_sorted(keys, fanout=64, fill=0.7)
-    bare = EpochManager(plain, concurrent=True)
+    bare = EpochManager(plain)
     q = reads[0]
     bare.search_many(q)
 
     def after_publish(read):
-        mgr = EpochManager(plain, update_config=UpdateConfig(),
-                           concurrent=True, drain_threshold=1 << 62)
+        mgr = EpochManager(plain, drain_threshold=1 << 62)
         for ops in batches[:3]:
             mgr.submit_many(ops)
             mgr.flush()
@@ -300,11 +300,11 @@ def measure_concurrent(tree_log2: int, batch_log2: int, rounds: int = 8,
         "rounds": rounds,
         "mix": {"insert": MIXED.insert, "update": MIXED.update,
                 "delete": MIXED.delete},
-        "sync_wall_s": round(sync_wall, 6),
+        "tree_wall_s": round(tree_wall, 6),
         "concurrent_wall_s": round(conc_wall, 6),
-        "mixed_speedup": round(sync_wall / conc_wall, 2),
+        "mixed_speedup": round(tree_wall / conc_wall, 2),
         "mixed_kops": round(total_items / conc_wall / 1e3, 1),
-        "sync_read_round_max_ms": round(max(sync_lat) * 1e3, 3),
+        "tree_read_round_max_ms": round(max(tree_lat) * 1e3, 3),
         "concurrent_read_round_max_ms": round(max(conc_lat) * 1e3, 3),
         "read_only_plain_s": round(t_plain, 6),
         "read_only_overlay_s": round(t_overlay, 6),
@@ -334,7 +334,6 @@ def _capture_metrics(acceptance: dict, seed: int = 1234) -> dict:
         # present (and catalogue-validated) in the emitted snapshot.
         mgr = EpochManager(
             HarmoniaTree.from_sorted(keys, fanout=64, fill=0.7),
-            update_config=UpdateConfig(), concurrent=True,
             drain_threshold=1 << 62,
         )
         mgr.submit_many(ops)
@@ -373,8 +372,8 @@ def main(out_path: str = None, smoke: bool = False) -> dict:
     # None at the smoke point, which has no vectorized record.
     fig14_vs_vec = fig14.get("merge_speedup_vs_vectorized")
 
-    # Snapshot epochs + delta: mixed read/write service loop, synchronous
-    # flush vs concurrent publish-then-drain (docs/epochs.md).
+    # Snapshot epochs + delta: mixed read/write service loop, a tree
+    # merged per batch vs publish-then-drain (docs/epochs.md).
     conc_point = (18, 12) if smoke else (20, 13)
     concurrent = measure_concurrent(
         conc_point[0], conc_point[1],
@@ -409,7 +408,7 @@ def main(out_path: str = None, smoke: bool = False) -> dict:
                         for r in recorded)
             ),
             "concurrent_criterion": "snapshot+delta mixed read/write "
-            "throughput >= 1.3x the synchronous-flush baseline, overlay "
+            "throughput >= 1.3x a tree merged per batch, overlay "
             "overhead of a freshly pinned read over a three-flush delta "
             "<= 10%",
             "concurrent_mixed_speedup": concurrent["mixed_speedup"],
@@ -454,7 +453,7 @@ def gap_check(min_speedup: float = 1.0) -> None:
 def delta_check(max_overhead: float = 0.15) -> None:
     """CI quick gate for the concurrent epoch path: one small mixed
     read/write point must (a) produce byte-identical reads to the
-    synchronous baseline (asserted inside :func:`measure_concurrent`) and
+    per-batch-merge tree baseline (asserted inside :func:`measure_concurrent`) and
     (b) keep the delta-overlay overhead of a freshly pinned read over a
     three-flush delta under ``max_overhead``.
     Exits non-zero (via AssertionError) on regression."""

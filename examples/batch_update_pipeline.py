@@ -4,8 +4,9 @@ B+tree systems in lookup-intensive deployments batch their writes: long
 query phases on an immutable snapshot, punctuated by update batches
 (TPC-H-style read/write ratio ≈ 35:1).  This example drives several full
 cycles and reports what the paper's Figure 14 measures — batch update
-throughput, split into the locked apply phase and the movement
-(region-rebuild) phase — plus Algorithm 1's staging statistics.
+throughput, split into the resolve phase (each op checked against the
+packed leaf block) and the movement phase (the merge into the next
+block).
 
 Run:  python examples/batch_update_pipeline.py
 """
@@ -14,7 +15,7 @@ import time
 
 import numpy as np
 
-from repro import HarmoniaTree, SearchConfig, UpdateConfig
+from repro import HarmoniaTree, SearchConfig
 from repro.workloads.generators import make_key_set, uniform_queries
 from repro.workloads.mixes import PAPER_UPDATE_MIX, UpdateMix, make_update_batch
 
@@ -26,7 +27,6 @@ ROUNDS = 4
 rng = np.random.default_rng(99)
 keys = make_key_set(N_KEYS, rng=rng)
 tree = HarmoniaTree.from_sorted(keys, fanout=64, fill=0.7)
-cfg = UpdateConfig(n_threads=4)
 
 print(f"pipeline: {ROUNDS} rounds of "
       f"{QUERIES_PER_PHASE} queries + {OPS_PER_BATCH}-op update batch "
@@ -43,12 +43,12 @@ for round_no in range(1, ROUNDS + 1):
     tree.search_batch(queries, SearchConfig.full())
     q_dt = time.perf_counter() - t0
 
-    # ---- update phase (Algorithm 1 + auxiliary nodes + movement) ----
+    # ---- update phase (resolve + merge into the next block) ---------
     mix = PAPER_UPDATE_MIX if round_no % 2 else mix_with_deletes
     ops = make_update_batch(stored, OPS_PER_BATCH, mix=mix,
                             rng=rng.integers(1 << 30))
     t0 = time.perf_counter()
-    res = tree.apply_batch(ops, cfg)
+    res = tree.apply_batch(ops)
     u_dt = time.perf_counter() - t0
     tree.check_invariants()
 
@@ -56,10 +56,9 @@ for round_no in range(1, ROUNDS + 1):
         f"round {round_no}: "
         f"queries {QUERIES_PER_PHASE / q_dt / 1e6:6.2f} Mq/s | "
         f"updates {len(ops) / u_dt / 1e3:7.1f} Kops/s "
-        f"(apply {res.timer.get('apply') * 1e3:6.1f} ms, "
-        f"movement {res.timer.get('movement') * 1e3:6.1f} ms) | "
-        f"{res.split_leaves} leaves split, "
-        f"{res.rebuilt_dirty} rebuilt, {res.moved_clean} reused | "
+        f"(resolve {res.timer.get('apply') * 1e3:6.1f} ms, "
+        f"merge {res.timer.get('movement') * 1e3:6.1f} ms) | "
+        f"{res.n_effective} effective, {res.failed} failed | "
         f"size {len(tree)}"
     )
 

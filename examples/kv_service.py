@@ -3,10 +3,11 @@
 Puts the operational pieces together the way a deployment would:
 
 * an :class:`~repro.core.epoch.EpochManager` gives readers snapshot
-  isolation while writers batch through Algorithm 1 + movement;
+  isolation while writers publish batches into its delta, which a
+  background drain merges into the base;
 * reader threads hammer the index during flushes and verify they never
   observe a half-applied batch;
-* the final snapshot is persisted to disk and reloaded with full
+* the visible state is persisted to disk and reloaded with full
   invariant validation.
 
 Run:  python examples/kv_service.py
@@ -81,8 +82,7 @@ for epoch in range(1, N_EPOCHS + 1):
     dt = time.perf_counter() - t0
     for result in auto + ([manual] if manual else []):
         print(f"epoch {service.epoch}: {result.n_effective} effective ops "
-              f"in {dt * 1e3:.0f} ms ({result.split_leaves} splits, "
-              f"{result.rebuilt_dirty} leaves rebuilt)")
+              f"in {dt * 1e3:.0f} ms (delta {service.delta_size} entries)")
 
 stop.set()
 for t in threads:
@@ -94,8 +94,7 @@ assert not anomalies
 # ---- persistence -------------------------------------------------------
 with tempfile.TemporaryDirectory() as d:
     path = Path(d) / "index.npz"
-    snapshot = HarmoniaTree(service._tree.snapshot, fill=0.7)
-    save_tree(snapshot, path)
+    save_tree(service.pin(), path)
     restored = load_tree(path, fill=0.7)  # validates invariants on load
     probe = keys[:1_000]
     assert np.array_equal(

@@ -27,7 +27,6 @@ from repro.core import (
     HarmoniaLayout,
     HarmoniaTree,
     SearchConfig,
-    UpdateConfig,
     layout_stats,
     load_layout,
     load_tree,
@@ -48,7 +47,6 @@ __all__ = [
     "BatchQueryEngine",
     "EngineStats",
     "SearchConfig",
-    "UpdateConfig",
     "MetricsRegistry",
     "TraceConfig",
     "EpochManager",

@@ -18,7 +18,7 @@
   glues the above together.
 """
 
-from repro.core.config import SearchConfig, UpdateConfig
+from repro.core.config import SearchConfig
 from repro.core.engine import BatchQueryEngine, EngineStats
 from repro.core.epoch import EpochManager
 from repro.core.io import load_layout, load_tree, save_layout, save_tree
@@ -34,7 +34,6 @@ __all__ = [
     "BatchQueryEngine",
     "EngineStats",
     "SearchConfig",
-    "UpdateConfig",
     "EpochManager",
     "save_layout",
     "load_layout",

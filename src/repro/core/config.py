@@ -1,4 +1,4 @@
-"""Configuration dataclasses for search and update pipelines."""
+"""Configuration of the search pipeline."""
 
 from __future__ import annotations
 
@@ -49,7 +49,6 @@ class SearchConfig:
     #: aggregate group size everywhere — the ablation baseline the
     #: hypothesis suite pins byte-identical results against.
     ntg_per_level: bool = True
-    seed: int = 0x5EED
     trace: Optional[TraceConfig] = None
 
     def __post_init__(self) -> None:
@@ -96,34 +95,4 @@ class SearchConfig:
         return replace(self, **kwargs)
 
 
-@dataclass(frozen=True)
-class UpdateConfig:
-    """Knobs of the CPU batch-update pipeline (§3.2.2).
-
-    ``mode`` selects the batch executor: ``"merge"`` (the default)
-    resolves the batch against the tree's packed leaf block and merges
-    the resolved run into the next block
-    (:meth:`~repro.core.tree.HarmoniaTree.apply_batch`); ``"scalar"``
-    runs the per-operation Algorithm 1 reference path
-    (:class:`~repro.core.update.BatchUpdater`, two-grained locking per
-    op) on a copy of the layout, then its movement pass.  The two are
-    *result*-equivalent — identical accounting, query results and
-    key/value content; only the scalar path reports structural counters
-    (split/underflow leaves) — hypothesis-pinned (docs/update.md).
-
-    ``n_threads`` sizes the scalar path's per-op worker pool (the merge
-    is one NumPy pass and ignores it).
-    """
-
-    n_threads: int = 4
-    mode: str = "merge"
-
-    def __post_init__(self) -> None:
-        ensure_positive("n_threads", self.n_threads)
-        if self.mode not in ("merge", "scalar"):
-            raise ConfigError(
-                f"mode must be 'merge'|'scalar', got {self.mode!r}"
-            )
-
-
-__all__ = ["SearchConfig", "UpdateConfig"]
+__all__ = ["SearchConfig"]

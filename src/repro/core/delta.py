@@ -1,7 +1,7 @@
 """Mergeable delta index: the write-side absorber of the snapshot-epoch
 read path (docs/epochs.md).
 
-A flush in concurrent mode does *not* write the base snapshot.  It resolves the
+An epoch flush does *not* write the base snapshot.  It resolves the
 batch against the currently *visible* state (base snapshot + published
 delta) into one immutable sorted :class:`DeltaRun` of upserts and
 tombstones, and folds that run into the visible delta — one collapsed,
@@ -34,11 +34,11 @@ is published while one drain runs.
 
 Equivalence contract (hypothesis-pinned in
 ``tests/test_epoch_concurrent.py``): reads through snapshot + delta are
-byte-identical to reads against a tree that applied every batch
-synchronously — including the per-op success/failure accounting, which
-:func:`resolve_batch` reproduces exactly (an op's outcome depends only
-on its key's visible history, so resolution needs existence bits, not
-the tree).
+byte-identical to reads against a tree that merged every batch as it
+came (:meth:`~repro.core.tree.HarmoniaTree.apply_batch`) — including
+the per-op success/failure accounting, which :func:`resolve_batch`
+reproduces exactly (an op's outcome depends only on its key's visible
+history, so resolution needs existence bits, not the tree).
 """
 
 from __future__ import annotations
@@ -349,7 +349,7 @@ def resolve_batch(
     per-op semantics are the scalar reference's, each key's ops taken in
     arrival order: insert fails when the key is visible, update/delete
     fail when it is not — so the returned :class:`BatchResult` counts
-    match a synchronous flush exactly.
+    match a merged write of the same batch exactly.
 
     The replay is vectorized over every op at once.  Whatever its
     outcome, an insert leaves its key present and a delete leaves it

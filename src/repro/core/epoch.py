@@ -10,17 +10,17 @@ discipline so applications do not have to hand-roll it:
   duration (queries never observe a half-applied batch);
 * writers call :meth:`submit` to enqueue operations; :meth:`flush` (or
   crossing ``batch_capacity``) applies them as one §3.2.2 batch and
-  atomically publishes the new snapshot;
-* :attr:`epoch` counts published snapshots — readers can detect staleness
+  atomically publishes it;
+* :attr:`epoch` counts published flushes — readers can detect staleness
   cheaply.
 
-**Concurrent mode** (``concurrent=True``) removes the stop-the-world
-flush (docs/epochs.md).  A flush no longer merges into the base block
-on the writer's critical path: the batch is *resolved* against the visible
-state into one immutable sorted run, folded into the visible entry set
-of a :class:`~repro.core.delta.DeltaIndex` and published — readers
-overlay that set on the pinned base snapshot (snapshot-then-delta, last
-wins, tombstones mask), byte-identical to a synchronous flush.  A
+A flush never stops the world (docs/epochs.md).  It does not merge into
+the base block on the writer's critical path: the batch is *resolved*
+against the visible state into one immutable sorted run, folded into
+the visible entry set of a :class:`~repro.core.delta.DeltaIndex` and
+published — readers overlay that set on the pinned base snapshot
+(snapshot-then-delta, last wins, tombstones mask), byte-identical to a
+tree that merged every batch (:meth:`HarmoniaTree.apply_batch`).  A
 background drain thread folds the pinned set into snapshot N+1 — one
 sorted merge of N's packed leaf block with the delta, whose output *is*
 N+1 (:meth:`~repro.core.snapshot.Snapshot.merge`; its layout is derived
@@ -43,7 +43,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 import repro.obs as obs
-from repro.core.config import SearchConfig, UpdateConfig
+from repro.core.config import SearchConfig
 from repro.core.delta import DeltaIndex, resolve_batch
 from repro.core.search import RangeBatch, contains_batch
 from repro.core.snapshot import Snapshot
@@ -66,14 +66,19 @@ class EpochManager:
         self,
         tree: HarmoniaTree,
         batch_capacity: int = 1 << 16,
-        update_config: Optional[UpdateConfig] = None,
-        concurrent: bool = False,
+        concurrent: bool = True,
         drain_threshold: Optional[int] = None,
     ) -> None:
+        # ``concurrent`` is kept only as a keyword that accepts True,
+        # because perfbench/drivers.py passes ``concurrent=True``.
+        if concurrent is not True:
+            raise ConfigError(
+                "EpochManager accepts only concurrent=True: the synchronous "
+                "flush was removed; every flush publishes into the delta "
+                "and drains in the background"
+            )
         self._tree = tree
         self.batch_capacity = ensure_positive("batch_capacity", batch_capacity)
-        self.update_config = update_config or UpdateConfig()
-        self.concurrent = bool(concurrent)
         self.drain_threshold = ensure_positive(
             "drain_threshold",
             DEFAULT_DRAIN_THRESHOLD if drain_threshold is None
@@ -83,7 +88,6 @@ class EpochManager:
         self._write_lock = threading.Lock()  # serializes writers + flush
         self._publish_lock = threading.Lock()  # guards snapshot swap
         self._epoch = 0
-        # --- concurrent-mode state (inert when concurrent=False) ---
         self._delta = DeltaIndex()
         self._drain_serial = threading.Lock()  # one drain at a time
         self._drain_thread: Optional[threading.Thread] = None
@@ -101,22 +105,21 @@ class EpochManager:
 
     @property
     def snapshot_version(self) -> int:
-        """Base-snapshot generation: bumps when a drain (or a synchronous
-        flush) swaps the snapshot reference.  In synchronous mode it equals
-        :attr:`epoch`."""
-        return self._snapshot_version if self.concurrent else self._epoch
+        """Base-snapshot generation: bumps when a drain swaps the
+        snapshot reference."""
+        return self._snapshot_version
 
     @property
     def snapshot_age(self) -> int:
         """Published epochs the base snapshot is behind the visible state
         (0 when the delta is fully drained) — the ``epoch.snapshot_age``
         gauge."""
-        return self._epoch - self._epoch_at_swap if self.concurrent else 0
+        return self._epoch - self._epoch_at_swap
 
     @property
     def delta_size(self) -> int:
-        """Visible delta entries (0 in sync mode): what a read's overlay
-        probes and what the next drain folds."""
+        """Visible delta entries: what a read's overlay probes and what
+        the next drain folds."""
         with self._publish_lock:
             return self._delta.size
 
@@ -132,13 +135,13 @@ class EpochManager:
 
     def _snapshot(self) -> HarmoniaTree:
         # The tree's snapshot reference is swapped atomically under the
-        # publish lock; pinning = grabbing the current snapshot object —
-        # and, in concurrent mode, the current delta view in the same
-        # critical section, so (base, delta) is one consistent state.
+        # publish lock; pinning = grabbing the current snapshot object and
+        # the current delta view in the same critical section, so
+        # (base, delta) is one consistent state.
         with self._publish_lock:
             snap = self._tree._snap
             fill = self._tree._fill
-            view = self._delta.view() if self.concurrent else None
+            view = self._delta.view()
         pinned = HarmoniaTree(snap, fill=fill,
                               search_config=self._tree.search_config)
         if view is not None:
@@ -155,8 +158,7 @@ class EpochManager:
         and streams millions of probes against the pinned pair while
         writers keep publishing new epochs.  The returned tree shares
         the immutable snapshot arrays (O(1), no copy) and carries the
-        pinned delta view in concurrent mode; it never sees later
-        flushes or drains.
+        pinned delta view; it never sees later flushes or drains.
         """
         return self._snapshot()
 
@@ -186,7 +188,7 @@ class EpochManager:
     def dump_items(self) -> Tuple[np.ndarray, np.ndarray]:
         """The visible sorted contents as ``(keys, values)`` arrays —
         base snapshot merged with any undrained delta (checkpoint /
-        rebalance path; equals ``iter_leaf_items`` in sync mode)."""
+        rebalance path)."""
         return self._snapshot()._merged_items()
 
     def __len__(self) -> int:
@@ -219,40 +221,15 @@ class EpochManager:
         return results
 
     def flush(self) -> Optional[BatchResult]:
-        """Apply all pending operations as one batch and publish the new
-        snapshot (sync mode) or the new delta run (concurrent mode).
-        No-op (returns ``None``) when nothing is pending."""
+        """Resolve all pending operations as one batch and publish it into
+        the delta.  No-op (returns ``None``) when nothing is pending."""
         self._raise_drain_error()
         with self._write_lock:
             if not self._pending:
                 return None
             return self._flush_locked()
 
-    def _flush_locked(self) -> BatchResult:
-        if self.concurrent:
-            return self._flush_concurrent_locked()
-        ops = self._pending
-        self._pending = []
-        # Snapshot isolation: readers keep querying their pinned (old)
-        # snapshot while the batch runs; publication is a single reference
-        # swap.  No update mode writes its input snapshot (the merge
-        # writes a fresh block, the scalar path edits a private copy of
-        # the layout), so the shadow tree can start from the published
-        # one.
-        with self._publish_lock:
-            current = self._tree._snap
-            fill = self._tree._fill
-        shadow = HarmoniaTree(
-            current, fill=fill, search_config=self._tree.search_config
-        )
-        shadow._empty_fanout = self._tree._empty_fanout
-        result = shadow.apply_batch(ops, self.update_config)
-        with self._publish_lock:
-            self._tree._snap = shadow._snap
-            self._epoch += 1
-        return result
-
-    # ------------------------------------------------- concurrent flush path
+    # ------------------------------------------------------------ flush path
 
     def _visible_exists_fn(self, snap, view):
         """Existence probe over one pinned (base, delta) state."""
@@ -268,7 +245,7 @@ class EpochManager:
 
         return exists_fn
 
-    def _flush_concurrent_locked(self) -> BatchResult:
+    def _flush_locked(self) -> BatchResult:
         t0 = time.perf_counter()
         ops = self._pending
         self._pending = []
@@ -277,8 +254,8 @@ class EpochManager:
             view = self._delta.view()
         # Resolution needs only existence bits of the visible state: an
         # op's outcome depends solely on its key's same-batch history plus
-        # whether the key is visible now.  Counts therefore match the
-        # synchronous flush exactly (structural counters accrue at drain).
+        # whether the key is visible now.  Counts therefore match a
+        # merged write of the same batch exactly.
         run, result = resolve_batch(
             ops, self._visible_exists_fn(snap, view)
         )
@@ -406,10 +383,8 @@ class EpochManager:
 
         ``wait=True`` (default) drains on the calling thread until the
         delta is empty; ``wait=False`` just schedules the background
-        drain.  No-op in synchronous mode.
+        drain.
         """
-        if not self.concurrent:
-            return
         if not wait:
             self._start_drain()
             return
@@ -422,13 +397,13 @@ class EpochManager:
 
     def sync(self) -> None:
         """Flush pending operations and drain the delta completely — the
-        point where concurrent mode's visible state and base snapshot
-        coincide (benchmark epilogues, checkpoints, shutdown)."""
+        point where the visible state and the base snapshot coincide
+        (benchmark epilogues, checkpoints, shutdown)."""
         self.flush()
         self.drain(wait=True)
 
     def close(self) -> None:
-        """Finish background work (drains the delta in concurrent mode)."""
+        """Finish background work (drains the delta)."""
         self.sync()
 
 

@@ -16,9 +16,9 @@ Glues the pieces together the way the paper's system does:
   host lookup never pays for it (nor for the layout it needs);
 * an update batch is resolved against the block
   (:func:`~repro.core.delta.resolve_batch`) and merged into the next
-  block (:meth:`~repro.core.snapshot.Snapshot.merge`) — or, in the
-  ``"scalar"`` reference mode, run through Algorithm 1 on a copy of the
-  layout.
+  block (:meth:`~repro.core.snapshot.Snapshot.merge`); the Algorithm 1
+  reference (:func:`~repro.core.update.scalar_apply`) runs on a copy of
+  the layout instead.
 
 The phase discipline is the paper's: a batch update replaces the
 snapshot and never writes the old one, so queries pinned to an older
@@ -36,7 +36,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro.constants import DEFAULT_FANOUT, NOT_FOUND
-from repro.core.config import SearchConfig, UpdateConfig
+from repro.core.config import SearchConfig
 from repro.core.delta import resolve_batch
 from repro.core.engine import BatchQueryEngine, EngineStats
 from repro.core.layout import HarmoniaLayout
@@ -54,7 +54,7 @@ from repro.core.search import (
     search_batch as _search_batch,
 )
 from repro.core.snapshot import Snapshot
-from repro.core.update import BatchResult, BatchUpdater, Operation
+from repro.core.update import BatchResult, Operation
 from repro.errors import ConfigError, EmptyTreeError, InvariantViolation
 from repro.utils.validation import ensure_key_array, ensure_scalar_key
 
@@ -285,10 +285,10 @@ class HarmoniaTree:
     #: Cached lookup engine (rebound on snapshot replacement).
     _engine: Optional[BatchQueryEngine] = None
     #: Optional pinned :class:`~repro.core.delta.DeltaView` overlay.  Set
-    #: by :meth:`~repro.core.epoch.EpochManager._snapshot` in concurrent
-    #: mode: every read path consults snapshot-then-delta (last wins,
-    #: tombstones mask to NOT_FOUND).  A tree carrying a delta is a
-    #: read-only view — :meth:`apply_batch` refuses it.
+    #: by :meth:`~repro.core.epoch.EpochManager._snapshot`: every read
+    #: path consults snapshot-then-delta (last wins, tombstones mask to
+    #: NOT_FOUND).  A tree carrying a delta is a read-only view —
+    #: :meth:`apply_batch` refuses it.
     delta = None
     # NTG selections live in the module-level
     # :data:`repro.core.ntg.selection_cache` LRU (weakref-validated, keyed
@@ -544,51 +544,24 @@ class HarmoniaTree:
 
     # --------------------------------------------------------------- updates
 
-    def apply_batch(
-        self,
-        ops: Sequence[Operation],
-        config: Optional[UpdateConfig] = None,
-    ) -> BatchResult:
+    def apply_batch(self, ops: Sequence[Operation]) -> BatchResult:
         """Apply one update batch (§3.2.2).
 
-        Returns the accounting record; the tree's snapshot is replaced
-        atomically at the end (phase semantics — queries issued after
-        this call see the new contents).  No mode writes the outgoing
-        snapshot, so readers still pinned to it keep a consistent state.
-
-        ``config.mode`` picks the executor.  ``"merge"`` (the default)
-        resolves every op against the block — one ``searchsorted``
+        Resolves every op against the block — one ``searchsorted``
         existence probe, then each key's ops in arrival order — and
         merges the resolved run into the next block (the result's
-        ``apply`` / ``movement`` phases); no layout is built.
-        ``"scalar"`` runs the per-op Algorithm 1 reference on a private
-        copy of the layout, then its movement pass.  Accounting and
-        contents are identical (see
-        :class:`~repro.core.config.UpdateConfig`).  A tree with no
-        snapshot takes its first batch through the merge in either mode.
+        ``apply`` / ``movement`` phases); no layout is built.  Returns
+        the accounting record; the tree's snapshot is replaced atomically
+        at the end (phase semantics — queries issued after this call see
+        the new contents).  The outgoing snapshot is never written, so
+        readers still pinned to it keep a consistent state.  The per-op
+        Algorithm 1 reference is :func:`repro.core.update.scalar_apply`.
         """
-        cfg = config or UpdateConfig()
         if self.delta is not None:
             raise ConfigError(
                 "this tree is a pinned snapshot+delta read view; apply "
                 "updates through its EpochManager, not the view"
             )
-        snap = self._snap
-        if cfg.mode == "merge" or snap is None:
-            return self._merge_batch(ops)
-
-        # Algorithm 1 edits leaf rows in place: give it a private copy.
-        scalar = BatchUpdater(snap.layout.copy(), fill=self._fill)
-        with scalar.result.timer.phase("apply"):
-            scalar.apply_batch(ops, n_threads=cfg.n_threads)
-        with scalar.result.timer.phase("movement"):
-            new = scalar.movement()
-        self._snap = (None if new is None else
-                      Snapshot.of_layout(new, self._fill, n_bulk=snap.n_bulk))
-        return scalar.result
-
-    def _merge_batch(self, ops: Sequence[Operation]) -> BatchResult:
-        """The production write: resolve, then merge into the next block."""
         t0 = time.perf_counter()
         base = self._snap
         run, result = resolve_batch(

@@ -42,6 +42,7 @@ from repro.constants import (
     VALUE_DTYPE,
 )
 from repro.core.layout import HarmoniaLayout
+from repro.core.snapshot import Snapshot
 from repro.errors import ConfigError
 from repro.utils.timer import Timer
 from repro.utils.validation import ensure_scalar_key
@@ -469,6 +470,33 @@ class BatchUpdater:
         return _build_layout_from_leaf_plan(layout, plan, self.fill)
 
 
+def scalar_apply(tree, ops: Sequence[Operation],
+                 n_threads: int = 4) -> BatchResult:
+    """Apply one batch to ``tree`` through the per-op Algorithm 1 reference.
+
+    :class:`BatchUpdater` (two-grained locking, a pool of ``n_threads``
+    workers) edits a private copy of the tree's derived layout, then its
+    movement pass folds the auxiliary nodes back; the result becomes the
+    tree's snapshot.  Accounting and contents equal the production merge
+    (:meth:`~repro.core.tree.HarmoniaTree.apply_batch`, docs/update.md);
+    only this path reports structural counters (split / underflow
+    leaves).  A tree with no snapshot has no layout to edit, and a
+    pinned read view takes no writes, so both go to ``apply_batch``
+    (which merges the first batch and refuses the view).
+    """
+    snap = tree.snapshot
+    if snap is None or tree.delta is not None:
+        return tree.apply_batch(ops)
+    updater = BatchUpdater(snap.layout.copy(), fill=tree._fill)
+    with updater.result.timer.phase("apply"):
+        updater.apply_batch(ops, n_threads=n_threads)
+    with updater.result.timer.phase("movement"):
+        new = updater.movement()
+    tree._snap = (None if new is None else
+                  Snapshot.of_layout(new, tree._fill, n_bulk=snap.n_bulk))
+    return updater.result
+
+
 def _build_layout_from_leaf_plan(
     old: HarmoniaLayout, plan: List[Tuple], fill: float
 ) -> HarmoniaLayout:
@@ -581,4 +609,5 @@ __all__ = [
     "TwoGrainedLocks",
     "AuxiliaryNode",
     "BatchUpdater",
+    "scalar_apply",
 ]

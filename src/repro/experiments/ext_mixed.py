@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from repro.core import EpochManager, HarmoniaTree, SearchConfig, UpdateConfig
+from repro.core import EpochManager, HarmoniaTree, SearchConfig
 from repro.experiments.common import ExperimentResult, gc_paused, resolve_scale
 from repro.workloads.datasets import scaled_tree_sizes
 from repro.workloads.generators import make_key_set, uniform_queries
@@ -38,10 +38,7 @@ def run(scale="default", seed: int = 0) -> ExperimentResult:
     )
     mix = UpdateMix(insert=0.05, update=0.95)
     for wf in WRITE_FRACTIONS:
-        em = EpochManager(
-            HarmoniaTree.from_sorted(keys, fanout=64, fill=0.7),
-            update_config=UpdateConfig(n_threads=4),
-        )
+        em = EpochManager(HarmoniaTree.from_sorted(keys, fanout=64, fill=0.7))
         n_writes = int(round(round_ops * wf))
         n_reads = round_ops - n_writes
         total_ops = 0
@@ -56,7 +53,9 @@ def run(scale="default", seed: int = 0) -> ExperimentResult:
                     ops = make_update_batch(keys, n_writes, mix=mix,
                                             rng=rng.integers(1 << 30))
                     em.submit_many(ops)
-                    em.flush()
+                    # Drain inside the timed round, so the merge into the
+                    # base counts against the write fraction.
+                    em.sync()
                     total_ops += n_writes
             elapsed = time.perf_counter() - t0
         result.add_row(

@@ -5,9 +5,10 @@ Harmonia's CPU batch update (auxiliary nodes + deferred movement) averages
 ≈70% of HB+tree's update throughput — "acceptable" because the query phase
 dominates the scenario (read/write ≈ 35:1 in TPC-H, §3.2).
 
-Both pipelines here are real executions (wall clock), not model numbers:
-Algorithm 1's locking, the auxiliary-node staging and the movement pass all
-actually run.
+Both pipelines here are real executions (wall clock), not model numbers.
+Harmonia's side is the production write (:meth:`HarmoniaTree.apply_batch`:
+resolve the batch, merge it into the next packed leaf block); ``n_threads``
+sizes only the HB+tree baseline's worker pool.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import time
 
 from repro.baselines.hbtree import HBTree
-from repro.core import HarmoniaTree, UpdateConfig
+from repro.core import HarmoniaTree
 from repro.experiments.common import ExperimentResult, geomean, resolve_scale
 from repro.workloads.datasets import scaled_tree_sizes
 from repro.workloads.generators import make_key_set
@@ -39,7 +40,7 @@ def run(scale="default", seed: int = 0, n_threads: int = 4) -> ExperimentResult:
 
         tree = HarmoniaTree.from_sorted(keys, fanout=64, fill=0.7)
         t0 = time.perf_counter()
-        res = tree.apply_batch(ops, UpdateConfig(n_threads=n_threads))
+        res = tree.apply_batch(ops)
         harmonia_s = time.perf_counter() - t0
         tree.check_invariants()
 

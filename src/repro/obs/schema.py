@@ -34,9 +34,11 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-#: Version of the snapshot layout *and* the name catalogue semantics.
-#: Bump when a metric is renamed/removed or the snapshot shape changes;
-#: adding new names is backward compatible and needs no bump.
+#: Version of the snapshot layout.  Bump only when the layout changes.
+#: Adding a name needs no bump, and neither does removing or renaming
+#: one: a committed snapshot that still carries the old name fails
+#: :func:`validate_snapshot` as an unknown name, which is how it gets
+#: found and regenerated.
 SCHEMA_VERSION = 1
 
 #: Metric families a snapshot may contain, in snapshot-key order.

@@ -42,7 +42,7 @@ the deliberate ``crash`` hook and any unexpected worker exception dump
 the ring to ``$HARMONIA_FLIGHT_DIR`` before the process dies.
 
 **Writes through the delta.**  Every worker runs one
-``EpochManager(concurrent=True)``: an ``apply`` resolves the batch
+``EpochManager``: an ``apply`` resolves the batch
 against (base, delta) and folds it into the delta, O(batch + delta)
 instead of a rewrite of the whole block; the worker's background drain
 thread merges the delta into the base once it holds
@@ -138,8 +138,7 @@ class _WorkerState:
         # flush publishes a delta run; the manager's background drain
         # folds the delta into the base between router batches.
         return EpochManager(
-            tree, batch_capacity=1 << 62, concurrent=True,
-            drain_threshold=DRAIN_THRESHOLD,
+            tree, batch_capacity=1 << 62, drain_threshold=DRAIN_THRESHOLD
         )
 
     def load(self, keys: np.ndarray, values: np.ndarray) -> None:

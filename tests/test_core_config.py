@@ -1,8 +1,8 @@
-"""Tests for SearchConfig / UpdateConfig validation and presets."""
+"""Tests for SearchConfig validation and presets."""
 
 import pytest
 
-from repro.core.config import SearchConfig, UpdateConfig
+from repro.core.config import SearchConfig
 from repro.errors import ConfigError
 
 
@@ -54,18 +54,3 @@ class TestSearchConfig:
         with pytest.raises(Exception):
             SearchConfig().use_psa = False
 
-
-class TestUpdateConfig:
-    def test_defaults(self):
-        cfg = UpdateConfig()
-        assert cfg.n_threads == 4
-        assert cfg.mode == "merge"
-
-    def test_bad_threads(self):
-        with pytest.raises(ConfigError):
-            UpdateConfig(n_threads=0)
-
-    def test_bad_mode(self):
-        for mode in ("vectorized", "fast", ""):
-            with pytest.raises(ConfigError):
-                UpdateConfig(mode=mode)

@@ -1,12 +1,11 @@
 """Merge ≡ scalar *result* equivalence for the production write.
 
 The contract :meth:`~repro.core.tree.HarmoniaTree.apply_batch` ships
-under (docs/update.md): for any batch, ``UpdateConfig(mode="merge")`` —
-resolve the batch against the packed leaf block, merge the resolved run
-into the next block — produces identical accounting
-(inserted/updated/deleted/failed), identical query results and identical
-logical ``(key, value)`` content to ``UpdateConfig(mode="scalar",
-n_threads=1)``, the Algorithm 1 reference.  Hypothesis pins the contract
+under (docs/update.md): for any batch, the merge — resolve the batch
+against the packed leaf block, merge the resolved run into the next
+block — produces identical accounting (inserted/updated/deleted/failed),
+identical query results and identical logical ``(key, value)`` content
+to ``scalar_apply(tree, ops, n_threads=1)``, the Algorithm 1 reference.  Hypothesis pins the contract
 over random trees and op mixes, including through
 :class:`~repro.core.epoch.EpochManager`; directed tests cover emptying the
 tree, the non-mutation guarantee, the measured spans, and the state each
@@ -22,9 +21,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import EpochManager, HarmoniaTree, UpdateConfig
+from repro.core import EpochManager, HarmoniaTree
 from repro.core.layout import HarmoniaLayout
-from repro.core.update import Operation
+from repro.core.update import Operation, scalar_apply
 
 
 def make_tree(n_keys, fanout, fill, stride=2):
@@ -35,10 +34,8 @@ def make_tree(n_keys, fanout, fill, stride=2):
 def run_both(n_keys, fanout, fill, ops):
     scalar_tree = make_tree(n_keys, fanout, fill)
     merge_tree = make_tree(n_keys, fanout, fill)
-    sres = scalar_tree.apply_batch(
-        ops, UpdateConfig(mode="scalar", n_threads=1)
-    )
-    mres = merge_tree.apply_batch(ops, UpdateConfig(mode="merge"))
+    sres = scalar_apply(scalar_tree, ops, n_threads=1)
+    mres = merge_tree.apply_batch(ops)
     return scalar_tree, sres, merge_tree, mres
 
 
@@ -100,10 +97,8 @@ class TestEquivalenceProperty:
         merge_tree = make_tree(n_keys, 8, 0.7)
         for raw in raws:
             ops = to_ops(raw)
-            sres = scalar_tree.apply_batch(
-                ops, UpdateConfig(mode="scalar", n_threads=1)
-            )
-            mres = merge_tree.apply_batch(ops, UpdateConfig(mode="merge"))
+            sres = scalar_apply(scalar_tree, ops, n_threads=1)
+            mres = merge_tree.apply_batch(ops)
             assert_results_equivalent(scalar_tree, sres, merge_tree, mres)
 
     @settings(max_examples=20, deadline=None,
@@ -113,26 +108,23 @@ class TestEquivalenceProperty:
         raw=st.lists(op_strategy, min_size=1, max_size=80),
     )
     def test_through_epoch_manager(self, n_keys, raw):
+        """A flush (published into the delta) and the drain after it
+        both match the scalar reference."""
         ops = to_ops(raw)
-        scalar_mgr = EpochManager(
-            make_tree(n_keys, 8, 0.7),
-            update_config=UpdateConfig(mode="scalar", n_threads=1),
-        )
-        merge_mgr = EpochManager(
-            make_tree(n_keys, 8, 0.7),
-            update_config=UpdateConfig(mode="merge"),
-        )
-        scalar_mgr.submit_many(ops)
-        merge_mgr.submit_many(ops)
-        sres = scalar_mgr.flush()
-        mres = merge_mgr.flush()
+        scalar_tree = make_tree(n_keys, 8, 0.7)
+        mgr = EpochManager(make_tree(n_keys, 8, 0.7))
+        sres = scalar_apply(scalar_tree, ops, n_threads=1)
+        mgr.submit_many(ops)
+        mres = mgr.flush()
         for field in ("inserted", "updated", "deleted", "failed"):
             assert getattr(sres, field) == getattr(mres, field), field
         probe = np.arange(500, dtype=np.int64)
-        assert np.array_equal(
-            scalar_mgr.search_batch(probe), merge_mgr.search_batch(probe)
-        )
-        assert len(scalar_mgr) == len(merge_mgr)
+        for _ in range(2):
+            assert np.array_equal(
+                scalar_tree.search_batch(probe), mgr.search_batch(probe)
+            )
+            assert len(scalar_tree) == len(mgr)
+            mgr.sync()
 
 
 class TestMovementTriggers:
@@ -150,7 +142,7 @@ class TestMovementTriggers:
     def test_emptying_the_tree_entirely_yields_empty(self):
         tree = make_tree(8, 4, 1.0)
         ops = [Operation("delete", k) for k in range(0, 16, 2)]
-        res = tree.apply_batch(ops, UpdateConfig(mode="merge"))
+        res = tree.apply_batch(ops)
         assert res.deleted == 8
         assert len(tree) == 0
         assert tree.search(0) is None
@@ -196,16 +188,10 @@ class TestExecutorGuarantees:
             Operation("insert", 7, 3),
             Operation("update", 7, 4),
         ]
-        res = tree.apply_batch(ops, UpdateConfig(mode="merge"))
+        res = tree.apply_batch(ops)
         assert (res.inserted, res.updated, res.deleted, res.failed) \
             == (2, 2, 1, 0)
         assert tree.search(7) == 4
-
-    def test_n_threads_accepted_and_ignored(self):
-        tree = make_tree(100, 8, 0.7)
-        ops = [Operation("update", k, 9) for k in range(0, 100, 2)]
-        res = tree.apply_batch(ops, UpdateConfig(mode="merge", n_threads=8))
-        assert res.updated == 50
 
     def test_spans_are_real_intervals(self):
         import repro.obs as obs
@@ -293,7 +279,7 @@ class TestHandedOverArrays:
         tree = make_tree(n_keys, fanout, fill)
         oracle = {k: k for k in range(0, 2 * n_keys, 2)}
         assert_snapshot_state(tree.snapshot, oracle, derived=False)
-        mgr = EpochManager(make_tree(n_keys, fanout, fill), concurrent=True,
+        mgr = EpochManager(make_tree(n_keys, fanout, fill),
                            drain_threshold=1 << 30)
         for raw in raws:
             ops = to_ops(raw)
@@ -340,7 +326,7 @@ class TestHandedOverArrays:
         list(tree.items(start=100))
         merge_join(tree, other)
         assert not tree.snapshot.derived and not other.snapshot.derived
-        mgr = EpochManager(tree, concurrent=True, drain_threshold=1 << 30)
+        mgr = EpochManager(tree, drain_threshold=1 << 30)
         before = tree.snapshot
         mgr.submit_many([Operation("insert", k, k) for k in range(3, 90, 4)])
         mgr.flush()
@@ -411,7 +397,7 @@ class TestShardedMerge:
         ops += [Operation("delete", k) for k in range(400, 500, 4)]
 
         ref = HarmoniaTree.from_sorted(keys, fanout=16, fill=0.7)
-        sref = ref.apply_batch(ops, UpdateConfig(mode="scalar", n_threads=1))
+        sref = scalar_apply(ref, ops, n_threads=1)
 
         with ShardedTree.from_sorted(
             keys, n_shards=2, fanout=16, fill=0.7,

@@ -63,7 +63,7 @@ class TestTreeFormat:
         keys = np.arange(0, 4000, 2, dtype=np.int64)
         mgr = EpochManager(
             HarmoniaTree.from_sorted(keys, keys * 3, fanout=16, fill=0.7),
-            concurrent=True, drain_threshold=1 << 30)
+            drain_threshold=1 << 30)
         oracle = dict(zip(keys.tolist(), (keys * 3).tolist()))
         ops = [Operation("insert", 1, 11), Operation("delete", 0)]
         ops += [Operation("insert", k, -k) for k in range(5001, 5100, 7)]

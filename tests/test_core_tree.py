@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.constants import NOT_FOUND
-from repro.core import HarmoniaTree, SearchConfig, UpdateConfig
+from repro.core import HarmoniaTree, SearchConfig
 from repro.core.update import Operation
 from repro.errors import EmptyTreeError
 
@@ -101,7 +101,7 @@ class TestUpdateAPI:
         ops = [Operation("insert", k, k) for k in range(1, 100, 2)]
         ops += [Operation("update", k, 7) for k in range(0, 100, 2)]
         ops += [Operation("delete", k) for k in range(500, 600, 2)]
-        res = t.apply_batch(ops, UpdateConfig(n_threads=2))
+        res = t.apply_batch(ops)
         assert res.inserted == 50
         assert res.updated == 50
         assert res.deleted == 50
@@ -150,7 +150,7 @@ class TestUpdateAPI:
                 else:
                     ops.append(Operation("insert", k, k + round_))
                     ref[k] = k + round_
-            t.apply_batch(ops, UpdateConfig(n_threads=1))
+            t.apply_batch(ops)
             t.check_invariants()
             assert len(t) == len(ref)
         items = sorted(ref.items())

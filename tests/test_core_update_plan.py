@@ -1,25 +1,25 @@
 """Scalar ≡ merge result equivalence for the batch-update pipeline.
 
-The contract the production write (``UpdateConfig(mode="merge")``, the
-default: resolve the batch against the packed leaf block, merge the
-resolved run into the next block) ships under (docs/update.md): for any
-batch it produces the same :class:`~repro.core.update.BatchResult`
-accounting (inserted/updated/deleted/failed), the same ``items()``
-content and the same ``search_batch`` answers as the Algorithm 1
-reference (``UpdateConfig(mode="scalar", n_threads=1)``), and a derived
-layout that passes ``check_invariants`` — only the reference reports
-structural counters.  Hypothesis pins the contract over random trees and
-op mixes; directed tests cover the structural extremes (split-heavy,
-merge-heavy, delete-everything) and the write's own guarantees
-(non-mutation of the input snapshot, thread-count independence, the
-timer phases, the op-kind codes).
+The contract the production write (:meth:`HarmoniaTree.apply_batch`:
+resolve the batch against the packed leaf block, merge the resolved run
+into the next block) ships under (docs/update.md): for any batch it
+produces the same :class:`~repro.core.update.BatchResult` accounting
+(inserted/updated/deleted/failed), the same ``items()`` content and the
+same ``search_batch`` answers as the Algorithm 1 reference
+(``scalar_apply(tree, ops, n_threads=1)``), and a derived layout that
+passes ``check_invariants`` — only the reference reports structural
+counters.  Hypothesis pins the contract over random trees and op mixes;
+directed tests cover the structural extremes (split-heavy, merge-heavy,
+delete-everything) and the write's own guarantees (non-mutation of the
+input snapshot, the timer phases, the op-kind codes).
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import EpochManager, HarmoniaTree, UpdateConfig
+from repro.core import EpochManager, HarmoniaTree
 from repro.core.delta import resolve_batch
 from repro.core.update import (
     K_DELETE,
@@ -27,7 +27,9 @@ from repro.core.update import (
     K_UPDATE,
     KIND_CODE,
     Operation,
+    scalar_apply,
 )
+from repro.errors import ConfigError
 
 
 def make_tree(n_keys, fanout, fill, stride=2):
@@ -35,16 +37,12 @@ def make_tree(n_keys, fanout, fill, stride=2):
     return HarmoniaTree.from_sorted(keys, fanout=fanout, fill=fill)
 
 
-def run_both(n_keys, fanout, fill, ops, n_threads=1):
+def run_both(n_keys, fanout, fill, ops):
     """Apply ``ops`` through both executors on identical trees."""
     scalar_tree = make_tree(n_keys, fanout, fill)
     gapped_tree = make_tree(n_keys, fanout, fill)
-    sres = scalar_tree.apply_batch(
-        ops, UpdateConfig(mode="scalar", n_threads=1)
-    )
-    gres = gapped_tree.apply_batch(
-        ops, UpdateConfig(mode="merge", n_threads=n_threads)
-    )
+    sres = scalar_apply(scalar_tree, ops, n_threads=1)
+    gres = gapped_tree.apply_batch(ops)
     return scalar_tree, sres, gapped_tree, gres
 
 
@@ -216,13 +214,11 @@ class TestDirected:
         assert gres.n_effective == 0
 
     def test_bootstrap_on_empty_tree(self):
-        """Both modes share the bootstrap path on an empty tree."""
-        for mode in ("scalar", "merge"):
+        """Both executors share the bootstrap path on an empty tree."""
+        ops = [Operation("insert", k, k) for k in range(50)]
+        for write in (HarmoniaTree.apply_batch, scalar_apply):
             tree = HarmoniaTree.empty(fanout=8)
-            res = tree.apply_batch(
-                [Operation("insert", k, k) for k in range(50)],
-                UpdateConfig(mode=mode),
-            )
+            res = write(tree, ops)
             assert res.inserted == 50
             assert tree.search(17) == 17
 
@@ -253,41 +249,38 @@ class TestPipelineGuarantees:
             assert arr.tobytes() == saved.tobytes()
         assert tree.snapshot is not snap
 
-    def test_thread_count_independence(self):
-        """``n_threads`` does not change the merge's output: same block
-        bytes, same accounting."""
-        rng = np.random.default_rng(7)
-        kinds = rng.choice(["insert", "update", "delete"], size=600)
-        keys = rng.integers(0, 4_000, size=600)
-        ops = [Operation(str(k), int(key), int(key))
-               for k, key in zip(kinds, keys)]
-        serial = make_tree(2_000, 8, 0.7)
-        sres = serial.apply_batch(ops, UpdateConfig(n_threads=1))
-        threaded = make_tree(2_000, 8, 0.7)
-        tres = threaded.apply_batch(ops, UpdateConfig(n_threads=4))
-        for a, b in zip(serial.snapshot.packed_leaves(),
-                        threaded.snapshot.packed_leaves()):
-            assert a.tobytes() == b.tobytes()
-        assert_results_identical(sres, tres)
+    def test_apply_batch_takes_only_ops(self):
+        """The merge has no options: a second argument is an error."""
+        tree = make_tree(10, 8, 0.7)
+        with pytest.raises(TypeError):
+            tree.apply_batch([Operation("insert", 1, 1)], 4)
+        assert len(tree) == 10
+
+    def test_scalar_apply_refuses_a_pinned_view(self):
+        """The reference, like the merge, takes no writes on a pinned
+        snapshot+delta view."""
+        em = EpochManager(make_tree(50, 8, 0.7))
+        em.submit(Operation("insert", 1, 1))
+        em.flush()
+        view = em.pin()
+        with pytest.raises(ConfigError):
+            scalar_apply(view, [Operation("insert", 3, 3)])
+        assert view.search(3) is None and em.search(3) is None
 
     def test_timer_phases_present(self):
         tree = make_tree(100, 8, 0.7)
-        res = tree.apply_batch(
-            [Operation("insert", 1, 1)], UpdateConfig(mode="merge")
-        )
+        res = tree.apply_batch([Operation("insert", 1, 1)])
         # Resolution is the apply phase, the merge the movement phase.
         assert set(res.timer.seconds) == {"apply", "movement"}
         for phase in ("apply", "movement"):
             assert res.timer.get(phase) >= 0.0
 
     def test_epoch_manager_skips_copy(self):
-        """The default flush must not clone the outgoing snapshot, and
-        readers pinned on the old epoch keep their data."""
+        """A flush does not touch the outgoing snapshot, the drain swaps
+        in a new block, and readers pinned on the old epoch keep their
+        data throughout."""
         keys = np.arange(0, 2_000, 2, dtype=np.int64)
-        em = EpochManager(
-            HarmoniaTree.from_sorted(keys, fanout=8, fill=0.7),
-            update_config=UpdateConfig(),
-        )
+        em = EpochManager(HarmoniaTree.from_sorted(keys, fanout=8, fill=0.7))
         pinned = em._snapshot()
         old_snap = pinned.snapshot
         assert old_snap is em._tree.snapshot
@@ -295,8 +288,10 @@ class TestPipelineGuarantees:
         em.submit(Operation("delete", 0, 0))
         em.flush()
         assert em.epoch == 1
-        # New epoch is a distinct object; the pinned snapshot is the very
-        # same array-backed block, untouched.
+        # The flush published into the delta: the base is the very same
+        # array-backed block until the drain replaces it.
+        assert em._tree.snapshot is old_snap
+        em.sync()
         assert em._tree.snapshot is not old_snap
         assert pinned.snapshot is old_snap
         assert pinned.search(0) == 0

@@ -23,10 +23,9 @@ from hypothesis import strategies as st
 import repro.obs as obs
 from repro.constants import NOT_FOUND
 from repro.core import HarmoniaLayout, HarmoniaTree, SearchConfig
-from repro.core.config import UpdateConfig
 from repro.core.epoch import EpochManager
 from repro.core.search import search_batch
-from repro.core.update import Operation
+from repro.core.update import Operation, scalar_apply
 from repro.obs.schema import validate_snapshot
 from repro.workloads.generators import make_key_set
 
@@ -55,10 +54,7 @@ def _build(n_keys, fanout, fill, gapped, seed):
     oracle = dict(zip(keys.tolist(), values.tolist()))
     if gapped and keys.size > 2:
         doomed = keys[rng.random(keys.size) < 0.5]
-        tree.apply_batch(
-            [Operation("delete", int(k)) for k in doomed],
-            UpdateConfig(),
-        )
+        tree.apply_batch([Operation("delete", int(k)) for k in doomed])
         for k in doomed.tolist():
             del oracle[k]
     q = np.concatenate([
@@ -90,10 +86,9 @@ def test_tree_surfaces_equal_oracle(case):
 
 @surface_settings
 @given(tree_case(), st.booleans())
-def test_epoch_surfaces_equal_oracle(case, concurrent):
+def test_epoch_surfaces_equal_oracle(case, drain_first):
     tree, oracle, q, rng = _build(*case)
-    mgr = EpochManager(tree, concurrent=concurrent,
-                       drain_threshold=1 << 30)
+    mgr = EpochManager(tree, drain_threshold=1 << 30)
     top = int(q.max()) + 1
     ops = []
     present = np.unique(q)
@@ -111,6 +106,8 @@ def test_epoch_surfaces_equal_oracle(case, concurrent):
         oracle[top + i] = i + 1
     mgr.submit_many(ops)
     mgr.flush()
+    if drain_first:  # read the merged base instead of the overlay
+        mgr.sync()
     q = np.concatenate([q, np.arange(top, top + 25, dtype=np.int64)])
     want = _expect(oracle, q)
     assert np.array_equal(mgr.search_many(q), want)
@@ -130,7 +127,7 @@ def test_epoch_surfaces_equal_oracle(case, concurrent):
 def test_pins_share_one_packed_block_and_drain_gets_a_new_one():
     keys = make_key_set(5000, rng=21)
     mgr = EpochManager(HarmoniaTree.from_sorted(keys, fanout=16, fill=0.7),
-                       concurrent=True, drain_threshold=1 << 30)
+                       drain_threshold=1 << 30)
     q = keys[::7]
     first, second = mgr.pin(), mgr.pin()
     assert first is not second and first.snapshot is second.snapshot
@@ -168,8 +165,7 @@ def test_merge_writes_never_derive_the_layout():
     tree.apply_batch([Operation("insert", int(keys.max()) + 1, 1)])
     assert not tree.snapshot.derived
     # The scalar reference runs Algorithm 1 on the layout it derives.
-    tree.apply_batch([Operation("insert", int(keys.max()) + 2, 1)],
-                     UpdateConfig(mode="scalar"))
+    scalar_apply(tree, [Operation("insert", int(keys.max()) + 2, 1)])
     assert tree.snapshot.derived
 
 
@@ -202,7 +198,10 @@ def test_update_modes_leave_input_layout_unchanged(mode):
         + [Operation("update", int(k), 9) for k in keys[::11]]
         + [Operation("delete", int(k)) for k in keys[5::13]]
     )
-    tree.apply_batch(ops, UpdateConfig(mode=mode, n_threads=1))
+    if mode == "merge":
+        tree.apply_batch(ops)
+    else:
+        scalar_apply(tree, ops, n_threads=1)
     assert tree.layout is not old
     for name, arr in _layout_arrays(old).items():
         assert np.array_equal(arr, before[name]), (mode, name)
@@ -248,7 +247,7 @@ def test_point_reads_start_no_thread(monkeypatch):
     keys = make_key_set(40_000, rng=26)
     tree = HarmoniaTree.from_sorted(keys, fanout=16, fill=0.7)
     mgr = EpochManager(HarmoniaTree.from_sorted(keys, fanout=16, fill=0.7),
-                       concurrent=True, drain_threshold=1 << 30)
+                       drain_threshold=1 << 30)
     top = int(keys.max())
     mgr.submit_many(
         [Operation("insert", top + 1 + i, i) for i in range(100)]

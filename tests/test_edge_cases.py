@@ -163,12 +163,9 @@ class TestUpdateEdgeCases:
         tree = HarmoniaTree.from_sorted(
             np.arange(0, 100, 2, dtype=np.int64), fanout=8, fill=0.6
         )
-        # Sequential single-thread batch: order is submission order.
-        from repro.core import UpdateConfig
-
+        # Each key's ops apply in submission order.
         res = tree.apply_batch(
-            [Operation("insert", 1, 1), Operation("delete", 1)],
-            UpdateConfig(n_threads=1),
+            [Operation("insert", 1, 1), Operation("delete", 1)]
         )
         assert res.inserted == 1 and res.deleted == 1
         assert tree.search(1) is None

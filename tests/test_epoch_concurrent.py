@@ -1,12 +1,14 @@
-"""Concurrent epochs: snapshot + delta reads ≡ synchronous flushes.
+"""Epochs: snapshot + delta reads ≡ a tree written batch by batch.
 
-The contract the concurrent mode ships under (docs/epochs.md): for any
+The contract :class:`EpochManager` ships under (docs/epochs.md): for any
 sequence of update batches, every read path — point (``search`` /
 ``search_batch`` / ``search_many`` / ``search_sorted_many``), range
 (``range_search_batch``), full iteration (``dump_items``), ``len`` —
-through a concurrent :class:`EpochManager` is byte-identical to the same
-reads through a synchronously-flushed one, with identical per-op
-accounting, *at every point* of the interleaving: before any drain,
+through the manager is byte-identical to the same reads of a
+:class:`HarmoniaTree` that wrote each batch as it came, by the merge
+(``apply_batch``) or by the scalar Algorithm 1 reference
+(``scalar_apply``), with identical per-op accounting, *at every point*
+of the interleaving: before any drain,
 after partial drains, with flushes landing while a drain is held in
 flight, and with the background drain racing the writers.  Hypothesis
 pins the contract; directed tests cover flushes during a drain, pins
@@ -27,15 +29,14 @@ from hypothesis import strategies as st
 
 import repro.core.delta as delta_mod
 import repro.core.epoch as epoch_mod
-from repro.core.config import UpdateConfig
 from repro.core.epoch import EpochManager
 from repro.core.tree import HarmoniaTree
-from repro.core.update import Operation
+from repro.core.update import Operation, scalar_apply
 from repro.errors import ConfigError
 
 
-def make_pair(n_keys, fanout, fill, mode, **kw):
-    """Identical trees under a sync and a concurrent manager."""
+def make_pair(n_keys, fanout, fill, drain_threshold=10 ** 9):
+    """A reference tree and an identical tree under an EpochManager."""
     keys = np.arange(0, n_keys * 2, 2, dtype=np.int64)
 
     def build():
@@ -44,28 +45,33 @@ def make_pair(n_keys, fanout, fill, mode, **kw):
         return HarmoniaTree.from_sorted(keys, keys * 3, fanout=fanout,
                                         fill=fill)
 
-    cfg = UpdateConfig(mode=mode)
-    sync = EpochManager(build(), update_config=cfg)
-    conc = EpochManager(build(), update_config=cfg, concurrent=True,
-                        drain_threshold=kw.pop("drain_threshold", 10 ** 9),
-                        **kw)
-    return sync, conc
+    return build(), EpochManager(build(), drain_threshold=drain_threshold)
 
 
-def assert_same_reads(sync, conc, probes, lo, hi):
-    assert np.array_equal(sync.search_batch(probes),
+def write(ref, ops, mode):
+    """Write one batch into the reference tree by the merge or by the
+    scalar reference; ``None`` for an empty batch, as ``flush()``."""
+    if not ops:
+        return None
+    if mode == "merge":
+        return ref.apply_batch(ops)
+    return scalar_apply(ref, ops, n_threads=1)
+
+
+def assert_same_reads(ref, conc, probes, lo, hi):
+    assert np.array_equal(ref.search_batch(probes),
                           conc.search_batch(probes))
-    assert np.array_equal(sync.search_many(probes),
+    assert np.array_equal(ref.search_many(probes),
                           conc.search_many(probes))
     ordered = np.sort(probes)
-    assert np.array_equal(sync.pin().search_sorted_many(ordered),
+    assert np.array_equal(ref.search_sorted_many(ordered),
                           conc.pin().search_sorted_many(ordered))
-    (ka, va), (kb, vb) = sync.range_search(lo, hi), conc.range_search(lo, hi)
+    (ka, va), (kb, vb) = ref.range_search(lo, hi), conc.range_search(lo, hi)
     assert np.array_equal(ka, kb) and np.array_equal(va, vb)
-    ka, va = sync.dump_items()
+    ka, va = ref._merged_items()
     kb, vb = conc.dump_items()
     assert np.array_equal(ka, kb) and np.array_equal(va, vb)
-    assert len(sync) == len(conc)
+    assert len(ref) == len(conc)
 
 
 class DrainGate:
@@ -139,21 +145,20 @@ class TestEquivalenceProperty:
     def test_interleaved_batches_and_drains(self, n_keys, fanout, mode,
                                             drain_threshold, batches):
         """Random batches with drains injected at random boundaries; every
-        read path must agree with the synchronous reference throughout
+        read path must agree with the reference tree throughout
         (tombstones over the base, inserts over tombstones, folded
         runs — the whole lifecycle).  A small ``drain_threshold`` starts
         background drains, each held after its pin until the next
         injected drain, so the flushes in between land while it is in
         flight."""
-        sync, conc = make_pair(n_keys, fanout, 0.8, mode,
-                               drain_threshold=drain_threshold)
+        ref, conc = make_pair(n_keys, fanout, 0.8,
+                              drain_threshold=drain_threshold)
         probes = np.arange(0, 420, 3, dtype=np.int64)
         with DrainGate().installed() as gate:
             for raw_ops, drain_after in batches:
                 ops = [Operation(kind, key, key * 10 + 1)
                        for kind, key in raw_ops]
-                sync.submit_many(ops)
-                rs = sync.flush()
+                rs = write(ref, ops, mode)
                 conc.submit_many(ops)
                 rc = conc.flush()
                 gate.wait_pinned(conc)
@@ -163,15 +168,15 @@ class TestEquivalenceProperty:
                     for field in ("inserted", "updated", "deleted",
                                   "failed"):
                         assert getattr(rs, field) == getattr(rc, field), field
-                assert_same_reads(sync, conc, probes, 10, 390)
+                assert_same_reads(ref, conc, probes, 10, 390)
                 if drain_after:
                     gate.release(conc)
                     conc.drain(wait=True)
                     assert conc.delta_size == 0
-                    assert_same_reads(sync, conc, probes, 10, 390)
+                    assert_same_reads(ref, conc, probes, 10, 390)
             gate.release(conc)
         conc.sync()
-        assert_same_reads(sync, conc, probes, 10, 390)
+        assert_same_reads(ref, conc, probes, 10, 390)
         assert conc.snapshot_age == 0
 
     @settings(max_examples=10, deadline=None,
@@ -184,22 +189,21 @@ class TestEquivalenceProperty:
         """Tiny drain threshold: the background thread keeps folding runs
         while flushes land; visible state never diverges."""
         rng = np.random.default_rng(seed)
-        sync, conc = make_pair(100, 8, 0.8, mode, drain_threshold=16)
+        ref, conc = make_pair(100, 8, 0.8, drain_threshold=16)
         for r in range(6):
             raw = rng.integers(0, 400, size=30)
             kinds = rng.choice(["insert", "update", "delete"], size=30)
             ops = [Operation(str(k), int(key), int(key) + r)
                    for k, key in zip(kinds, raw)]
-            sync.submit_many(ops)
-            sync.flush()
+            write(ref, ops, mode)
             conc.submit_many(ops)
             conc.flush()
             probes = rng.integers(0, 450, size=200).astype(np.int64)
-            assert np.array_equal(sync.search_batch(probes),
+            assert np.array_equal(ref.search_batch(probes),
                                   conc.search_batch(probes))
         conc.sync()
         probes = np.arange(0, 450, dtype=np.int64)
-        assert_same_reads(sync, conc, probes, 0, 449)
+        assert_same_reads(ref, conc, probes, 0, 449)
 
 
 class TestPublishStress:
@@ -213,7 +217,7 @@ class TestPublishStress:
         keys = np.arange(0, 4000, 2, dtype=np.int64)
         conc = EpochManager(
             HarmoniaTree.from_sorted(keys, keys * 3, fanout=8),
-            concurrent=True, drain_threshold=64,
+            drain_threshold=64,
         )
         stop = threading.Event()
         errors = []
@@ -271,7 +275,7 @@ class TestPublishStress:
 
 class TestConcurrentBasics:
     def test_flush_publishes_immediately_drain_later(self):
-        _, conc = make_pair(50, 8, 1.0, "merge")
+        _, conc = make_pair(50, 8, 1.0)
         base_version = conc.snapshot_version
         conc.submit(Operation("insert", 1, 11))
         conc.flush()
@@ -285,7 +289,7 @@ class TestConcurrentBasics:
         assert conc.search(1) == 11
 
     def test_bootstrap_from_empty(self):
-        conc = EpochManager(HarmoniaTree.empty(fanout=8), concurrent=True)
+        conc = EpochManager(HarmoniaTree.empty(fanout=8))
         conc.submit_many([Operation("insert", k, k) for k in range(50)])
         conc.flush()
         assert len(conc) == 50 and conc.search(25) == 25
@@ -293,8 +297,23 @@ class TestConcurrentBasics:
         assert len(conc) == 50 and conc.search(25) == 25
         conc._tree.check_invariants()
 
+    def test_drain_keeps_an_empty_trees_fanout(self):
+        """The first drain into an empty tree builds its block at the
+        tree's own fanout, and so does the drain after it is emptied."""
+        conc = EpochManager(HarmoniaTree.empty(fanout=4, fill=0.5))
+        conc.submit_many([Operation("insert", k, k) for k in range(40)])
+        conc.sync()
+        assert conc._tree.snapshot.fanout == 4
+        assert conc._tree.layout.fanout == 4
+        conc.submit_many([Operation("delete", k) for k in range(40)])
+        conc.sync()
+        assert conc._tree.snapshot is None and len(conc) == 0
+        conc.submit(Operation("insert", 7, 7))
+        conc.sync()
+        assert conc._tree.snapshot.fanout == 4 and conc.search(7) == 7
+
     def test_pinned_view_survives_flush_and_drain(self):
-        _, conc = make_pair(100, 8, 1.0, "merge")
+        _, conc = make_pair(100, 8, 1.0)
         snap = conc._snapshot()
         conc.submit(Operation("delete", 20))
         conc.flush()
@@ -305,7 +324,7 @@ class TestConcurrentBasics:
         assert snap.search(20) == 60
 
     def test_pinned_snapshot_rejects_writes(self):
-        _, conc = make_pair(50, 8, 1.0, "merge")
+        _, conc = make_pair(50, 8, 1.0)
         conc.submit(Operation("insert", 1, 1))
         conc.flush()
         snap = conc._snapshot()
@@ -318,7 +337,7 @@ class TestConcurrentBasics:
         """drain_threshold=1: the first flush starts a drain, held after
         its pin; the next flushes publish while it is in flight, and its
         publish leaves exactly those flushes in the delta."""
-        sync, conc = make_pair(50, 8, 1.0, mode, drain_threshold=1)
+        ref, conc = make_pair(50, 8, 1.0, drain_threshold=1)
         batches = [
             [Operation("insert", 1001, 1), Operation("delete", 0)],
             [Operation("update", 1001, 2), Operation("insert", 1003, 3)],
@@ -326,11 +345,11 @@ class TestConcurrentBasics:
         ]
         with DrainGate().installed() as gate:
             for ops in batches:
-                for em in (sync, conc):
-                    em.submit_many(ops)
-                    em.flush()
+                write(ref, ops, mode)
+                conc.submit_many(ops)
+                conc.flush()
                 assert gate.wait_pinned(conc)
-                assert_same_reads(sync, conc, np.arange(0, 1010), 0, 1010)
+                assert_same_reads(ref, conc, np.arange(0, 1010), 0, 1010)
             assert conc.drains == 0 and conc.delta_runs == 3
             # Keys 1001, 0, 1003, 2 — folded to one entry each.
             assert conc.delta_size == 4
@@ -338,10 +357,10 @@ class TestConcurrentBasics:
         assert conc.drains == 1
         # The drain folded the first flush; the other two stay visible.
         assert conc.delta_runs == 2 and conc.delta_size == 3
-        assert_same_reads(sync, conc, np.arange(0, 1010), 0, 1010)
+        assert_same_reads(ref, conc, np.arange(0, 1010), 0, 1010)
         conc.sync()
         assert conc.delta_size == 0 and conc.delta_runs == 0
-        assert_same_reads(sync, conc, np.arange(0, 1010), 0, 1010)
+        assert_same_reads(ref, conc, np.arange(0, 1010), 0, 1010)
 
     def test_publish_records_the_merge_span(self):
         """The merge cost sits on the write side: one ``delta.merge``
@@ -350,7 +369,7 @@ class TestConcurrentBasics:
         import repro.obs as obs
         from repro.obs.schema import lookup, validate_snapshot
 
-        _, conc = make_pair(50, 8, 1.0, "merge")
+        _, conc = make_pair(50, 8, 1.0)
         with obs.recording() as rec:
             for i in range(3):
                 conc.submit_many([Operation("insert", 1001 + 2 * i, i),
@@ -372,7 +391,7 @@ class TestConcurrentBasics:
     def test_noop_flush_during_drain_leaves_no_snapshot_age(self):
         """A flush that changes nothing while a drain is in flight: once
         the drain publishes, the base is the visible state again."""
-        _, conc = make_pair(50, 8, 1.0, "merge", drain_threshold=1)
+        _, conc = make_pair(50, 8, 1.0, drain_threshold=1)
         with DrainGate().installed() as gate:
             conc.submit(Operation("insert", 1001, 1))
             conc.flush()
@@ -386,7 +405,7 @@ class TestConcurrentBasics:
     def test_pins_share_the_published_entries(self):
         """A pin does no collapse work: every pin after a flush carries
         the view the flush published, whose arrays are the index's."""
-        _, conc = make_pair(50, 8, 1.0, "merge")
+        _, conc = make_pair(50, 8, 1.0)
         for i in range(4):  # several flushes: one collapsed set
             conc.submit_many([Operation("insert", 1001 + 2 * i, i),
                               Operation("update", 2 * i, -i)])
@@ -404,7 +423,7 @@ class TestConcurrentBasics:
         assert conc.delta_runs == 4 and conc.delta_size == 8
 
     def test_drain_error_surfaces_on_flush(self):
-        _, conc = make_pair(50, 8, 1.0, "merge")
+        _, conc = make_pair(50, 8, 1.0)
         conc._drain_error = RuntimeError("boom")
         conc.submit(Operation("insert", 1, 1))
         with pytest.raises(RuntimeError):
@@ -413,14 +432,15 @@ class TestConcurrentBasics:
         conc.flush()
         assert conc.search(1) == 1
 
-    def test_sync_mode_unaffected(self):
-        em, _ = make_pair(100, 8, 1.0, "merge")
+    def test_only_the_delta_mode_is_accepted(self):
+        """``concurrent`` is a keyword that accepts True only."""
+        tree = HarmoniaTree.from_sorted(np.arange(0, 100, 2), fanout=8)
+        with pytest.raises(ConfigError, match="concurrent=True"):
+            EpochManager(tree, concurrent=False)
+        em = EpochManager(tree, concurrent=True)
         em.submit(Operation("insert", 1, 1))
         em.flush()
-        assert em.delta_size == 0 and em.delta_runs == 0
-        assert em.snapshot_version == em.epoch
-        em.drain(wait=True)  # no-op
-        em.sync()
+        assert em.delta_size == 1 and em.search(1) == 1
 
 
 class TestGappedCompactionIsolation:
@@ -432,8 +452,7 @@ class TestGappedCompactionIsolation:
     def gapped_manager():
         keys = np.arange(0, 400, 2, dtype=np.int64)
         tree = HarmoniaTree.from_sorted(keys, keys * 3, fanout=8, fill=0.6)
-        return EpochManager(tree, concurrent=True,
-                            drain_threshold=10 ** 9), keys
+        return EpochManager(tree, drain_threshold=10 ** 9), keys
 
     def test_pinned_layout_frozen_across_compacting_drain(self):
         conc, keys = self.gapped_manager()

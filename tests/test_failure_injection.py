@@ -96,34 +96,71 @@ class TestCrashConsistency:
         tree.check_invariants()
         assert tree.search(0) == 0
 
-    @pytest.mark.parametrize("mode,target", [
-        ("scalar", "repro.core.update.BatchUpdater.movement"),
-        ("merge", "repro.core.snapshot.Snapshot.merge"),
-    ])
-    def test_epoch_flush_failure_keeps_old_epoch(self, monkeypatch, mode,
-                                                 target):
-        from repro.core import UpdateConfig
-
+    @staticmethod
+    def _manager_with_delta():
+        """A manager whose visible state is a base plus a one-flush
+        delta (insert 1, delete 0), with drains only on request."""
         keys = np.arange(0, 1_000, 2, dtype=np.int64)
-        em = EpochManager(
-            HarmoniaTree.from_sorted(keys, fanout=8, fill=0.8),
-            update_config=UpdateConfig(mode=mode),
-        )
+        em = EpochManager(HarmoniaTree.from_sorted(keys, fanout=8, fill=0.8),
+                          drain_threshold=1 << 30)
+        em.submit_many([Operation("insert", 1, 1), Operation("delete", 0)])
+        em.flush()
+        return em, keys
+
+    @pytest.mark.parametrize("target", [
+        "repro.core.epoch.resolve_batch",
+        "repro.core.delta.DeltaIndex.fold",
+        "repro.core.delta.DeltaIndex.publish",
+    ])
+    def test_flush_failure_keeps_epoch_base_and_delta(self, monkeypatch,
+                                                      target):
+        """A fault while a flush resolves, folds or publishes its batch
+        publishes nothing: the epoch, the base snapshot and the visible delta stay
+        as they were."""
+        em, keys = self._manager_with_delta()
+        base, view = em._tree.snapshot, em.pin().delta
 
         def boom(*args, **kwargs):
-            raise RuntimeError("injected executor failure")
+            raise RuntimeError("injected flush failure")
 
         monkeypatch.setattr(target, boom)
-        before = em._tree.snapshot
-        em.submit(Operation("insert", 1, 1))
+        em.submit_many([Operation("insert", 3, 3), Operation("delete", 2)])
         with pytest.raises(RuntimeError):
             em.flush()
-        # The failed epoch was never published.
-        assert em.epoch == 0
-        assert em._tree.snapshot is before
+        assert em.epoch == 1
+        assert em._tree.snapshot is base
+        assert em.pin().delta is view
+        assert em.delta_size == 2 and em.delta_runs == 1
         assert len(em) == keys.size
-        assert em.search(0) == 0
-        assert em.search(1) is None
+        assert em.search(1) == 1 and em.search(0) is None
+        assert em.search(2) == 2 and em.search(3) is None
+
+    def test_drain_failure_keeps_contents_and_surfaces_on_sync(
+            self, monkeypatch):
+        """A fault in the drain's merge leaves the base and the visible
+        contents unchanged, and ``sync()`` raises it."""
+        em, keys = self._manager_with_delta()
+        base = em._tree.snapshot
+        block = tuple(a.copy() for a in base.packed_leaves())
+        visible = tuple(a.copy() for a in em.dump_items())
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("injected drain failure")
+
+        monkeypatch.setattr("repro.core.snapshot.Snapshot.merge", boom)
+        em.drain(wait=False)  # the background thread meets the fault
+        with pytest.raises(RuntimeError, match="injected drain failure"):
+            em.sync()
+        assert em._tree.snapshot is base
+        for arr, saved in zip(base.packed_leaves(), block):
+            assert arr.tobytes() == saved.tobytes()
+        for arr, saved in zip(em.dump_items(), visible):
+            assert arr.tobytes() == saved.tobytes()
+        assert em.drains == 0 and em.delta_size == 2
+        assert em.search(1) == 1 and em.search(0) is None
+        monkeypatch.undo()
+        em.sync()
+        assert em.delta_size == 0 and em.search(1) == 1
         em._tree.check_invariants()
 
     def test_write_failure_in_merge_keeps_snapshot(self, monkeypatch):

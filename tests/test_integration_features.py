@@ -19,7 +19,7 @@ class TestPersistenceThroughEpochs:
         em.flush()
 
         path = tmp_path / "snap.npz"
-        save_tree(em._tree, path)
+        save_tree(em.pin(), path)  # the visible state: base + delta
         resumed = EpochManager(load_tree(path, fill=0.7))
         assert resumed.search(int(keys[0])) == -9
         # The resumed service keeps evolving correctly.

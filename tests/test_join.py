@@ -19,7 +19,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.constants import NOT_FOUND
-from repro.core.config import UpdateConfig
 from repro.core.engine import BatchQueryEngine, traversal_profile
 from repro.core.epoch import EpochManager
 from repro.core.tree import HarmoniaTree
@@ -53,10 +52,7 @@ def _tree(keys, seed, fanout=16, keep_every=1):
     tree = HarmoniaTree.from_sorted(keys, values, fanout=fanout, fill=fill)
     if keep_every > 1:
         doomed = keys[np.arange(keys.size) % keep_every != 0]
-        tree.apply_batch(
-            [Operation("delete", int(k)) for k in doomed],
-            UpdateConfig(),
-        )
+        tree.apply_batch([Operation("delete", int(k)) for k in doomed])
     return tree
 
 
@@ -129,7 +125,7 @@ class TestMergeJoinEquivalence:
 class TestJoinConcurrentEpoch:
     def test_epoch_build_side_with_pending_delta(self):
         keys_b = np.arange(0, 2000, 2, dtype=np.int64)
-        mgr = EpochManager(_tree(keys_b, 41), concurrent=True)
+        mgr = EpochManager(_tree(keys_b, 41))
         mgr.submit_many(
             [Operation("insert", 2001 + 2 * i, 7 + i) for i in range(50)]
         )
@@ -144,7 +140,6 @@ class TestJoinConcurrentEpoch:
     def test_epoch_probe_side(self):
         mgr = EpochManager(
             _tree(np.arange(0, 1000, 3, dtype=np.int64), 43),
-            concurrent=True,
         )
         mgr.submit_many([Operation("insert", 1 + 3 * i, 5) for i in range(40)])
         mgr.flush()
@@ -245,7 +240,6 @@ class TestSearchSortedMany:
     def test_matches_search_many_with_delta_overlay(self):
         mgr = EpochManager(
             _tree(np.arange(0, 3000, 2, dtype=np.int64), 71),
-            concurrent=True,
         )
         mgr.submit_many(
             [Operation("insert", 1 + 2 * i, 3 + i) for i in range(100)]

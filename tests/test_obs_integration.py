@@ -42,7 +42,7 @@ def shared_reader():
     tree = HarmoniaTree.from_sorted(keys, keys * 3, fanout=64, fill=0.7)
     mgr = EpochManager(
         HarmoniaTree.from_sorted(keys, keys * 3, fanout=64, fill=0.7),
-        concurrent=True, drain_threshold=1 << 30)
+        drain_threshold=1 << 30)
     top = int(keys.max())
     mgr.submit_many(
         [Operation("insert", top + 1 + i, i) for i in range(500)]

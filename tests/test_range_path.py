@@ -1,8 +1,8 @@
 """The one range path: every surface returns the same CSR result.
 
-``range_search_batch`` on a tree, a synchronous and a concurrent
-``EpochManager`` (with an undrained delta holding tombstones) and a
-2-shard ``ShardedTree`` returns one :class:`RangeBatch`, equal window by
+``range_search_batch`` on a tree, an ``EpochManager`` drained after
+every flush ("sync") and one with an undrained delta holding tombstones
+("concurrent"), and a 2-shard ``ShardedTree`` returns one :class:`RangeBatch`, equal window by
 window to a plain dict oracle.  The geometry covers gapped layouts after
 inserts, deletes that empty whole leaves, inverted windows, windows
 outside the key span, windows straddling the shard boundary and an
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import SearchConfig, UpdateConfig
+from repro.core.config import SearchConfig
 from repro.core.epoch import EpochManager
 from repro.core.search import RangeBatch
 from repro.core.tree import HarmoniaTree
@@ -28,9 +28,6 @@ from repro.shard.worker import worker_main
 
 FANOUT = 8
 FILL = 0.7
-#: The production merge write.
-LAX = UpdateConfig()
-
 
 def assert_matches_oracle(res, model, los, his):
     assert isinstance(res, RangeBatch)
@@ -102,19 +99,20 @@ class TestEverySurfaceMatchesOracle:
         if surface == "tree":
             for batch in (inserts, deletes):
                 if batch:
-                    tree.apply_batch(batch, LAX)
+                    tree.apply_batch(batch)
             res = tree.range_search_batch(los, his)
         else:
-            # A drain threshold no flush reaches keeps the concurrent
-            # delta undrained: inserts and tombstones are read through
-            # the overlay.
-            em = EpochManager(tree, update_config=LAX,
-                              concurrent=surface == "concurrent",
-                              drain_threshold=1 << 30)
+            # A drain threshold no flush reaches keeps the delta
+            # undrained ("concurrent": inserts and tombstones are read
+            # through the overlay); "sync" drains after every flush, so
+            # reads go to the merged base.
+            em = EpochManager(tree, drain_threshold=1 << 30)
             try:
                 for batch in (inserts, deletes):
                     em.submit_many(batch)
                     em.flush()
+                    if surface == "sync":
+                        em.sync()
                 if surface == "concurrent" and any(
                         op.key in base for op in deletes):
                     view = em.pin().delta
@@ -162,7 +160,14 @@ def _surface(kind):
     tree = HarmoniaTree.from_sorted(keys, fanout=FANOUT)
     if kind == "tree":
         return tree
-    return EpochManager(tree, concurrent=kind == "concurrent")
+    # An EpochManager holding one flushed write: in its delta
+    # ("concurrent") or drained into the base ("sync").
+    em = EpochManager(tree)
+    em.submit(Operation("insert", 1, 1))
+    em.flush()
+    if kind == "sync":
+        em.sync()
+    return em
 
 
 @pytest.mark.parametrize("kind", ["tree", "sync", "concurrent", "shards"])

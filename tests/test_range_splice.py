@@ -98,7 +98,7 @@ class TestPinnedEpoch:
         keys, values = block(base)
         tree = (HarmoniaTree.from_sorted(keys, values, fanout=FANOUT)
                 if keys.size else HarmoniaTree.empty(fanout=FANOUT))
-        em = EpochManager(tree, concurrent=True, drain_threshold=1 << 30)
+        em = EpochManager(tree, drain_threshold=1 << 30)
         model = dict(base)
         for b, raw in enumerate(batches):
             if b == drain_after:

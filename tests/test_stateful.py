@@ -19,7 +19,7 @@ from hypothesis.stateful import (
 )
 
 from repro.constants import NOT_FOUND
-from repro.core import HarmoniaTree, UpdateConfig
+from repro.core import HarmoniaTree
 from repro.core.update import Operation
 
 KEYS = st.integers(min_value=0, max_value=500)
@@ -57,7 +57,7 @@ class HarmoniaMachine(RuleBasedStateMachine):
         if not self.pending:
             return
         ops, self.pending = self.pending, []
-        res = self.tree.apply_batch(ops, UpdateConfig(n_threads=1))
+        res = self.tree.apply_batch(ops)
         # Replay sequentially on the model (single-threaded batch applies
         # in submission order).
         effective = 0
