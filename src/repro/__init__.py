@@ -33,7 +33,7 @@ from repro.core import (
     save_layout,
     save_tree,
 )
-from repro.core.update import Operation
+from repro.core.update import OpBatch, Operation
 from repro.obs import MetricsRegistry, TraceConfig
 from repro.btree import ImplicitBPlusTree, RegularBPlusTree, bulk_load
 from repro.baselines import CPUBTreeSearcher, HBTree
@@ -51,6 +51,7 @@ __all__ = [
     "TraceConfig",
     "EpochManager",
     "Operation",
+    "OpBatch",
     "save_layout",
     "load_layout",
     "save_tree",

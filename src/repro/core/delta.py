@@ -45,20 +45,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 import repro.obs as obs
 from repro.constants import NOT_FOUND, VALUE_DTYPE
 from repro.core.merge import merge_last_wins
-from repro.core.update import (
-    K_DELETE,
-    K_INSERT,
-    KIND_CODE,
-    BatchResult,
-    Operation,
-)
+from repro.core.update import K_DELETE, K_INSERT, BatchResult, OpBatch
 
 
 @dataclass(frozen=True)
@@ -339,7 +333,7 @@ class DeltaIndex:
 # --------------------------------------------------------------------------
 
 def resolve_batch(
-    ops: Sequence[Operation],
+    batch: OpBatch,
     exists_fn: Callable[[np.ndarray], np.ndarray],
 ) -> Tuple[DeltaRun, BatchResult]:
     """Resolve one update batch against the visible state into a delta run.
@@ -367,23 +361,15 @@ def resolve_batch(
     has no leaves to split.
     """
     result = BatchResult()
-    n = len(ops)
+    n = len(batch)
     empty = _empty_run()
     if n == 0:
         return empty, result
 
     with result.timer.phase("apply"):
-        code = KIND_CODE
-        kinds = np.fromiter(
-            (code[op.kind] for op in ops), dtype=np.int8, count=n
-        )
-        keys = np.fromiter((op.key for op in ops), dtype=np.int64, count=n)
-        values = np.fromiter(
-            (op.value for op in ops), dtype=VALUE_DTYPE, count=n
-        )
-        order = np.argsort(keys, kind="stable")
-        sk = keys[order]
-        skinds = kinds[order]
+        order = np.argsort(batch.keys, kind="stable")
+        sk = batch.keys[order]
+        skinds = batch.kinds[order]
         first_op = np.empty(n, dtype=bool)  # each key's first op
         first_op[0] = True
         np.not_equal(sk[1:], sk[:-1], out=first_op[1:])
@@ -422,7 +408,7 @@ def resolve_batch(
         if not changed.any():
             return empty, result
         live = final_exists[changed]
-        out_vals = np.where(live, values[order[last_write[changed]]], 0)
+        out_vals = np.where(live, batch.values[order[last_write[changed]]], 0)
         net = int(np.count_nonzero(live)
                   - np.count_nonzero(exists0[changed]))
         run = DeltaRun(keys=ukeys[changed], values=out_vals.astype(

@@ -48,7 +48,7 @@ from repro.core.delta import DeltaIndex, resolve_batch
 from repro.core.search import RangeBatch, contains_batch
 from repro.core.snapshot import Snapshot
 from repro.core.tree import HarmoniaTree
-from repro.core.update import BatchResult, Operation
+from repro.core.update import BatchResult, OpBatch, Operation, OpsLike
 from repro.errors import ConfigError
 from repro.utils.validation import ensure_positive
 
@@ -84,7 +84,8 @@ class EpochManager:
             DEFAULT_DRAIN_THRESHOLD if drain_threshold is None
             else drain_threshold,
         )
-        self._pending: List[Operation] = []
+        self._pending: List[OpBatch] = []
+        self._n_pending = 0
         self._write_lock = threading.Lock()  # serializes writers + flush
         self._publish_lock = threading.Lock()  # guards snapshot swap
         self._epoch = 0
@@ -131,7 +132,7 @@ class EpochManager:
 
     def pending_operations(self) -> int:
         with self._write_lock:
-            return len(self._pending)
+            return self._n_pending
 
     def _snapshot(self) -> HarmoniaTree:
         # The tree's snapshot reference is swapped atomically under the
@@ -202,22 +203,21 @@ class EpochManager:
         Returns the flush's :class:`BatchResult` when one happened, else
         ``None`` — callers that care about durability call :meth:`flush`.
         """
-        if not isinstance(op, Operation):
-            raise ConfigError(f"submit() takes an Operation, got {type(op).__name__}")
-        with self._write_lock:
-            self._pending.append(op)
-            if len(self._pending) >= self.batch_capacity:
-                return self._flush_locked()
-        return None
+        flushed = self.submit_many([op])
+        return flushed[-1] if flushed else None
 
-    def submit_many(self, ops: Sequence[Operation]) -> List[BatchResult]:
-        """Enqueue many operations; returns the results of any auto-flushes."""
+    def submit_many(self, ops: OpsLike) -> List[BatchResult]:
+        """Enqueue a batch, validated first; every ``batch_capacity``
+        pending operations flush as one batch.  Returns the results of
+        those auto-flushes."""
+        batch = OpBatch.of(ops)
         results: List[BatchResult] = []
         with self._write_lock:
-            for op in ops:
-                self._pending.append(op)
-                if len(self._pending) >= self.batch_capacity:
-                    results.append(self._flush_locked())
+            if len(batch):
+                self._pending.append(batch)
+                self._n_pending += len(batch)
+            while self._n_pending >= self.batch_capacity:
+                results.append(self._flush_locked(self.batch_capacity))
         return results
 
     def flush(self) -> Optional[BatchResult]:
@@ -225,9 +225,9 @@ class EpochManager:
         the delta.  No-op (returns ``None``) when nothing is pending."""
         self._raise_drain_error()
         with self._write_lock:
-            if not self._pending:
+            if not self._n_pending:
                 return None
-            return self._flush_locked()
+            return self._flush_locked(self._n_pending)
 
     # ------------------------------------------------------------ flush path
 
@@ -245,10 +245,13 @@ class EpochManager:
 
         return exists_fn
 
-    def _flush_locked(self) -> BatchResult:
+    def _flush_locked(self, n: int) -> BatchResult:
+        """Resolve and publish the first ``n`` pending operations.  They
+        stay pending until the publish succeeds, so a flush that raises
+        loses nothing and a retry publishes each op once."""
         t0 = time.perf_counter()
-        ops = self._pending
-        self._pending = []
+        pending = OpBatch.concat(self._pending)
+        batch = pending[:n]
         with self._publish_lock:
             snap = self._tree._snap
             view = self._delta.view()
@@ -257,7 +260,7 @@ class EpochManager:
         # whether the key is visible now.  Counts therefore match a
         # merged write of the same batch exactly.
         run, result = resolve_batch(
-            ops, self._visible_exists_fn(snap, view)
+            batch, self._visible_exists_fn(snap, view)
         )
         # The merge into the visible set runs here, outside the publish
         # lock; publish() only redoes it if a drain moved the set since.
@@ -267,6 +270,9 @@ class EpochManager:
         with self._publish_lock:
             publish_wait = time.perf_counter() - w0
             self._delta.publish(fold)
+            rest = pending[n:]
+            self._pending = [rest] if len(rest) else []
+            self._n_pending = len(rest)
             self._epoch += 1
             if not self._delta.n_runs:
                 # Nothing undrained (e.g. every op failed): the base
@@ -285,7 +291,7 @@ class EpochManager:
             rec.span_at("delta.merge", m0, w0, cat="delta",
                         run=run.n, delta=size)
             rec.span_at("epoch.publish", t0, t1, cat="epoch",
-                        ops=len(ops), delta=size)
+                        ops=n, delta=size)
         if size >= self.drain_threshold:
             self._start_drain()
         return result

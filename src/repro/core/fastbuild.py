@@ -151,17 +151,32 @@ def build_layout_fast(
         raise EmptyTreeError("cannot lay out an empty tree")
     ensure_fill(fill)
 
-    slots, min_leaf, min_children, leaf_target, internal_target = (
-        _node_shape(fanout, fill))
-
+    slots, min_leaf, _, leaf_target, _ = _node_shape(fanout, fill)
     leaf_sizes = _chunk_sizes_fast(karr.size, leaf_target, min_leaf, slots)
     leaf_keys = _fill_rows(karr, leaf_sizes, slots, KEY_MAX, KEY_DTYPE)
     leaf_values = _fill_rows(varr, leaf_sizes, slots, NOT_FOUND, VALUE_DTYPE)
 
-    # Internal levels bottom-up from per-child subtree minima.
+    # The chunk sizes are the per-leaf fill counts: handing them over
+    # spares every reader of a fresh snapshot the sentinel count.
+    return assemble_layout(fanout, fill, leaf_keys, leaf_values,
+                           int(karr.size), leaf_counts=leaf_sizes)
+
+
+def assemble_layout(
+    fanout: int,
+    fill: float,
+    leaf_keys: np.ndarray,
+    leaf_values: np.ndarray,
+    n_keys: int,
+    leaf_counts: Optional[np.ndarray] = None,
+) -> HarmoniaLayout:
+    """A full layout over finished leaf rows: the internal levels are
+    built bottom-up from per-child subtree minima, cut as a bulk build
+    cuts them (the bulk build's and the movement pass's rebuild)."""
+    slots, _, min_children, _, internal_target = _node_shape(fanout, fill)
     levels_keys: List[np.ndarray] = [leaf_keys]
     levels_counts: List[np.ndarray] = [
-        np.zeros(leaf_sizes.size, dtype=INDEX_DTYPE)
+        np.zeros(leaf_keys.shape[0], dtype=INDEX_DTYPE)
     ]
     mins = leaf_keys[:, 0].copy()
     while levels_keys[-1].shape[0] > 1:
@@ -196,11 +211,9 @@ def build_layout_fast(
         prefix_sum=prefix,
         leaf_values=leaf_values,
         level_starts=level_starts,
-        n_keys=int(karr.size),
-        # The chunk sizes are the per-leaf fill counts: handing them over
-        # spares every reader of a fresh snapshot the sentinel count.
-        leaf_counts=leaf_sizes,
+        n_keys=n_keys,
+        leaf_counts=leaf_counts,
     )
 
 
-__all__ = ["build_layout_fast", "layout_height"]
+__all__ = ["assemble_layout", "build_layout_fast", "layout_height"]

@@ -54,7 +54,7 @@ from repro.core.search import (
     search_batch as _search_batch,
 )
 from repro.core.snapshot import Snapshot
-from repro.core.update import BatchResult, Operation
+from repro.core.update import BatchResult, OpBatch, Operation, OpsLike
 from repro.errors import ConfigError, EmptyTreeError, InvariantViolation
 from repro.utils.validation import ensure_key_array, ensure_scalar_key
 
@@ -544,8 +544,10 @@ class HarmoniaTree:
 
     # --------------------------------------------------------------- updates
 
-    def apply_batch(self, ops: Sequence[Operation]) -> BatchResult:
-        """Apply one update batch (§3.2.2).
+    def apply_batch(self, ops: OpsLike) -> BatchResult:
+        """Apply one update batch (§3.2.2): an :class:`OpBatch` or a
+        sequence of :class:`Operation`, validated before anything
+        changes.
 
         Resolves every op against the block — one ``searchsorted``
         existence probe, then each key's ops in arrival order — and
@@ -563,9 +565,10 @@ class HarmoniaTree:
                 "updates through its EpochManager, not the view"
             )
         t0 = time.perf_counter()
+        batch = OpBatch.of(ops)
         base = self._snap
         run, result = resolve_batch(
-            ops, lambda ukeys: (np.zeros(ukeys.size, dtype=bool)
+            batch, lambda ukeys: (np.zeros(ukeys.size, dtype=bool)
                                 if base is None
                                 else contains_batch(base, ukeys)))
         t1 = time.perf_counter()
@@ -574,7 +577,7 @@ class HarmoniaTree:
         rec = obs.active
         if rec.enabled:
             t2 = time.perf_counter()
-            n = len(ops)
+            n = len(batch)
             rec.counter("update.batches")
             rec.counter("update.ops", n)
             rec.span_at("update.resolve", t0, t1, cat="update", ops=n)

@@ -29,23 +29,23 @@ import time
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.btree.bulk import _chunk_sizes
-from repro.constants import (
-    INDEX_DTYPE,
-    KEY_DTYPE,
-    KEY_MAX,
-    NOT_FOUND,
-    VALUE_DTYPE,
-)
+from repro.constants import KEY_DTYPE, KEY_MAX, NOT_FOUND, VALUE_DTYPE
+from repro.core.fastbuild import assemble_layout
 from repro.core.layout import HarmoniaLayout
 from repro.core.snapshot import Snapshot
-from repro.errors import ConfigError
+from repro.errors import ConfigError, InvalidKeyError
 from repro.utils.timer import Timer
-from repro.utils.validation import ensure_scalar_key
+from repro.utils.validation import (
+    ensure_int_array,
+    ensure_key_array,
+    ensure_scalar_key,
+    ensure_scalar_value,
+)
 
 
 # --------------------------------------------------------------------------
@@ -57,8 +57,8 @@ UPDATE = "update"
 DELETE = "delete"
 _KINDS = (INSERT, UPDATE, DELETE)
 
-#: Integer op-kind codes of the arrays batch resolution works on
-#: (:func:`repro.core.delta.resolve_batch`) and of the shard wire format.
+#: Integer op-kind codes of :class:`OpBatch` (and so of the shard wire
+#: format).
 K_INSERT, K_UPDATE, K_DELETE = 0, 1, 2
 KIND_CODE = {INSERT: K_INSERT, UPDATE: K_UPDATE, DELETE: K_DELETE}
 
@@ -74,7 +74,76 @@ class Operation:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown operation kind {self.kind!r}")
+        if not isinstance(self.key, (int, np.integer)):  # 1.5 would store 1
+            raise InvalidKeyError(f"key must be an integer, got {self.key!r}")
         ensure_scalar_key(self.key)
+        ensure_scalar_value(self.value)
+
+
+class OpBatch:
+    """One write batch as three aligned arrays in arrival order: int8
+    ``kinds`` (:data:`K_INSERT`, :data:`K_UPDATE`, :data:`K_DELETE`),
+    int64 ``keys`` and ``values`` (a delete's is ignored).  The
+    constructor validates arrays, vectorized; every write entry builds
+    its batch once with :meth:`of` and carries it from then on."""
+
+    __slots__ = ("kinds", "keys", "values")
+
+    def __init__(self, kinds, keys, values) -> None:
+        kinds = ensure_int_array(kinds, np.int8, "kinds")
+        if kinds.size and (kinds.min() < K_INSERT or kinds.max() > K_DELETE):
+            raise ConfigError("kinds must be 0 (insert), 1 (update) or "
+                              "2 (delete)")
+        keys = ensure_key_array(ensure_int_array(keys, KEY_DTYPE, "keys"))
+        values = ensure_int_array(values, VALUE_DTYPE, "values")
+        if not kinds.size == keys.size == values.size:
+            raise ConfigError("kinds, keys and values differ in length")
+        self.kinds, self.keys, self.values = kinds, keys, values
+
+    @classmethod
+    def _wrap(cls, kinds, keys, values) -> "OpBatch":
+        """Arrays already known valid, as a batch."""
+        batch = cls.__new__(cls)
+        batch.kinds, batch.keys, batch.values = kinds, keys, values
+        return batch
+
+    @classmethod
+    def of(cls, ops: "OpsLike") -> "OpBatch":
+        """An :class:`OpBatch` as is; a sequence of :class:`Operation`
+        (each checked when built) converted in one pass; any other
+        element raises :class:`~repro.errors.ConfigError`."""
+        if isinstance(ops, OpBatch):
+            return ops
+        ops = ops if isinstance(ops, (list, tuple)) else list(ops)
+        for t in set(map(type, ops)):
+            if not issubclass(t, Operation):
+                raise ConfigError(
+                    f"a write batch holds Operation objects, got {t.__name__}")
+        code = KIND_CODE
+        cols = (((code[op.kind] for op in ops), np.int8),
+                ((op.key for op in ops), KEY_DTYPE),
+                ((op.value for op in ops), VALUE_DTYPE))
+        return cls._wrap(*(np.fromiter(c, t, len(ops)) for c, t in cols))
+
+    @classmethod
+    def concat(cls, batches: Sequence["OpBatch"]) -> "OpBatch":
+        """The batches one after another, as one batch."""
+        if len(batches) == 1:
+            return batches[0]
+        return cls._wrap(*(np.concatenate(c) for c in zip(
+            *((b.kinds, b.keys, b.values) for b in batches))))
+
+    def __len__(self) -> int:
+        return int(self.keys.size)
+
+    def __getitem__(self, index) -> "OpBatch":
+        """The sub-batch at ``index`` (a slice or an index array)."""
+        return OpBatch._wrap(self.kinds[index], self.keys[index],
+                             self.values[index])
+
+
+#: What a write entry accepts and passes to :meth:`OpBatch.of`.
+OpsLike = Union[OpBatch, Sequence[Operation]]
 
 
 @dataclass
@@ -504,7 +573,7 @@ def _build_layout_from_leaf_plan(
 
     Clean rows are gathered with one vectorized fancy-index copy; internal
     levels (a ~1/fanout fraction of all nodes) are rebuilt bottom-up from
-    the leaf minima by :func:`_assemble_layout`.
+    the leaf minima by :func:`~repro.core.fastbuild.assemble_layout`.
     """
     slots = old.slots
     new_n_leaves = len(plan)
@@ -526,74 +595,7 @@ def _build_layout_from_leaf_plan(
             leaf_vals[di, : len(vs)] = vs
 
     n_keys = int(np.sum(leaf_keys != KEY_MAX))
-    return _assemble_layout(old.fanout, leaf_keys, leaf_vals, n_keys, fill)
-
-
-def _assemble_layout(
-    fanout: int,
-    leaf_keys: np.ndarray,
-    leaf_vals: np.ndarray,
-    n_keys: int,
-    fill: float,
-) -> HarmoniaLayout:
-    """Build a full layout over finished leaf-level arrays.
-
-    Internal levels are derived bottom-up from subtree minima, one
-    vectorized scatter per level: child ``c`` of parent ``p`` contributes
-    its minimum as separator ``within(c) - 1`` (the first child supplies
-    the parent's own minimum instead) — the scalar movement pass's
-    rebuild.
-    """
-    slots = fanout - 1
-    min_children = (fanout + 1) // 2
-    new_n_leaves = leaf_keys.shape[0]
-
-    levels_keys: List[np.ndarray] = [leaf_keys]
-    levels_counts: List[np.ndarray] = [
-        np.zeros(new_n_leaves, dtype=INDEX_DTYPE)
-    ]
-    mins = leaf_keys[:, 0].copy()
-    target = max(min_children, min(fanout, round(fill * fanout)))
-    while levels_keys[-1].shape[0] > 1:
-        child_count = levels_keys[-1].shape[0]
-        sizes = np.asarray(
-            _chunk_sizes(child_count, target, min_children, fanout),
-            dtype=INDEX_DTYPE,
-        )
-        n_parents = sizes.size
-        starts = np.zeros(n_parents + 1, dtype=np.int64)
-        np.cumsum(sizes, out=starts[1:])
-        pk = np.full((n_parents, slots), KEY_MAX, dtype=KEY_DTYPE)
-        parent_of = np.repeat(np.arange(n_parents, dtype=np.int64), sizes)
-        within = np.arange(child_count, dtype=np.int64) - starts[parent_of]
-        m = within > 0
-        pk[parent_of[m], within[m] - 1] = mins[m]
-        levels_keys.append(pk)
-        levels_counts.append(sizes)
-        mins = mins[starts[:-1]]
-
-    levels_keys.reverse()
-    levels_counts.reverse()
-    height = len(levels_keys)
-    key_region = np.concatenate(levels_keys, axis=0)
-    counts = np.concatenate(levels_counts)
-    n_nodes = key_region.shape[0]
-    prefix = np.empty(n_nodes + 1, dtype=INDEX_DTYPE)
-    prefix[0] = 1
-    np.cumsum(counts, out=prefix[1:])
-    prefix[1:] += 1
-    level_starts = np.zeros(height + 1, dtype=INDEX_DTYPE)
-    np.cumsum([lk.shape[0] for lk in levels_keys], out=level_starts[1:])
-
-    return HarmoniaLayout(
-        fanout=fanout,
-        height=height,
-        key_region=key_region,
-        prefix_sum=prefix,
-        leaf_values=leaf_vals,
-        level_starts=level_starts,
-        n_keys=n_keys,
-    )
+    return assemble_layout(old.fanout, fill, leaf_keys, leaf_vals, n_keys)
 
 
 __all__ = [
@@ -605,6 +607,8 @@ __all__ = [
     "K_DELETE",
     "KIND_CODE",
     "Operation",
+    "OpBatch",
+    "OpsLike",
     "BatchResult",
     "TwoGrainedLocks",
     "AuxiliaryNode",

@@ -69,7 +69,7 @@ from repro.constants import DEFAULT_FANOUT, NOT_FOUND, VALUE_DTYPE
 from repro.core.config import SearchConfig
 from repro.core.search import RangeBatch, range_bounds, run_index
 from repro.core.merge import concat_sorted_runs
-from repro.core.update import KIND_CODE, BatchResult, Operation
+from repro.core.update import BatchResult, OpBatch, Operation, OpsLike
 from repro.errors import ConfigError
 from repro.shard.partition import Partitioner
 from repro.shard.transport import ShardChannel
@@ -112,28 +112,18 @@ class _Shard:
     base_values: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=VALUE_DTYPE)
     )
-    #: Op batches the worker acknowledged since the base (wire triples:
-    #: kinds/keys/values).
-    oplog: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
-        default_factory=list
-    )
+    #: Op batches the worker acknowledged since the base.
+    oplog: List[OpBatch] = field(default_factory=list)
     restarts: int = 0
     #: Which CPU the worker binds to (kept across restarts).
     cpu_slot: int = -1
 
 
-def _encode_ops(
-    ops: Sequence[Operation],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Operation list → wire arrays (the planner's kind codes)."""
-    n = len(ops)
-    code = KIND_CODE
-    kinds = np.fromiter((code[op.kind] for op in ops), dtype=np.int8, count=n)
-    keys = np.fromiter((op.key for op in ops), dtype=np.int64, count=n)
-    values = np.fromiter(
-        (op.value for op in ops), dtype=VALUE_DTYPE, count=n
-    )
-    return kinds, keys, values
+def _send_ops(ch: ShardChannel, batch: OpBatch) -> None:
+    """An ``apply`` command's payload: the batch's three arrays."""
+    ch.send_array(batch.kinds)
+    ch.send_array(batch.keys)
+    ch.send_array(batch.values)
 
 
 def _request(ch: ShardChannel, cmd: str, s: int,
@@ -288,11 +278,9 @@ class ShardedTree:
         reply = ch.recv()
         if not reply or reply[0] != "loaded":  # pragma: no cover
             raise ConfigError(f"shard {s} rebuild load failed: {reply!r}")
-        for kinds, keys, values in shard.oplog:
+        for batch in shard.oplog:
             ch.send("apply")
-            ch.send_array(kinds)
-            ch.send_array(keys)
-            ch.send_array(values)
+            _send_ops(ch, batch)
             reply = ch.recv()
             if not reply or reply[0] != "applied":  # pragma: no cover
                 raise ConfigError(
@@ -547,56 +535,50 @@ class ShardedTree:
 
     # -------------------------------------------------------------- updates
 
-    def apply_batch(self, ops: Sequence[Operation]) -> BatchResult:
-        """Apply one update batch across the shards (§3.2.2 per shard).
+    def apply_batch(self, ops: OpsLike) -> BatchResult:
+        """Apply one update batch across the shards (§3.2.2 per shard):
+        an :class:`OpBatch` or a sequence of :class:`Operation`,
+        validated before any shard is sent anything.
 
         The batch is scattered by key with the same stable grouping the
         queries use, so each shard replays its ops in arrival order;
         per-key outcomes (and therefore the summed accounting below) are
         identical to the unsharded path because an op's success depends
         only on same-key history.  Structural counters
-        (``split_leaves`` …) are per-shard quantities and are summed as
-        such.  A shard's slice enters its op log (the restart-and-rebuild
+        (``split_leaves`` …) stay zero: the shards write through their
+        deltas.  A shard's slice enters its op log (the restart-and-rebuild
         source) when the router reads that shard's full reply; a crash
         mid-batch is retried after rebuild, exactly once.
         """
         rec = obs.active
         result = BatchResult()
-        n = len(ops)
+        t0 = _clock()
+        batch = OpBatch.of(ops)
+        n = len(batch)
         if n == 0:
             return result
         ctx = TraceContext.mint() if rec.enabled else None
-        t0 = _clock()
-        kinds, keys, values = _encode_ops(ops)
-        ids, order, bounds = self.partitioner.scatter(keys)
-        rk, rkeys, rvals = kinds[order], keys[order], values[order]
+        ids, order, bounds = self.partitioner.scatter(batch.keys)
+        routed = batch[order]
         jobs = self._slices(bounds, rec)
         t1 = _clock()
 
         def send(job: Job, ch: ShardChannel) -> None:
             s, lo, hi = job
             _request(ch, "apply", s, ctx)
-            ch.send_array(rk[lo:hi])
-            ch.send_array(rkeys[lo:hi])
-            ch.send_array(rvals[lo:hi])
+            _send_ops(ch, routed[lo:hi])
 
         def recv(job: Job, ch: ShardChannel) -> tuple:
             s, lo, hi = job
             reply = _expect(ch, s, "applied")
             self._recv_trace(s, ch, ctx)
-            self._shards[s].oplog.append(
-                (rk[lo:hi], rkeys[lo:hi], rvals[lo:hi])
-            )
+            self._shards[s].oplog.append(routed[lo:hi])
             return reply[1:]
 
         results = self._fan_out(jobs, send, recv)
         t2 = _clock()
-        for ins, upd, dele, fail, split in results:
-            result.inserted += ins
-            result.updated += upd
-            result.deleted += dele
-            result.failed += fail
-            result.split_leaves += split
+        (result.inserted, result.updated, result.deleted,
+         result.failed) = map(sum, zip(*results))
         t3 = _clock()
         self._account("apply", ("ops", n), (t0, t1, t2, t3), ctx,
                       len(jobs), {"shard.batches": 1, "shard.ops": n})

@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -72,7 +72,7 @@ from repro.constants import VALUE_DTYPE
 from repro.core.config import SearchConfig
 from repro.core.epoch import EpochManager
 from repro.core.tree import HarmoniaTree
-from repro.core.update import K_DELETE, K_INSERT, Operation
+from repro.core.update import BatchResult, OpBatch
 from repro.obs.flight import FLIGHT, dump_on_crash
 from repro.obs.trace import (
     TraceContext,
@@ -82,23 +82,6 @@ from repro.obs.trace import (
 from repro.shard.transport import ShardChannel
 
 _clock = time.perf_counter
-
-#: Numeric op codes on the wire (shared with the router's encoder — the
-#: codes of :mod:`repro.core.update`).
-_CODE_KIND = {K_INSERT: "insert", K_DELETE: "delete"}
-
-
-def _decode_ops(
-    kinds: np.ndarray, keys: np.ndarray, values: np.ndarray
-) -> List[Operation]:
-    """Wire arrays → Operation list (arrival order is preserved by the
-    router's stable scatter)."""
-    kind_of = _CODE_KIND
-    return [
-        Operation(kind_of.get(k, "update"), int(key), int(val))
-        for k, key, val in zip(kinds.tolist(), keys.tolist(), values.tolist())
-    ]
-
 
 #: Delta entries at which a worker's flush starts a background drain.
 #: Measured on one shard's share of ``scan_shard`` (a 2^20-key block,
@@ -269,27 +252,21 @@ def _serve(
             if ctx is not None:
                 worker_registry()
             t0 = _clock()
-            kinds = conn.recv_array()
-            keys = conn.recv_array()
-            values = conn.recv_array()
+            # The router's scatter kept arrival order within the shard.
+            batch = OpBatch(conn.recv_array(), conn.recv_array(),
+                            conn.recv_array())
             t1 = _clock()
-            ops = _decode_ops(kinds, keys, values)
-            state.manager.submit_many(ops)
-            res = state.manager.flush()
+            state.manager.submit_many(batch)
+            res = state.manager.flush() or BatchResult()
             t2 = _clock()
-            if res is None:
-                conn.send("applied", 0, 0, 0, 0, 0)
-            else:
-                conn.send(
-                    "applied", res.inserted, res.updated, res.deleted,
-                    res.failed, res.split_leaves,
-                )
+            conn.send("applied", res.inserted, res.updated, res.deleted,
+                      res.failed)
             t3 = _clock()
-            FLIGHT.note("apply", {"shard": index, "n": int(kinds.size)})
+            FLIGHT.note("apply", {"shard": index, "n": len(batch)})
             FLIGHT.latency("worker.apply", t2 - t1)
             if ctx is not None:
                 _ship_trace(conn, ctx, (t0, t1, t2, t3), "apply",
-                            int(kinds.size))
+                            len(batch))
 
         elif cmd == "range":
             ctx = _trace_ctx(msg)

@@ -65,6 +65,37 @@ def ensure_scalar_key(key: Any) -> int:
     return ikey
 
 
+_VALUE_INFO = np.iinfo(VALUE_DTYPE)
+
+
+def ensure_scalar_value(value: Any) -> int:
+    """Validate a single stored value: an integer (not a float or a
+    string) that fits the value dtype."""
+    if not (isinstance(value, (int, np.integer))
+            and _VALUE_INFO.min <= value <= _VALUE_INFO.max):
+        raise ConfigError(f"value must be an integer that fits "
+                          f"{_VALUE_INFO.dtype}, got {value!r}")
+    return int(value)
+
+
+def ensure_int_array(values: Any, dtype: Any, name: str) -> np.ndarray:
+    """Coerce ``values`` to a contiguous 1-D array of the integer
+    ``dtype``.  Input that is not integral, or that falls outside the
+    dtype's range, is refused rather than truncated or wrapped.  Returns
+    a view when the input already has the dtype."""
+    raw = np.asarray(values)
+    if raw.ndim == 1 and raw.size == 0:
+        return np.empty(0, dtype=dtype)
+    if raw.ndim != 1 or raw.dtype.kind not in "iu":
+        raise ConfigError(f"{name} must be a 1-D integer array, got "
+                          f"{raw.dtype} of shape {raw.shape}")
+    if not np.can_cast(raw.dtype, dtype):
+        info = np.iinfo(dtype)
+        if raw.min() < info.min or raw.max() > info.max:
+            raise ConfigError(f"{name} must fit {info.dtype}")
+    return np.ascontiguousarray(raw, dtype=dtype)
+
+
 def ensure_key_array(keys: Any, name: str = "keys") -> np.ndarray:
     """Coerce ``keys`` to a contiguous 1-D int64 array and reject sentinels.
 
@@ -97,14 +128,7 @@ def ensure_block(keys: Any, values: Any = None):
     karr = ensure_sorted_unique(np.asarray(keys))
     if values is None:
         return karr, karr.astype(VALUE_DTYPE)
-    raw = np.asarray(values)
-    info = np.iinfo(VALUE_DTYPE)
-    if raw.dtype.kind == "u" and raw.size and int(raw.max()) > info.max:
-        raise ConfigError(f"values must fit {np.dtype(VALUE_DTYPE)}")
-    try:
-        varr = np.ascontiguousarray(raw, dtype=VALUE_DTYPE)
-    except OverflowError as exc:
-        raise ConfigError(f"values must fit {np.dtype(VALUE_DTYPE)}") from exc
+    varr = ensure_int_array(values, VALUE_DTYPE, "values")
     if varr.shape != karr.shape:
         raise ConfigError("values must align with keys")
     return karr, varr
@@ -116,6 +140,8 @@ __all__ = [
     "ensure_fanout",
     "ensure_fill",
     "ensure_scalar_key",
+    "ensure_scalar_value",
+    "ensure_int_array",
     "ensure_key_array",
     "ensure_sorted_unique",
     "ensure_block",

@@ -33,7 +33,7 @@ from repro.core.delta import (
 from repro.core.merge import concat_sorted_runs, merge_last_wins
 from repro.core.search import range_search_batch
 from repro.core.snapshot import Snapshot
-from repro.core.update import Operation
+from repro.core.update import OpBatch, Operation
 from repro.errors import ConfigError
 
 
@@ -377,7 +377,7 @@ class TestResolveBatch:
         def exists_fn(ukeys):
             return np.asarray([k in visible for k in ukeys.tolist()])
 
-        run, result = resolve_batch(ops, exists_fn)
+        run, result = resolve_batch(OpBatch.of(ops), exists_fn)
 
         # Scalar reference: replay against a dict of the visible state.
         state = dict(visible)
@@ -437,7 +437,7 @@ class TestResolveBatch:
         end state, and a tombstone carries 0."""
         ops = [Operation(kind, key, val) for kind, key, val in raw_ops]
         run, result = resolve_batch(
-            ops, lambda u: np.asarray([k in visible for k in u.tolist()],
+            OpBatch.of(ops), lambda u: np.asarray([k in visible for k in u.tolist()],
                                       dtype=bool))
         state = dict(visible)
         ok = {"insert": 0, "update": 0, "delete": 0}
@@ -464,5 +464,6 @@ class TestResolveBatch:
         assert run.net == len(state) - len(visible)
 
     def test_empty_batch(self):
-        run, result = resolve_batch([], lambda u: np.zeros(u.size, bool))
+        run, result = resolve_batch(OpBatch.of([]),
+                                    lambda u: np.zeros(u.size, bool))
         assert run.n == 0 and result.n_effective == 0

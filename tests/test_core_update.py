@@ -1,18 +1,26 @@
-"""Tests for the batch-update machinery (§3.2.2): in-place edits,
-auxiliary nodes, and the movement pass."""
+"""Tests for the batch-update machinery (§3.2.2): the write batch and
+its entry checks, in-place edits, auxiliary nodes, and the movement
+pass."""
 
 import numpy as np
 import pytest
 
 from repro.constants import KEY_MAX, NOT_FOUND
+from repro.core.epoch import EpochManager
 from repro.core.layout import HarmoniaLayout
 from repro.core.search import search_batch, search_scalar
+from repro.core.tree import HarmoniaTree
 from repro.core.update import (
+    K_DELETE,
+    K_INSERT,
+    K_UPDATE,
     AuxiliaryNode,
     BatchUpdater,
+    OpBatch,
     Operation,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, InvalidKeyError
+from repro.shard import ShardedTree
 
 
 def layout_of(keys, fanout=8, fill=0.8):
@@ -33,6 +41,143 @@ class TestOperation:
     def test_sentinel_key_rejected(self):
         with pytest.raises(Exception):
             Operation("insert", KEY_MAX, 0)
+
+    @pytest.mark.parametrize("key", [1.5, np.float64(2.0), "3", None])
+    def test_key_must_be_an_integer(self, key):
+        with pytest.raises(InvalidKeyError):
+            Operation("insert", key, 0)
+
+    @pytest.mark.parametrize("value", [2 ** 63, -2 ** 63 - 1, 2 ** 70, 1.5,
+                                       "3", None])
+    def test_value_must_be_an_int64(self, value):
+        with pytest.raises(ConfigError):
+            Operation("insert", 1, value)
+
+    def test_numpy_integer_value_accepted(self):
+        assert Operation("update", 1, np.int32(-4)).value == -4
+
+
+class TestOpBatch:
+    def test_of_converts_operations_in_order(self):
+        batch = OpBatch.of([Operation("update", 4, -1),
+                            Operation("insert", 2, 7),
+                            Operation("delete", 4)])
+        assert batch.kinds.dtype == np.int8
+        assert batch.keys.dtype == batch.values.dtype == np.int64
+        assert batch.kinds.tolist() == [K_UPDATE, K_INSERT, K_DELETE]
+        assert batch.keys.tolist() == [4, 2, 4]
+        assert batch.values.tolist() == [-1, 7, 0]
+        assert len(batch) == 3
+
+    def test_of_passes_a_batch_through(self):
+        batch = OpBatch([0], [1], [2])
+        assert OpBatch.of(batch) is batch
+
+    def test_of_empty(self):
+        assert len(OpBatch.of([])) == 0 and len(OpBatch([], [], [])) == 0
+
+    @pytest.mark.parametrize("bad", [("insert", 3, 7), None, OpBatch.of([])])
+    def test_of_rejects_a_non_operation(self, bad):
+        with pytest.raises(ConfigError):
+            OpBatch.of([Operation("insert", 1, 5), bad])
+
+    def test_slicing_and_concat_keep_order(self):
+        batch = OpBatch([0, 1, 2, 0], [5, 6, 7, 8], [1, 2, 3, 4])
+        back = OpBatch.concat([batch[:1], batch[1:3], batch[3:]])
+        assert back.keys.tolist() == [5, 6, 7, 8]
+        picked = batch[np.array([3, 0])]
+        assert picked.kinds.tolist() == [0, 0]
+        assert picked.values.tolist() == [4, 1]
+
+    @pytest.mark.parametrize("kinds, keys, values", [
+        ([3], [1], [1]),  # not an op code
+        ([-1], [1], [1]),
+        ([0], [1.0], [1]),  # a float key
+        ([0], [1], [1.5]),  # a float value
+        ([0], [1], [2 ** 70]),  # no integer dtype holds it
+        ([0], [1], np.array([2 ** 63], dtype=np.uint64)),  # past int64
+        ([0, 0], [1, 2], [1]),  # unequal lengths
+        ([[0]], [[1]], [[1]]),  # not 1-D
+    ])
+    def test_constructor_rejects(self, kinds, keys, values):
+        with pytest.raises(ConfigError):
+            OpBatch(kinds, keys, values)
+
+    def test_sentinel_key_rejected(self):
+        with pytest.raises(InvalidKeyError):
+            OpBatch([0], [KEY_MAX], [0])
+
+    def test_constructor_coerces_integer_arrays(self):
+        batch = OpBatch(np.array([1], dtype=np.int64),
+                        np.array([3], dtype=np.int32),
+                        np.array([2 ** 40], dtype=np.uint64))
+        assert batch.kinds.dtype == np.int8
+        assert batch.keys.dtype == batch.values.dtype == np.int64
+        assert batch.values.tolist() == [2 ** 40]
+
+
+# Bad writes: each is built inside the surface's ``pytest.raises`` block.
+# A non-Operation element is refused by ``OpBatch.of`` at the surface;
+# an out-of-range or non-integer value by ``Operation`` itself; the
+# array forms by the ``OpBatch`` constructor.
+BAD_WRITES = {
+    "tuple_element": lambda: [Operation("insert", 1, 5), ("insert", 3, 7)],
+    "value_overflow": lambda: [Operation("insert", 1, 5),
+                               Operation("insert", 3, 2 ** 70)],
+    "float_value": lambda: [Operation("insert", 1, 5),
+                            Operation("insert", 5, 1.5)],
+    "array_overflow": lambda: OpBatch([0, 0], [1, 3], [5, 2 ** 70]),
+    "array_float_value": lambda: OpBatch([0, 0], [1, 5], [5, 1.5]),
+    "array_bad_kind": lambda: OpBatch([0, 7], [1, 3], [5, 7]),
+}
+BASE = np.arange(0, 64, 2, dtype=np.int64)
+
+
+def _open_surface(surface):
+    if surface == "shards":
+        return ShardedTree.from_sorted(BASE, BASE * 3, n_shards=2, fanout=8)
+    tree = HarmoniaTree.from_sorted(BASE, BASE * 3, fanout=8)
+    return tree if surface == "tree" else EpochManager(tree)
+
+
+def _write(surf, ops):
+    if isinstance(surf, EpochManager):
+        surf.submit_many(ops)
+        return surf.flush()
+    return surf.apply_batch(ops)
+
+
+def _state(surf):
+    """Visible contents plus what a write would change besides them."""
+    res = surf.range_search_batch([0], [1 << 40])
+    contents = (res.keys.tolist(), res.values.tolist())
+    if isinstance(surf, HarmoniaTree):
+        return contents, surf.snapshot
+    if isinstance(surf, EpochManager):
+        return contents, surf.epoch, surf.pending_operations()
+    return contents, [len(s.oplog) for s in surf._shards], \
+        [surf.ping(s)[0] for s in range(surf.n_shards)]
+
+
+@pytest.mark.parametrize("case", sorted(BAD_WRITES))
+@pytest.mark.parametrize("surface", ["tree", "epoch", "shards"])
+def test_rejected_write_leaves_surface_unchanged(surface, case):
+    """A bad write raises ``ConfigError`` before anything changes: the
+    batch's valid ops are not applied or left pending either, and the
+    next good write goes through as usual."""
+    surf = _open_surface(surface)
+    try:
+        before = _state(surf)
+        with pytest.raises(ConfigError):
+            _write(surf, BAD_WRITES[case]())
+        assert _state(surf) == before
+        if isinstance(surf, EpochManager):
+            assert surf.flush() is None
+        assert _write(surf, [Operation("insert", 1, 5)]).inserted == 1
+        assert surf.search(1) == 5
+    finally:
+        if not isinstance(surf, HarmoniaTree):
+            surf.close()
 
 
 class TestAuxiliaryNode:

@@ -26,6 +26,7 @@ from repro.core.update import (
     K_INSERT,
     K_UPDATE,
     KIND_CODE,
+    OpBatch,
     Operation,
     scalar_apply,
 )
@@ -316,7 +317,8 @@ class TestPlanStage:
         keys = rng.integers(0, 200, size=300)  # many repeats per key
         ops = [Operation(str(k), int(key), i)
                for i, (k, key) in enumerate(zip(kinds, keys))]
-        run, res = resolve_batch(ops, lambda u: np.isin(u, present))
+        run, res = resolve_batch(OpBatch.of(ops),
+                                 lambda u: np.isin(u, present))
         assert res.inserted + res.updated + res.deleted + res.failed == 300
         state = {int(k): -1 for k in present if k < 200}
         for op in ops:  # arrival order
@@ -334,7 +336,8 @@ class TestPlanStage:
     def test_empty_plan(self):
         """An empty batch resolves to an empty run and keeps the
         snapshot."""
-        run, res = resolve_batch([], lambda u: np.zeros(u.size, bool))
+        run, res = resolve_batch(OpBatch.of([]),
+                                 lambda u: np.zeros(u.size, bool))
         assert run.n == 0 and res.n_effective == 0
         tree = make_tree(10, 4, 1.0)
         snap = tree.snapshot
@@ -352,9 +355,9 @@ class TestPlanStage:
         def exists(ukeys):
             return np.isin(ukeys, present)
 
-        run, res = resolve_batch(
+        run, res = resolve_batch(OpBatch.of(
             [Operation("update", 2, 5), Operation("insert", 1, 7),
-             Operation("delete", 2), Operation("update", 9, 1)], exists)
+             Operation("delete", 2), Operation("update", 9, 1)]), exists)
         assert (res.inserted, res.updated, res.deleted, res.failed) \
             == (1, 1, 1, 1)
         assert run.keys.tolist() == [1, 2]

@@ -12,6 +12,7 @@ import threading
 import numpy as np
 import pytest
 
+import repro.core.epoch as epoch_mod
 from repro.constants import KEY_MAX, NOT_FOUND
 from repro.core import EpochManager, HarmoniaTree
 from repro.core.layout import HarmoniaLayout
@@ -115,8 +116,9 @@ class TestCrashConsistency:
     def test_flush_failure_keeps_epoch_base_and_delta(self, monkeypatch,
                                                       target):
         """A fault while a flush resolves, folds or publishes its batch
-        publishes nothing: the epoch, the base snapshot and the visible delta stay
-        as they were."""
+        publishes nothing and loses nothing: the epoch, the base snapshot
+        and the visible delta stay as they were, the batch stays pending,
+        and once the fault is lifted ``flush()`` publishes each op once."""
         em, keys = self._manager_with_delta()
         base, view = em._tree.snapshot, em.pin().delta
 
@@ -127,6 +129,7 @@ class TestCrashConsistency:
         em.submit_many([Operation("insert", 3, 3), Operation("delete", 2)])
         with pytest.raises(RuntimeError):
             em.flush()
+        assert em.pending_operations() == 2
         assert em.epoch == 1
         assert em._tree.snapshot is base
         assert em.pin().delta is view
@@ -134,6 +137,46 @@ class TestCrashConsistency:
         assert len(em) == keys.size
         assert em.search(1) == 1 and em.search(0) is None
         assert em.search(2) == 2 and em.search(3) is None
+        monkeypatch.undo()
+        res = em.flush()
+        assert (res.inserted, res.updated, res.deleted, res.failed) \
+            == (1, 0, 1, 0)
+        assert em.epoch == 2 and em.pending_operations() == 0
+        assert em.flush() is None
+        assert len(em) == keys.size
+        assert em.search(3) == 3 and em.search(2) is None
+
+    @pytest.mark.parametrize("fail_at", [1, 2])
+    def test_auto_flush_failure_keeps_the_rest_pending(self, monkeypatch,
+                                                       fail_at):
+        """An auto-flush inside ``submit_many`` that raises publishes
+        nothing: the flushes before it stay published, every other op
+        the call submitted stays pending, and ``flush()`` then publishes
+        each of those once."""
+        keys = np.arange(0, 1_000, 2, dtype=np.int64)
+        em = EpochManager(HarmoniaTree.from_sorted(keys, fanout=8, fill=0.8),
+                          batch_capacity=2, drain_threshold=1 << 30)
+        resolve, calls = epoch_mod.resolve_batch, []
+
+        def flaky(*args):
+            calls.append(None)
+            if len(calls) == fail_at:
+                raise RuntimeError("injected flush failure")
+            return resolve(*args)
+
+        monkeypatch.setattr(epoch_mod, "resolve_batch", flaky)
+        new = [1, 3, 5, 7, 9]
+        with pytest.raises(RuntimeError):
+            em.submit_many([Operation("insert", k, -k) for k in new])
+        published = 2 * (fail_at - 1)
+        assert em.epoch == fail_at - 1
+        assert em.pending_operations() == len(new) - published
+        monkeypatch.undo()
+        res = em.flush()
+        assert res.inserted == len(new) - published and res.failed == 0
+        assert em.flush() is None
+        assert len(em) == keys.size + len(new)
+        assert [em.search(k) for k in new] == [-k for k in new]
 
     def test_drain_failure_keeps_contents_and_surfaces_on_sync(
             self, monkeypatch):

@@ -7,7 +7,9 @@ window to a plain dict oracle.  The geometry covers gapped layouts after
 inserts, deletes that empty whole leaves, inverted windows, windows
 outside the key span, windows straddling the shard boundary and an
 empty shard.  A wire test pins a worker's ``ranged`` reply to exactly
-three arrays.
+three arrays.  The same write batch, passed as an ``Operation`` list
+and as an ``OpBatch``, gives every surface the same accounting and
+contents as a per-op dict replay.
 """
 
 import multiprocessing as mp
@@ -21,7 +23,7 @@ from repro.core.config import SearchConfig
 from repro.core.epoch import EpochManager
 from repro.core.search import RangeBatch
 from repro.core.tree import HarmoniaTree
-from repro.core.update import Operation
+from repro.core.update import OpBatch, Operation
 from repro.errors import ConfigError
 from repro.shard import ShardChannel, ShardedTree
 from repro.shard.worker import worker_main
@@ -151,6 +153,84 @@ class TestEverySurfaceMatchesOracle:
             if empty_upper:
                 assert all(k <= cut for k in model)
             assert_matches_oracle(res, model, los, his)
+
+
+@st.composite
+def mixed_write(draw):
+    """Base contents, one batch over a small key range (keys repeat;
+    inserts of present keys and updates/deletes of absent ones fail) and
+    an ``EpochManager`` batch capacity that may split it."""
+    base = draw(st.dictionaries(st.integers(0, 60), st.integers(-99, 99),
+                                min_size=4, max_size=30))
+    raw = draw(st.lists(st.tuples(
+        st.sampled_from(["insert", "update", "delete"]),
+        st.integers(0, 60), st.integers(-99, 99)), max_size=60))
+    capacity = draw(st.integers(1, 64))
+    return base, [Operation(*op) for op in raw], capacity
+
+
+def replay(base, ops):
+    """Per-op dict replay: the contents after ``ops`` and the
+    (inserted, updated, deleted, failed) counts."""
+    model = dict(base)
+    done = {"insert": 0, "update": 0, "delete": 0}
+    for op in ops:
+        if (op.kind == "insert") == (op.key in model):
+            continue  # failed
+        done[op.kind] += 1
+        if op.kind == "delete":
+            del model[op.key]
+        else:
+            model[op.key] = op.value
+    n_ok = sum(done.values())
+    return model, (done["insert"], done["update"], done["delete"],
+                   len(ops) - n_ok)
+
+
+def write_and_read(surface, base, batch, capacity):
+    """Write ``batch`` into a fresh ``surface`` holding ``base``; its
+    summed accounting and visible contents."""
+    if surface == "shards":
+        keys = np.asarray(sorted(base), dtype=np.int64)
+        values = np.asarray([base[k] for k in keys.tolist()], dtype=np.int64)
+        with ShardedTree.from_sorted(keys, values, n_shards=2,
+                                     fanout=FANOUT, fill=FILL) as sh:
+            return [sh.apply_batch(batch)], contents(sh)
+    tree = build_tree(base)
+    if surface == "tree":
+        return [tree.apply_batch(batch)], contents(tree)
+    em = EpochManager(tree, batch_capacity=capacity, drain_threshold=16)
+    try:
+        results = em.submit_many(batch)
+        assert len(results) == len(batch) // capacity
+        assert em.pending_operations() == len(batch) % capacity
+        results.append(em.flush())
+        return [r for r in results if r is not None], contents(em)
+    finally:
+        em.close()
+
+
+def contents(surf):
+    res = surf.range_search_batch([0], [1 << 40])
+    return dict(zip(res.keys.tolist(), res.values.tolist()))
+
+
+class TestOpBatchMatchesList:
+    @pytest.mark.parametrize("surface", ["tree", "epoch", "shards"])
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=mixed_write())
+    def test_same_results_as_a_list(self, surface, case):
+        """Equal accounting and contents from both forms, matching the
+        dict; on an ``EpochManager`` the batch is split into
+        ``batch_capacity`` flushes inside ``submit_many``."""
+        base, ops, capacity = case
+        model, counts = replay(base, ops)
+        for form in (ops, OpBatch.of(ops)):
+            results, got = write_and_read(surface, base, form, capacity)
+            assert tuple(sum(getattr(r, f) for r in results) for f in (
+                "inserted", "updated", "deleted", "failed")) == counts
+            assert got == model
 
 
 def _surface(kind):

@@ -137,7 +137,7 @@ class TestCrashWithDelta:
             for r in range(2):
                 ops = batch(r)
                 assert outcome(st_tree.apply_batch(ops)) == replay(model, ops)
-            assert sum(len(b) for _, b, _ in st_tree._shards[0].oplog) \
+            assert sum(len(b) for b in st_tree._shards[0].oplog) \
                 < worker_mod.DRAIN_THRESHOLD
             crash(st_tree, 0)
             ops = batch(2)
